@@ -49,7 +49,6 @@ class InferenceConfig:
 @dataclass
 class RunConfig:
     seed: int = 0
-    threads: int = 1
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
     inlier: InlierConfig = field(default_factory=InlierConfig)
     uem: LlrConfig = field(default_factory=LlrConfig)
@@ -72,7 +71,7 @@ class RunConfig:
         unknown = set(raw) - known
         if unknown:
             raise LlrsegError(f"unknown top-level config keys: {sorted(unknown)}")
-        cfg = cls(seed=raw.get("seed", 0), threads=raw.get("threads", 1))
+        cfg = cls(seed=raw.get("seed", 0))
         if "dataset" in raw:
             cfg.dataset = build(DatasetConfig, raw["dataset"], "dataset")
         if "inlier" in raw:
@@ -90,7 +89,6 @@ class RunConfig:
     def resolved(self) -> dict:
         return {
             "seed": self.seed,
-            "threads": self.threads,
             "dataset": asdict(self.dataset),
             "inlier": asdict(self.inlier),
             "uem": asdict(self.uem),
@@ -166,6 +164,15 @@ def _write_preview(smap: ScoreMap, path: Path) -> None:
 
 
 def cmd_score(args) -> int:
+    # outputs are named after the input stem, so equal stems would overwrite
+    stems: dict[str, list] = {}
+    for fpath in args.features:
+        stems.setdefault(Path(fpath).stem, []).append(fpath)
+    clashes = [paths for paths in stems.values() if len(paths) > 1]
+    if clashes:
+        raise LlrsegError(
+            f"inputs would write the same output file: {clashes}; "
+            "score them with one --out each")
     cfg = _load_config(args)
     out = Path(args.out)
     _echo_config(cfg, out)
@@ -183,7 +190,14 @@ def cmd_score(args) -> int:
     return 0
 
 
+def _check_paired(what: str, a: list, b: list) -> None:
+    if len(a) != len(b):
+        raise LlrsegError(f"{what}: {len(a)} vs {len(b)} files; they pair one to one")
+
+
 def cmd_eval(args) -> int:
+    _check_paired("--scores / --labels", args.scores, args.labels)
+    _check_paired("--pred / --gt", args.pred or [], args.gt or [])
     cfg = _load_config(args)
     out = Path(args.out)
     _echo_config(cfg, out)
@@ -196,7 +210,7 @@ def cmd_eval(args) -> int:
         labels.append(sp.labels)
     sp = ScoredPixels(scores=np.concatenate(scores), labels=np.concatenate(labels))
     report = evaluation_report(sp)
-    if args.pred and args.gt:
+    if args.pred:
         values = [miou(load_label_map(p), load_label_map(g), args.num_classes)
                   for p, g in zip(args.pred, args.gt)]
         report["miou"] = float(np.mean(values))
@@ -220,8 +234,6 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", default=None, help="JSON run configuration")
         p.add_argument("--seed", type=int, default=None, help="root seed override")
         p.add_argument("--out", default="out", help="output directory")
-        p.add_argument("--threads", type=int, default=1,
-                       help="worker threads (1 keeps runs deterministic)")
 
     p = sub.add_parser("synth", help="generate a synthetic dataset")
     common(p)

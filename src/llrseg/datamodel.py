@@ -15,6 +15,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import (
+    BadBundle,
     BadHeader,
     BadMagic,
     DigestMismatch,
@@ -31,6 +32,10 @@ LMAP_MAGIC = b"LMAP"
 SMAP_MAGIC = b"SMAP"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
+# Model bundle layout version, written to manifest["format_version"].
+# Version 2 stores each GMM head as two packed [K, C, d] tensors (means,
+# vars) and no weights; unversioned bundles stored one file per component.
+BUNDLE_FORMAT_VERSION = 2
 
 # Sanity bound on header dimensions; anything larger is a corrupt header.
 MAX_DIM = 1 << 24
@@ -279,20 +284,19 @@ def load_score_map(path) -> ScoreMap:
 # model bundles
 # ---------------------------------------------------------------------------
 
+def _fmap_shape(shape) -> tuple:
+    """The (C, H, W) header shape that stores a tensor of rank <= 3."""
+    shape = tuple(shape)
+    if len(shape) > 3:
+        raise DimMismatch(f"cannot serialize tensor of rank {len(shape)}")
+    return (1,) * (3 - len(shape)) + shape
+
+
 def _tensor_file_bytes(tensor: np.ndarray) -> bytes:
     """Serialize a tensor as an FMAP file image (C collapsed where needed)."""
     t = np.asarray(tensor, dtype=np.float64)
-    if t.ndim == 0:
-        shape3 = (1, 1, 1)
-    elif t.ndim == 1:
-        shape3 = (1, 1, t.shape[0])
-    elif t.ndim == 2:
-        shape3 = (1, t.shape[0], t.shape[1])
-    elif t.ndim == 3:
-        shape3 = t.shape
-    else:
-        raise DimMismatch(f"cannot serialize tensor of rank {t.ndim}")
-    header = FMAP_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, DTYPE_F32, *shape3)
+    header = FMAP_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, DTYPE_F32,
+                                      *_fmap_shape(t.shape))
     return header + t.astype("<f4").tobytes()
 
 
@@ -306,7 +310,9 @@ class ModelBundle:
     """Named parameter tensors plus a JSON manifest with per-tensor digests.
 
     A stage-2 ("uem") bundle embeds every stage-1 tensor byte-identically and
-    lists their digests under manifest["frozen_digests"].
+    lists their digests under manifest["frozen_digests"]. On disk it is one
+    FMAP file per tensor plus manifest.json, which records the bundle format
+    version and each tensor's shape and digest.
     """
 
     manifest: dict
@@ -331,6 +337,7 @@ class ModelBundle:
                 "digest": hashlib.sha256(blob).hexdigest(),
             }
         manifest = dict(self.manifest)
+        manifest["format_version"] = BUNDLE_FORMAT_VERSION
         manifest["tensors"] = tensor_meta
         (dirpath / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
@@ -338,24 +345,36 @@ class ModelBundle:
 
     @classmethod
     def load(cls, dirpath, verify: bool = True) -> "ModelBundle":
+        """Read a bundle; every file, shape and version fault is an LlrsegError."""
         dirpath = Path(dirpath)
-        manifest = json.loads((dirpath / "manifest.json").read_text(encoding="utf-8"))
+        try:
+            manifest = json.loads((dirpath / "manifest.json").read_text(encoding="utf-8"))
+        except (OSError, ValueError) as exc:
+            raise BadBundle(f"cannot read {dirpath / 'manifest.json'}: {exc}") from None
+        version = manifest.get("format_version")
+        if version != BUNDLE_FORMAT_VERSION:
+            raise BadBundle(
+                f"bundle {dirpath} has format version {version}, expected format "
+                f"version {BUNDLE_FORMAT_VERSION}; retrain it with this version")
         tensors = {}
         for name, meta in manifest["tensors"].items():
-            blob = (dirpath / f"{name}.fmap").read_bytes()
+            try:
+                blob = (dirpath / f"{name}.fmap").read_bytes()
+            except OSError as exc:
+                raise BadBundle(f"tensor {name!r}: {exc}") from None
             if verify and hashlib.sha256(blob).hexdigest() != meta["digest"]:
                 raise DigestMismatch(f"tensor {name!r} digest mismatch")
-            fmap = _parse_fmap_bytes(blob)
+            data, header_shape = _parse_fmap_bytes(blob)
             shape = tuple(meta["shape"])
-            if int(np.prod(shape)) != fmap.size:
-                raise DimMismatch(
-                    f"tensor {name!r}: manifest shape {shape} vs payload {fmap.size}"
-                )
-            tensors[name] = fmap.reshape(shape)
+            if _fmap_shape(shape) != header_shape:
+                raise DimMismatch(f"tensor {name!r}: manifest shape {shape} "
+                                  f"vs file header {header_shape}")
+            tensors[name] = data.reshape(shape)
         return cls(manifest=manifest, tensors=tensors)
 
 
-def _parse_fmap_bytes(blob: bytes) -> np.ndarray:
+def _parse_fmap_bytes(blob: bytes) -> tuple[np.ndarray, tuple]:
+    """Flat float64 payload and (C, H, W) header shape of an FMAP image."""
     if blob[:4] != FMAP_MAGIC:
         raise BadMagic(f"expected {FMAP_MAGIC!r}, got {blob[:4]!r}")
     if len(blob) < 24:
@@ -369,4 +388,4 @@ def _parse_fmap_bytes(blob: bytes) -> np.ndarray:
         raise TruncatedPayload(f"expected {24 + 4 * n} bytes, got {len(blob)}")
     data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
     _check_finite(data)
-    return data
+    return data, (c, h, w)

@@ -40,6 +40,10 @@ class DigestMismatch(LlrsegError):
     pass
 
 
+class BadBundle(LlrsegError):
+    """A model bundle directory that is incomplete or of another format version."""
+
+
 # --- densities / fitting ---
 
 class DegenerateCovariance(LlrsegError):

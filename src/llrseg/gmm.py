@@ -1,8 +1,10 @@
 """Diagonal-covariance Gaussian mixtures fitted with Sinkhorn EM.
 
-Mixture weights are held uniform per class and never re-estimated. Every
-density evaluation goes through a max-subtracted log-sum-exp so finite
-inputs never produce -inf.
+One GmmHead serves every mixture in the package: the stage-1 class
+densities, the stage-2 inlier/outlier densities and `fit_gmm`. Mixture
+weights are uniform per class and never stored or re-estimated, so the
+log-weight is the constant log(1/C). Every density evaluation goes through
+a max-subtracted log-sum-exp so finite inputs never produce -inf.
 """
 from __future__ import annotations
 
@@ -11,7 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 from scipy.special import logsumexp
 
-from .errors import DegenerateCovariance, InsufficientSamples, InvalidCost
+from .errors import DegenerateCovariance, DimMismatch, InsufficientSamples, InvalidCost
 
 VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -19,29 +21,27 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 @dataclass(frozen=True)
 class GmmHead:
-    """Per-class mixture parameters: means, diagonal variances, weights."""
+    """Per-class mixtures: means and diagonal variances, uniform weights.
+
+    Shares its head surface (`logits`, `logits_with_grad`, `tensors`,
+    `from_tensors`, `in_dim`, `out_dim`) with the linear head,
+    `neuralcore.DenseLayer`.
+    """
 
     means: np.ndarray      # [K, C, d]
     variances: np.ndarray  # [K, C, d]
-    weights: np.ndarray    # [K, C], each row sums to 1
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
         variances = np.asarray(self.variances, dtype=np.float64)
-        weights = np.asarray(self.weights, dtype=np.float64)
         if means.ndim != 3 or means.shape != variances.shape:
-            raise ValueError(f"bad GMM shapes {means.shape} vs {variances.shape}")
-        if weights.shape != means.shape[:2]:
-            raise ValueError(f"weights shape {weights.shape} vs {means.shape[:2]}")
+            raise DimMismatch(f"bad GMM shapes {means.shape} vs {variances.shape}")
         if np.any(variances < VAR_FLOOR):
             raise DegenerateCovariance(
                 f"variance below floor {VAR_FLOOR}: min={variances.min()}"
             )
-        if np.max(np.abs(weights.sum(axis=1) - 1.0)) > 1e-12:
-            raise ValueError("per-class mixture weights must sum to 1")
         object.__setattr__(self, "means", means)
         object.__setattr__(self, "variances", variances)
-        object.__setattr__(self, "weights", weights)
 
     @property
     def classes(self) -> int:
@@ -52,69 +52,57 @@ class GmmHead:
         return self.means.shape[1]
 
     @property
-    def dim(self) -> int:
+    def in_dim(self) -> int:
         return self.means.shape[2]
 
-    def parameter_count(self) -> int:
-        return self.means.size + self.variances.size + self.weights.size
+    out_dim = classes
 
+    @property
+    def log_weight(self) -> float:
+        """The uniform mixture log-weight log(1/C) of every component."""
+        return np.log(1.0 / self.components)
 
-def uniform_weights(classes: int, components: int) -> np.ndarray:
-    return np.full((classes, components), 1.0 / components)
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return gmm_all_log_densities(x, self)
 
+    def logits_with_grad(self, x: np.ndarray):
+        logdens, backward = gmm_all_log_densities_with_grad(x, self)
 
-def gaussian_log_density(x, mu, var) -> float:
-    """log N(x; mu, diag(var)) for a single d-vector."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    if np.any(var < VAR_FLOOR):
-        raise DegenerateCovariance(f"variance below floor: min={var.min()}")
-    d = x.shape[-1]
-    z = (x - mu) ** 2 / var
-    return float(-0.5 * (d * LOG_2PI + np.log(var).sum() + z.sum()))
+        def head_backward(d_logdens):
+            dx, dmeans, dvars = backward(d_logdens)
+            return dx, {"means": dmeans, "vars": dvars}
 
+        return logdens, head_backward
 
-def gaussian_log_density_batch(x: np.ndarray, mu, var) -> np.ndarray:
-    """Vectorized log N over rows of x [N, d]."""
-    x = np.asarray(x, dtype=np.float64)
-    mu = np.asarray(mu, dtype=np.float64)
-    var = np.asarray(var, dtype=np.float64)
-    if np.any(var < VAR_FLOOR):
-        raise DegenerateCovariance(f"variance below floor: min={var.min()}")
-    d = x.shape[1]
-    z = ((x - mu) ** 2 / var).sum(axis=1)
-    return -0.5 * (d * LOG_2PI + np.log(var).sum() + z)
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {"means": self.means, "vars": self.variances}
+
+    @classmethod
+    def from_tensors(cls, tensors: dict) -> "GmmHead":
+        """Clamps variances to VAR_FLOOR: float32 storage rounds the floor
+        itself to just below it, and Adam steps ignore it."""
+        return cls(means=tensors["means"],
+                   variances=np.maximum(tensors["vars"], VAR_FLOOR))
 
 
 def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
     """[N, C] matrix of per-component log densities for class k (no weights)."""
     x = np.asarray(x, dtype=np.float64)
+    d = x.shape[1]
     out = np.empty((x.shape[0], head.components))
     for c in range(head.components):
-        out[:, c] = gaussian_log_density_batch(x, head.means[k, c], head.variances[k, c])
+        var = head.variances[k, c]
+        z = ((x - head.means[k, c]) ** 2 / var).sum(axis=1)
+        out[:, c] = -0.5 * (d * LOG_2PI + np.log(var).sum() + z)
     return out
-
-
-def gmm_log_density(x, head: GmmHead, k: int) -> float:
-    """log sum_c pi_kc N_c(x) via max-subtracted log-sum-exp."""
-    if not 0 <= k < head.classes:
-        raise IndexError(f"class {k} out of range [0, {head.classes})")
-    x = np.asarray(x, dtype=np.float64).reshape(1, -1)
-    comp = component_log_densities(x, head, k)[0] + np.log(head.weights[k])
-    return float(logsumexp(comp))
-
-
-def gmm_log_density_batch(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
-    comp = component_log_densities(x, head, k) + np.log(head.weights[k])
-    return logsumexp(comp, axis=1)
 
 
 def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:
     """[N, K] class log densities for a batch of feature vectors."""
     out = np.empty((x.shape[0], head.classes))
     for k in range(head.classes):
-        out[:, k] = gmm_log_density_batch(x, head, k)
+        comp = component_log_densities(x, head, k) + head.log_weight
+        out[:, k] = logsumexp(comp, axis=1)
     return out
 
 
@@ -128,31 +116,41 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead):
     n = x.shape[0]
     kk, cc = head.classes, head.components
     logdens = np.empty((n, kk))
-    resp = np.empty((n, kk, cc))
+    resp = np.empty((kk, cc, n))  # component-major: one contiguous row each
     for k in range(kk):
-        comp = component_log_densities(x, head, k) + np.log(head.weights[k])
+        comp = component_log_densities(x, head, k) + head.log_weight
         m = comp.max(axis=1, keepdims=True)
         e = np.exp(comp - m)
         s = e.sum(axis=1, keepdims=True)
         logdens[:, k] = (m + np.log(s))[:, 0]
-        resp[:, k, :] = e / s
+        resp[k] = (e / s).T
 
     def backward(d_logdens: np.ndarray):
-        dx = np.zeros_like(x)
-        dmeans = np.zeros_like(head.means)
-        dvars = np.zeros_like(head.variances)
-        for k in range(kk):
-            for c in range(cc):
-                coeff = d_logdens[:, k] * resp[:, k, c]  # [N]
-                diff = x - head.means[k, c]
-                inv = 1.0 / head.variances[k, c]
-                g = diff * inv  # d logN / d mu per-coordinate, sign-flipped for x
-                dx += coeff[:, None] * (-g)
-                dmeans[k, c] = coeff @ g
-                dvars[k, c] = coeff @ (0.5 * (diff**2 * inv**2 - inv))
-        return dx, dmeans, dvars
+        d_comp = d_logdens.T[:, None, :] * resp
+        return component_backward(head, x, d_comp.transpose(2, 0, 1))
 
     return logdens, backward
+
+
+def component_backward(head: GmmHead, x: np.ndarray, d_comp: np.ndarray):
+    """Backward of every component log density wrt x and the parameters.
+
+    d_comp [N, K, C] is the upstream gradient of log N(x; mu_kc, var_kc).
+    Returns (dx [N, d], dmeans [K, C, d], dvars [K, C, d]).
+    """
+    dx = np.zeros_like(x)
+    dmeans = np.zeros_like(head.means)
+    dvars = np.zeros_like(head.variances)
+    for k in range(head.classes):
+        for c in range(head.components):
+            coeff = d_comp[:, k, c]  # [N]
+            diff = x - head.means[k, c]
+            inv = 1.0 / head.variances[k, c]
+            g = diff * inv  # d logN / d mu per-coordinate, sign-flipped for x
+            dx += coeff[:, None] * (-g)
+            dmeans[k, c] = coeff @ g
+            dvars[k, c] = coeff @ (0.5 * (diff**2 * inv**2 - inv))
+    return dx, dmeans, dvars
 
 
 # ---------------------------------------------------------------------------
@@ -246,7 +244,7 @@ def em_update(
         means[k, c] = momentum * means[k, c] + (1.0 - momentum) * mu_new
         variances[k, c] = momentum * variances[k, c] + (1.0 - momentum) * var_new
     variances = np.maximum(variances, VAR_FLOOR)
-    return GmmHead(means=means, variances=variances, weights=head.weights)
+    return GmmHead(means=means, variances=variances)
 
 
 # ---------------------------------------------------------------------------
@@ -271,8 +269,10 @@ class GmmFitResult:
 
 
 def init_head(features_by_class, components: int, rng: np.random.Generator) -> GmmHead:
-    """Seeded init: component means are distinct sampled features, variances
-    the per-class diagonal sample variance."""
+    """Seeded init, class by class: component means are distinct sampled
+    features, variances the class's diagonal sample variance. A class with
+    fewer than `components` features gets standard-normal means and unit
+    variances."""
     kk = len(features_by_class)
     d = np.asarray(features_by_class[0]).shape[1]
     means = np.empty((kk, components, d))
@@ -280,30 +280,56 @@ def init_head(features_by_class, components: int, rng: np.random.Generator) -> G
     for k, feats in enumerate(features_by_class):
         feats = np.asarray(feats, dtype=np.float64)
         if feats.shape[0] < components:
-            raise InsufficientSamples(k)
+            means[k] = rng.standard_normal((components, d))
+            variances[k] = 1.0
+            continue
         idx = rng.choice(feats.shape[0], size=components, replace=False)
         means[k] = feats[idx]
         variances[k] = np.maximum(feats.var(axis=0), VAR_FLOOR)
-    return GmmHead(means=means, variances=variances,
-                   weights=uniform_weights(kk, components))
+    return GmmHead(means=means, variances=variances)
+
+
+def refresh(head: GmmHead, features_by_class, rng: np.random.Generator,
+            epsilon: float, sinkhorn_iters: int, momentum: float,
+            max_pixels: int | None = None, counters: dict | None = None) -> GmmHead:
+    """One Sinkhorn-EM round per class, in class order.
+
+    A class with fewer features than components is skipped and counted
+    under counters["absent_classes"]; one with more than `max_pixels` is
+    first subsampled without replacement.
+    """
+    for k, feats in enumerate(features_by_class):
+        feats = np.asarray(feats, dtype=np.float64)
+        if feats.shape[0] < head.components:
+            if counters is not None:
+                counters["absent_classes"] = counters.get("absent_classes", 0) + 1
+            continue
+        if max_pixels is not None and feats.shape[0] > max_pixels:
+            idx = rng.choice(feats.shape[0], max_pixels, replace=False)
+            feats = feats[idx]
+        comp_ll = component_log_densities(feats, head, k)
+        plan = sinkhorn_assign(comp_ll, epsilon, sinkhorn_iters)
+        head = em_update(head, k, feats, plan, momentum, counters)
+    return head
 
 
 def fit_gmm(features_by_class, config: GmmFitConfig) -> GmmFitResult:
     """Sinkhorn-EM fit of one GMM per class. Deterministic for a fixed seed."""
+    features_by_class = [np.asarray(f, dtype=np.float64) for f in features_by_class]
+    for k, feats in enumerate(features_by_class):
+        if feats.shape[0] < config.components:
+            raise InsufficientSamples(k)
     rng = np.random.default_rng(config.seed)
     head = init_head(features_by_class, config.components, rng)
     counters: dict = {}
     history = []
     for _ in range(config.em_rounds):
-        for k, feats in enumerate(features_by_class):
-            feats = np.asarray(feats, dtype=np.float64)
-            comp_ll = component_log_densities(feats, head, k)
-            plan = sinkhorn_assign(comp_ll, config.epsilon, config.sinkhorn_iters)
-            head = em_update(head, k, feats, plan, config.momentum, counters)
+        head = refresh(head, features_by_class, rng, config.epsilon,
+                       config.sinkhorn_iters, config.momentum, counters=counters)
         total = 0.0
         count = 0
         for k, feats in enumerate(features_by_class):
-            ll = gmm_log_density_batch(np.asarray(feats, dtype=np.float64), head, k)
+            ll = gmm_all_log_densities(feats, head)[:, k]
             total += ll.sum()
             count += ll.shape[0]
         history.append(total / count)

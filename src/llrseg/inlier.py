@@ -3,7 +3,8 @@
 The decoder is a 2-layer MLP applied per pixel; the head is either a
 linear layer (discriminative) or one diagonal GMM per class (generative,
 class log densities used directly as logits). Both heads expose the same
-[K, H, W] logit interface.
+surface (logits, logits with a backward, tensors to and from a bundle), so
+every stage handles them alike.
 """
 from __future__ import annotations
 
@@ -11,7 +12,6 @@ from dataclasses import dataclass, asdict, field
 
 import numpy as np
 
-from . import gmm as gmm_mod
 from .datamodel import (
     FeatureMap,
     LabelMap,
@@ -19,16 +19,8 @@ from .datamodel import (
     ScoreMap,
     validate_pair,
 )
-from .errors import DimMismatch, LlrsegError
-from .gmm import (
-    GmmHead,
-    component_log_densities,
-    em_update,
-    gmm_all_log_densities,
-    gmm_all_log_densities_with_grad,
-    sinkhorn_assign,
-    uniform_weights,
-)
+from .errors import BadBundle, DimMismatch, LlrsegError
+from .gmm import GmmHead, init_head, refresh
 from .metrics import miou
 from .neuralcore import (
     DenseLayer,
@@ -48,6 +40,31 @@ from .neuralcore import (
 GENERATIVE = "generative"
 DISCRIMINATIVE = "discriminative"
 
+HEAD_TYPES = {DISCRIMINATIVE: DenseLayer, GENERATIVE: GmmHead}
+# bundle name prefix of the stage-1 head tensors
+STAGE1_HEAD_PREFIX = {DISCRIMINATIVE: "head", GENERATIVE: "gmm"}
+
+
+def check_head(head, head_kind: str, in_dim: int, out_dim: int, what: str) -> None:
+    """A head of `head_kind` must be its kind's type and map in_dim -> out_dim."""
+    if head_kind not in HEAD_TYPES:
+        raise ValueError(f"unknown head kind {head_kind!r}")
+    if not isinstance(head, HEAD_TYPES[head_kind]):
+        raise TypeError(
+            f"{head_kind} {what} head must be a {HEAD_TYPES[head_kind].__name__}")
+    if (head.in_dim, head.out_dim) != (in_dim, out_dim):
+        raise DimMismatch(f"{what} head maps {head.in_dim} -> {head.out_dim}, "
+                          f"expected {in_dim} -> {out_dim}")
+
+
+def prefixed(prefix: str, tensors: dict) -> dict:
+    return {f"{prefix}.{name}": t for name, t in tensors.items()}
+
+
+def unprefixed(prefix: str, tensors: dict) -> dict:
+    p = prefix + "."
+    return {name[len(p):]: t for name, t in tensors.items() if name.startswith(p)}
+
 
 @dataclass
 class InlierModel:
@@ -58,22 +75,8 @@ class InlierModel:
     frozen: bool = False
 
     def __post_init__(self):
-        if self.head_kind not in (GENERATIVE, DISCRIMINATIVE):
-            raise ValueError(f"unknown head kind {self.head_kind!r}")
-        if self.head_kind == DISCRIMINATIVE:
-            if not isinstance(self.head, DenseLayer):
-                raise TypeError("discriminative head must be a DenseLayer")
-            if self.head.in_dim != self.decoder.out_dim:
-                raise DimMismatch("head input dim does not match decoder output")
-            if self.head.out_dim != self.num_classes:
-                raise DimMismatch("head output dim must equal K")
-        else:
-            if not isinstance(self.head, GmmHead):
-                raise TypeError("generative head must be a GmmHead")
-            if self.head.dim != self.decoder.out_dim:
-                raise DimMismatch("GMM dim does not match decoder output")
-            if self.head.classes != self.num_classes:
-                raise DimMismatch("GMM class count must equal K")
+        check_head(self.head, self.head_kind, self.decoder.out_dim,
+                   self.num_classes, "inlier")
 
     @property
     def feature_dim(self) -> int:
@@ -84,12 +87,8 @@ class InlierModel:
         return self.decoder.out_dim
 
     def parameter_count(self) -> int:
-        n = self.decoder.parameter_count()
-        if self.head_kind == DISCRIMINATIVE:
-            n += self.head.weight.size + self.head.bias.size
-        else:
-            n += self.head.parameter_count()
-        return n
+        return (self.decoder.parameter_count()
+                + sum(t.size for t in self.head.tensors().values()))
 
 
 def decode_pixels(m: InlierModel, f: FeatureMap) -> np.ndarray:
@@ -100,16 +99,9 @@ def decode_pixels(m: InlierModel, f: FeatureMap) -> np.ndarray:
     return decoded
 
 
-def head_logits(m: InlierModel, decoded: np.ndarray) -> np.ndarray:
-    """[N, K] logits from decoded pixel features."""
-    if m.head_kind == DISCRIMINATIVE:
-        return decoded @ m.head.weight.T + m.head.bias
-    return gmm_all_log_densities(decoded, m.head)
-
-
 def inlier_logits(m: InlierModel, f: FeatureMap) -> np.ndarray:
     """Per-pixel class logits with shape [K, H, W]."""
-    logits = head_logits(m, decode_pixels(m, f))
+    logits = m.head.logits(decode_pixels(m, f))
     return logits.T.reshape(m.num_classes, f.height, f.width)
 
 
@@ -180,52 +172,17 @@ def _gather_pixels(dataset, indices, num_classes):
     return np.concatenate(feats, axis=0), np.concatenate(labels)
 
 
-def _init_gmm_head_from_decoded(decoded, labels, num_classes, cfg, rng) -> GmmHead:
-    d = decoded.shape[1]
-    comp = cfg.gmm_components
-    means = np.empty((num_classes, comp, d))
-    variances = np.empty((num_classes, comp, d))
-    for k in range(num_classes):
-        feats = decoded[labels == k]
-        if feats.shape[0] < comp:
-            # absent class: leave means at a seeded random init
-            means[k] = rng.standard_normal((comp, d))
-            variances[k] = 1.0
-            continue
-        idx = rng.choice(feats.shape[0], size=comp, replace=False)
-        means[k] = feats[idx]
-        variances[k] = np.maximum(feats.var(axis=0), gmm_mod.VAR_FLOOR)
-    return GmmHead(means=means, variances=variances,
-                   weights=uniform_weights(num_classes, comp))
-
-
-def _refresh_gmm(head: GmmHead, decoded, labels, cfg: InlierConfig,
-                 rng: np.random.Generator, counters: dict) -> GmmHead:
-    """One Sinkhorn-EM round per class on (subsampled) decoded features."""
-    for k in range(head.classes):
-        feats = decoded[labels == k]
-        if feats.shape[0] < head.components:
-            counters["absent_classes"] = counters.get("absent_classes", 0) + 1
-            continue
-        if feats.shape[0] > cfg.gmm_max_pixels_per_class:
-            idx = rng.choice(feats.shape[0], cfg.gmm_max_pixels_per_class,
-                             replace=False)
-            feats = feats[idx]
-        comp_ll = component_log_densities(feats, head, k)
-        plan = sinkhorn_assign(comp_ll, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters)
-        head = em_update(head, k, feats, plan, cfg.gmm_momentum, counters)
-    return head
-
-
 def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrainResult:
     """Train decoder + head on (FeatureMap, LabelMap) pairs.
 
-    Discriminative: joint Adam on cross-entropy. Generative: Adam on the
-    decoder against CE over GMM log-density logits, alternating with
-    Sinkhorn-EM refreshes of the GMM each epoch. Deterministic per seed.
+    Adam on the cross-entropy of the head's logits. A linear head trains
+    jointly with the decoder; a GMM head is fitted by Sinkhorn EM alone,
+    one refresh per epoch on the decoded features. Deterministic per seed.
     """
     if not dataset:
         raise LlrsegError("empty dataset")
+    if config.head_kind not in HEAD_TYPES:
+        raise LlrsegError(f"unknown head kind {config.head_kind!r}")
     feature_dim = dataset[0][0].channels
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1]))
     train_idx, held_idx = holdout_split(len(dataset))
@@ -238,64 +195,47 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrain
             warnings_list.append(f"class {k} absent from training data")
 
     decoder = make_mlp([feature_dim, config.decoder_hidden, config.decoder_dim], rng)
+    em = config.head_kind == GENERATIVE
+    if em:
+        decoded_all, _ = mlp_forward(decoder, x)
+        head = init_head([decoded_all[y == k] for k in range(num_classes)],
+                         config.gmm_components, rng)
+    else:
+        head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
+    params = {**mlp_params(decoder, "decoder"), **prefixed("head", head.tensors())}
+    opt = make_optimizer("adam", config.lr)
     counters: dict = {}
     loss_history = []
-
-    if config.head_kind == DISCRIMINATIVE:
-        head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
-        params = mlp_params(decoder, "decoder")
-        params["head.weight"] = head.weight
-        params["head.bias"] = head.bias
-        opt = make_optimizer("adam", config.lr)
-        for _ in range(config.epochs):
-            order = rng.permutation(x.shape[0])
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, x.shape[0], config.batch_size):
-                idx = order[start:start + config.batch_size]
-                decoded, tape = mlp_forward(decoder, x[idx])
-                logits = decoded @ head.weight.T + head.bias
-                loss, d_logits = softmax_cross_entropy(logits, y[idx])
-                d_decoded = d_logits @ head.weight
-                dec_grads, _ = mlp_backward(decoder, tape, d_decoded)
-                grads = mlp_grads_dict(dec_grads, "decoder")
-                grads["head.weight"] = d_logits.T @ decoded
-                grads["head.bias"] = d_logits.sum(axis=0)
-                opt, params = optimizer_step(opt, params, grads)
-                set_mlp_params(decoder, "decoder", params)
-                head.weight = params["head.weight"]
-                head.bias = params["head.bias"]
-                epoch_loss += loss
-                n_batches += 1
-            loss_history.append(epoch_loss / max(1, n_batches))
-        model = InlierModel(decoder=decoder, head=head,
-                            num_classes=num_classes, head_kind=DISCRIMINATIVE)
-    else:
-        decoded_all, _ = mlp_forward(decoder, x)
-        head = _init_gmm_head_from_decoded(decoded_all, y, num_classes, config, rng)
-        params = mlp_params(decoder, "decoder")
-        opt = make_optimizer("adam", config.lr)
-        for _ in range(config.epochs):
-            order = rng.permutation(x.shape[0])
-            epoch_loss = 0.0
-            n_batches = 0
-            for start in range(0, x.shape[0], config.batch_size):
-                idx = order[start:start + config.batch_size]
-                decoded, tape = mlp_forward(decoder, x[idx])
-                logits, gmm_back = gmm_all_log_densities_with_grad(decoded, head)
-                loss, d_logits = softmax_cross_entropy(logits, y[idx])
-                d_decoded, _, _ = gmm_back(d_logits)
-                dec_grads, _ = mlp_backward(decoder, tape, d_decoded)
-                grads = mlp_grads_dict(dec_grads, "decoder")
-                opt, params = optimizer_step(opt, params, grads)
-                set_mlp_params(decoder, "decoder", params)
-                epoch_loss += loss
-                n_batches += 1
-            loss_history.append(epoch_loss / max(1, n_batches))
+    for _ in range(config.epochs):
+        order = rng.permutation(x.shape[0])
+        epoch_loss = 0.0
+        n_batches = 0
+        for start in range(0, x.shape[0], config.batch_size):
+            idx = order[start:start + config.batch_size]
+            decoded, tape = mlp_forward(decoder, x[idx])
+            logits, head_backward = head.logits_with_grad(decoded)
+            loss, d_logits = softmax_cross_entropy(logits, y[idx])
+            d_decoded, head_grads = head_backward(d_logits)
+            dec_grads, _ = mlp_backward(decoder, tape, d_decoded)
+            grads = mlp_grads_dict(dec_grads, "decoder")
+            # EM alone fits a GMM head: Adam keeps tensors that get no gradient
+            if not em:
+                grads.update(prefixed("head", head_grads))
+            opt, params = optimizer_step(opt, params, grads)
+            set_mlp_params(decoder, "decoder", params)
+            head = type(head).from_tensors(unprefixed("head", params))
+            epoch_loss += loss
+            n_batches += 1
+        loss_history.append(epoch_loss / max(1, n_batches))
+        if em:
             decoded_all, _ = mlp_forward(decoder, x)
-            head = _refresh_gmm(head, decoded_all, y, config, rng, counters)
-        model = InlierModel(decoder=decoder, head=head,
-                            num_classes=num_classes, head_kind=GENERATIVE)
+            head = refresh(head, [decoded_all[y == k] for k in range(num_classes)],
+                           rng, config.gmm_epsilon, config.gmm_sinkhorn_iters,
+                           config.gmm_momentum, config.gmm_max_pixels_per_class,
+                           counters)
+            params.update(prefixed("head", head.tensors()))
+    model = InlierModel(decoder=decoder, head=head, num_classes=num_classes,
+                        head_kind=config.head_kind)
 
     bundle = bundle_from_inlier(model, config)
     # report mIoU from the bundle so it is reproducible bit-exactly after reload
@@ -319,19 +259,8 @@ def heldout_miou(model: InlierModel, dataset, held_idx, num_classes: int) -> flo
 # ---------------------------------------------------------------------------
 
 def bundle_from_inlier(model: InlierModel, config: InlierConfig) -> ModelBundle:
-    tensors = dict(mlp_params(model.decoder, "decoder"))
-    if model.head_kind == DISCRIMINATIVE:
-        tensors["head.weight"] = model.head.weight
-        tensors["head.bias"] = model.head.bias
-        components = 0
-    else:
-        h = model.head
-        for k in range(h.classes):
-            for c in range(h.components):
-                tensors[f"gmm.{k}.{c}.mean"] = h.means[k, c]
-                tensors[f"gmm.{k}.{c}.var"] = h.variances[k, c]
-                tensors[f"gmm.{k}.{c}.weight"] = np.array([h.weights[k, c]])
-        components = h.components
+    tensors = {**mlp_params(model.decoder, "decoder"),
+               **prefixed(STAGE1_HEAD_PREFIX[model.head_kind], model.head.tensors())}
     manifest = {
         "stage": "inlier",
         "head_kind": model.head_kind,
@@ -339,7 +268,6 @@ def bundle_from_inlier(model: InlierModel, config: InlierConfig) -> ModelBundle:
         "feature_dim": model.feature_dim,
         "decoder_dim": model.decoder_dim,
         "projection_dim": None,
-        "gmm_components": components,
         "decoder_layers": len(model.decoder.layers),
         "decoder_activations": [l.activation for l in model.decoder.layers],
         "config": asdict(config),
@@ -353,37 +281,25 @@ def bundle_from_inlier(model: InlierModel, config: InlierConfig) -> ModelBundle:
 
 def inlier_from_bundle(bundle: ModelBundle) -> InlierModel:
     man = bundle.manifest
-    if man["stage"] not in ("inlier", "uem"):
-        raise LlrsegError(f"unexpected bundle stage {man['stage']!r}")
-    n_layers = man["decoder_layers"]
-    activations = man["decoder_activations"]
-    layers = [
-        DenseLayer(weight=bundle.tensors[f"decoder.{i}.weight"],
-                   bias=bundle.tensors[f"decoder.{i}.bias"],
-                   activation=activations[i])
-        for i in range(n_layers)
-    ]
-    decoder = Mlp(layers=layers)
-    k = man["num_classes"]
-    head_kind = man["inlier_head_kind"] if man["stage"] == "uem" else man["head_kind"]
-    if head_kind == DISCRIMINATIVE:
-        head = DenseLayer(weight=bundle.tensors["head.weight"],
-                          bias=bundle.tensors["head.bias"], activation="identity")
-    else:
-        comp = man["gmm_components"]
-        d = man["decoder_dim"]
-        means = np.empty((k, comp, d))
-        variances = np.empty((k, comp, d))
-        weights = np.empty((k, comp))
-        for ki in range(k):
-            for c in range(comp):
-                means[ki, c] = bundle.tensors[f"gmm.{ki}.{c}.mean"]
-                variances[ki, c] = bundle.tensors[f"gmm.{ki}.{c}.var"]
-                weights[ki, c] = bundle.tensors[f"gmm.{ki}.{c}.weight"][0]
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        head = GmmHead(means=means, variances=variances, weights=weights)
-    return InlierModel(decoder=decoder, head=head, num_classes=k,
-                       head_kind=head_kind, frozen=man["stage"] == "uem")
+    try:
+        if man["stage"] not in ("inlier", "uem"):
+            raise LlrsegError(f"unexpected bundle stage {man['stage']!r}")
+        layers = [
+            DenseLayer(weight=bundle.tensors[f"decoder.{i}.weight"],
+                       bias=bundle.tensors[f"decoder.{i}.bias"],
+                       activation=activation)
+            for i, activation in enumerate(man["decoder_activations"])
+        ]
+        head_kind = man["inlier_head_kind"] if man["stage"] == "uem" else man["head_kind"]
+        head = HEAD_TYPES[head_kind].from_tensors(
+            unprefixed(STAGE1_HEAD_PREFIX[head_kind], bundle.tensors))
+        num_classes = man["num_classes"]
+    except KeyError as exc:
+        raise BadBundle(f"stage-1 model: bundle entry {exc.args[0]!r} "
+                        "missing or unknown") from None
+    return InlierModel(decoder=Mlp(layers=layers), head=head,
+                       num_classes=num_classes, head_kind=head_kind,
+                       frozen=man["stage"] == "uem")
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:

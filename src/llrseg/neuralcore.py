@@ -64,6 +64,26 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
+    # As a classification head (identity activation), the layer shares
+    # this surface with gmm.GmmHead.
+
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        return x @ self.weight.T + self.bias
+
+    def logits_with_grad(self, x: np.ndarray):
+        def backward(d_logits):
+            return d_logits @ self.weight, {"weight": d_logits.T @ x,
+                                            "bias": d_logits.sum(axis=0)}
+
+        return self.logits(x), backward
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        return {"weight": self.weight, "bias": self.bias}
+
+    @classmethod
+    def from_tensors(cls, tensors: dict) -> "DenseLayer":
+        return cls(weight=tensors["weight"], bias=tensors["bias"])
+
 
 @dataclass
 class Mlp:

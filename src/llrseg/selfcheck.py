@@ -7,17 +7,19 @@ import numpy as np
 
 from .anomalymix import random_bank, random_spec, synth_scene
 from .datamodel import BinaryOutlierMap, FeatureMap
-from .gmm import GmmHead, gmm_log_density, sinkhorn_assign, uniform_weights
+from .gmm import GmmHead, gmm_all_log_densities, sinkhorn_assign
 from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
+    InlierModel,
     train_inlier,
 )
 from .inference import score_image, tile_plan
 from .metrics import ScoredPixels, auroc, average_precision, fpr_at_tpr
 from .neuralcore import grad_check, make_mlp, mlp_forward, mlp_backward, \
-    mlp_grads_dict, mlp_params, set_mlp_params, sigmoid_bce_with_logits
+    mlp_grads_dict, mlp_params, set_mlp_params, sigmoid_bce_with_logits, \
+    xavier_dense
 from .uem import (
     LlrConfig,
     build_uem,
@@ -28,7 +30,6 @@ from .uem import (
     train_uem,
     uem_params,
 )
-from .inlier import InlierModel
 
 
 def naive_gmm_log_density(x, means, variances, weights) -> float:
@@ -55,12 +56,11 @@ def check_gmm_density_oracle(instances: int = 1000, seed: int = 0,
         c = int(rng.integers(1, 5))
         means = rng.normal(0, 2, (1, c, d))
         variances = rng.uniform(0.1, 3.0, (1, c, d))
-        head = GmmHead(means=means, variances=variances,
-                       weights=uniform_weights(1, c))
+        head = GmmHead(means=means, variances=variances)
         x = rng.normal(0, 2, d)
-        got = gmm_log_density(x, head, 0)
+        got = gmm_all_log_densities(x[None], head)[0, 0]
         want = naive_gmm_log_density(x, means[0], variances[0],
-                                     head.weights[0])
+                                     np.full(c, 1.0 / c))
         worst = max(worst, abs(got - want))
     return worst < tol, f"max |lse - naive| = {worst:.3e}"
 
@@ -89,7 +89,7 @@ def check_llr_identity(n: int = 1000, seed: int = 0) -> tuple[bool, str]:
     return same, f"bitwise equal on {n} inputs: {same}"
 
 
-def _tiny_setup(head_kind: str, uem_kind: str, seed: int):
+def _tiny_setup(uem_kind: str, seed: int):
     rng = np.random.default_rng(seed)
     h = w = 6
     c_e = 5
@@ -98,15 +98,9 @@ def _tiny_setup(head_kind: str, uem_kind: str, seed: int):
     y.ravel()[:3] = 255
     omap = BinaryOutlierMap(y)
     decoder = make_mlp([c_e, 8, 6], rng)
-    if head_kind == DISCRIMINATIVE:
-        from .neuralcore import xavier_dense
-        head = xavier_dense(6, 3, "identity", rng)
-    else:
-        head = GmmHead(means=rng.normal(0, 1, (3, 2, 6)),
-                       variances=np.ones((3, 2, 6)),
-                       weights=uniform_weights(3, 2))
+    head = xavier_dense(6, 3, "identity", rng)
     inlier_model = InlierModel(decoder=decoder, head=head, num_classes=3,
-                               head_kind=head_kind, frozen=True)
+                               head_kind=DISCRIMINATIVE, frozen=True)
     u = build_uem(c_e, 6, 5, uem_kind, 2, rng)
     cfg = LlrConfig(alpha=1.0, beta=0.01, head_kind=uem_kind,
                     gmm_components=2, projection_dim=6, proj_hidden=5)
@@ -115,7 +109,7 @@ def _tiny_setup(head_kind: str, uem_kind: str, seed: int):
 
 def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
                    max_coords: int = 200) -> float:
-    u, inlier_model, f, omap, cfg = _tiny_setup(DISCRIMINATIVE, uem_kind, seed)
+    u, inlier_model, f, omap, cfg = _tiny_setup(uem_kind, seed)
 
     def fn(params):
         set_uem_params(u, params)

@@ -13,7 +13,6 @@ from dataclasses import dataclass, asdict
 
 import numpy as np
 
-from . import gmm as gmm_mod
 from .datamodel import (
     IGNORE,
     BinaryOutlierMap,
@@ -22,21 +21,26 @@ from .datamodel import (
     ScoreMap,
     tensor_digest,
 )
-from .errors import AllIgnored, DimMismatch, FreezeViolation, LlrsegError
+from .errors import AllIgnored, BadBundle, DimMismatch, FreezeViolation, LlrsegError
 from .gmm import (
     GmmHead,
+    component_backward,
     component_log_densities,
-    em_update,
+    init_head,
+    refresh,
     sinkhorn_assign,
-    uniform_weights,
 )
 from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
+    HEAD_TYPES,
     InlierModel,
+    check_head,
     inlier_from_bundle,
     max_inlier_logit,
+    prefixed,
     stage1_tensor_names,
+    unprefixed,
 )
 from .neuralcore import (
     DenseLayer,
@@ -50,6 +54,7 @@ from .neuralcore import (
     optimizer_step,
     set_mlp_params,
     sigmoid_bce_with_logits,
+    softmax_cross_entropy,
     xavier_dense,
 )
 
@@ -66,18 +71,7 @@ class UemModel:
     def __post_init__(self):
         if len(self.projection.layers) != 3:
             raise ValueError("the projection MLP must have exactly 3 layers")
-        if self.head_kind == DISCRIMINATIVE:
-            if not isinstance(self.head, DenseLayer):
-                raise TypeError("discriminative UEM head must be a DenseLayer")
-            if self.head.out_dim != 2 or self.head.in_dim != self.projection.out_dim:
-                raise DimMismatch("UEM head must map C_p -> 2")
-        elif self.head_kind == GENERATIVE:
-            if not isinstance(self.head, GmmHead):
-                raise TypeError("generative UEM head must be a GmmHead")
-            if self.head.classes != 2 or self.head.dim != self.projection.out_dim:
-                raise DimMismatch("UEM GMM head must have 2 classes over C_p dims")
-        else:
-            raise ValueError(f"unknown head kind {self.head_kind!r}")
+        check_head(self.head, self.head_kind, self.projection.out_dim, 2, "UEM")
 
     @property
     def feature_dim(self) -> int:
@@ -88,12 +82,8 @@ class UemModel:
         return self.projection.out_dim
 
     def parameter_count(self) -> int:
-        n = self.projection.parameter_count()
-        if self.head_kind == DISCRIMINATIVE:
-            n += self.head.weight.size + self.head.bias.size
-        else:
-            n += self.head.parameter_count()
-        return n
+        return (self.projection.parameter_count()
+                + sum(t.size for t in self.head.tensors().values()))
 
 
 def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
@@ -104,16 +94,8 @@ def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
     else:
         means = rng.standard_normal((2, components, projection_dim))
         head = GmmHead(means=means,
-                       variances=np.ones((2, components, projection_dim)),
-                       weights=uniform_weights(2, components))
+                       variances=np.ones((2, components, projection_dim)))
     return UemModel(projection=projection, head=head, head_kind=head_kind)
-
-
-def _uem_head_logits(u: UemModel, z: np.ndarray) -> np.ndarray:
-    """[N, 2] head outputs over projected features."""
-    if u.head_kind == DISCRIMINATIVE:
-        return z @ u.head.weight.T + u.head.bias
-    return gmm_mod.gmm_all_log_densities(z, u.head)
 
 
 def uem_forward(u: UemModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
@@ -122,7 +104,7 @@ def uem_forward(u: UemModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
         raise DimMismatch(
             f"feature map has {f.channels} channels, UEM expects {u.feature_dim}")
     z, _ = mlp_forward(u.projection, f.pixels())
-    out = _uem_head_logits(u, z)
+    out = u.head.logits(z)
     h, w = f.height, f.width
     return out[:, INLIER_CLASS].reshape(h, w), out[:, OUTLIER_CLASS].reshape(h, w)
 
@@ -192,34 +174,13 @@ class LlrConfig:
 
 
 def uem_params(u: UemModel) -> dict[str, np.ndarray]:
-    params = mlp_params(u.projection, "uem.proj")
-    if u.head_kind == DISCRIMINATIVE:
-        params["uem.head.weight"] = u.head.weight
-        params["uem.head.bias"] = u.head.bias
-    else:
-        for k in range(2):
-            for c in range(u.head.components):
-                params[f"uem.head.{k}.{c}.mean"] = u.head.means[k, c]
-                params[f"uem.head.{k}.{c}.var"] = u.head.variances[k, c]
-    return params
+    return {**mlp_params(u.projection, "uem.proj"),
+            **prefixed("uem.head", u.head.tensors())}
 
 
 def set_uem_params(u: UemModel, params: dict[str, np.ndarray]) -> None:
     set_mlp_params(u.projection, "uem.proj", params)
-    if u.head_kind == DISCRIMINATIVE:
-        u.head.weight = np.asarray(params["uem.head.weight"], dtype=np.float64)
-        u.head.bias = np.asarray(params["uem.head.bias"], dtype=np.float64)
-    else:
-        comp = u.head.components
-        means = np.stack([
-            np.stack([params[f"uem.head.{k}.{c}.mean"] for c in range(comp)])
-            for k in range(2)])
-        variances = np.stack([
-            np.stack([params[f"uem.head.{k}.{c}.var"] for c in range(comp)])
-            for k in range(2)])
-        u.head = GmmHead(means=means,
-                         variances=np.maximum(variances, gmm_mod.VAR_FLOOR),
-                         weights=u.head.weights)
+    u.head = type(u.head).from_tensors(unprefixed("uem.head", params))
 
 
 def _loss_and_grads(u: UemModel, x: np.ndarray, max_logit: np.ndarray,
@@ -234,13 +195,7 @@ def _loss_and_grads(u: UemModel, x: np.ndarray, max_logit: np.ndarray,
         raise AllIgnored("every pixel is ignored")
 
     z, tape = mlp_forward(u.projection, x)
-    d_z = np.zeros_like(z)
-    grads: dict[str, np.ndarray] = {}
-
-    if u.head_kind == DISCRIMINATIVE:
-        logits2 = z @ u.head.weight.T + u.head.bias
-    else:
-        logits2, gmm_back = gmm_mod.gmm_all_log_densities_with_grad(z, u.head)
+    logits2, head_backward = u.head.logits_with_grad(z)
     d_logits2 = np.zeros_like(logits2)
 
     llr = logits2[:, OUTLIER_CLASS] - logits2[:, INLIER_CLASS] - max_logit
@@ -249,62 +204,36 @@ def _loss_and_grads(u: UemModel, x: np.ndarray, max_logit: np.ndarray,
     d_logits2[:, INLIER_CLASS] -= d_llr
 
     if cfg.alpha > 0:
-        ce, d_ce = _softmax_ce_rows(logits2, targets)
+        ce, d_ce = softmax_cross_entropy(logits2, targets)
         loss += cfg.alpha * ce
         d_logits2 += cfg.alpha * d_ce
 
-    contrast_extra = None
+    d_z, head_grads = head_backward(d_logits2)
     if cfg.alpha > 0 and cfg.beta > 0 and u.head_kind == GENERATIVE:
-        c_loss, d_comp, comp_back_inputs = _contrast_loss(u, z, targets, cfg)
+        c_loss, d_comp = _contrast_loss(u.head, z, targets, cfg)
         loss += cfg.alpha * cfg.beta * c_loss
-        contrast_extra = (cfg.alpha * cfg.beta * d_comp, comp_back_inputs)
-
-    # head backward
-    if u.head_kind == DISCRIMINATIVE:
-        grads["uem.head.weight"] = d_logits2.T @ z
-        grads["uem.head.bias"] = d_logits2.sum(axis=0)
-        d_z += d_logits2 @ u.head.weight
-    else:
-        dz_g, dmeans, dvars = gmm_back(d_logits2)
-        d_z += dz_g
-        if contrast_extra is not None:
-            d_comp, _ = contrast_extra
-            dz_c, dmeans_c, dvars_c = _component_backward(u.head, z, d_comp)
-            d_z += dz_c
-            dmeans = dmeans + dmeans_c
-            dvars = dvars + dvars_c
-        for k in range(2):
-            for c in range(u.head.components):
-                grads[f"uem.head.{k}.{c}.mean"] = dmeans[k, c]
-                grads[f"uem.head.{k}.{c}.var"] = dvars[k, c]
+        d_comp = (cfg.alpha * cfg.beta * d_comp).reshape(z.shape[0], 2, -1)
+        dz_c, dmeans_c, dvars_c = component_backward(u.head, z, d_comp)
+        d_z += dz_c
+        head_grads["means"] = head_grads["means"] + dmeans_c
+        head_grads["vars"] = head_grads["vars"] + dvars_c
 
     proj_grads, _ = mlp_backward(u.projection, tape, d_z)
+    grads = prefixed("uem.head", head_grads)
     grads.update(mlp_grads_dict(proj_grads, "uem.proj"))
     return float(loss), grads
 
 
-def _softmax_ce_rows(logits2: np.ndarray, targets: np.ndarray):
-    """2-class CE over valid rows, gradient zero elsewhere."""
-    from .neuralcore import softmax_cross_entropy
-
-    return softmax_cross_entropy(logits2, targets)
-
-
-def _all_component_logliks(head: GmmHead, z: np.ndarray) -> np.ndarray:
-    """[N, 2C] per-component log densities, class-major column order."""
-    cols = []
-    for k in range(head.classes):
-        cols.append(component_log_densities(z, head, k))
-    return np.concatenate(cols, axis=1)
-
-
-def _contrast_loss(u: UemModel, z: np.ndarray, targets: np.ndarray,
+def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
                    cfg: LlrConfig):
     """Cross-entropy over all 2C component logits against the
-    Sinkhorn-assigned component inside each pixel's own class GMM."""
-    head = u.head
+    Sinkhorn-assigned component inside each pixel's own class GMM.
+
+    Returns (loss, d_comp [N, 2C]) with class-major columns.
+    """
     comp = head.components
-    comp_ll = _all_component_logliks(head, z)
+    comp_ll = np.concatenate([component_log_densities(z, head, k)
+                              for k in range(head.classes)], axis=1)
     assigned = np.full(z.shape[0], IGNORE, dtype=np.int64)
     for k in range(2):
         rows = np.nonzero(targets == k)[0]
@@ -316,28 +245,7 @@ def _contrast_loss(u: UemModel, z: np.ndarray, targets: np.ndarray,
             continue
         plan = sinkhorn_assign(class_ll, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters)
         assigned[rows] = k * comp + np.argmax(plan.matrix, axis=1)
-    from .neuralcore import softmax_cross_entropy
-
-    loss, d_comp = softmax_cross_entropy(comp_ll, assigned)
-    return loss, d_comp, None
-
-
-def _component_backward(head: GmmHead, z: np.ndarray, d_comp: np.ndarray):
-    """Backward of the [N, 2C] component log densities wrt z and parameters."""
-    comp = head.components
-    dz = np.zeros_like(z)
-    dmeans = np.zeros_like(head.means)
-    dvars = np.zeros_like(head.variances)
-    for k in range(head.classes):
-        for c in range(comp):
-            coeff = d_comp[:, k * comp + c]
-            diff = z - head.means[k, c]
-            inv = 1.0 / head.variances[k, c]
-            g = diff * inv
-            dz += coeff[:, None] * (-g)
-            dmeans[k, c] = coeff @ g
-            dvars[k, c] = coeff @ (0.5 * (diff**2 * inv**2 - inv))
-    return dz, dmeans, dvars
+    return softmax_cross_entropy(comp_ll, assigned)
 
 
 def llr_loss(u: UemModel, inlier_model: InlierModel, f: FeatureMap,
@@ -359,28 +267,13 @@ def llr_loss(u: UemModel, inlier_model: InlierModel, f: FeatureMap,
 # stage-2 training
 # ---------------------------------------------------------------------------
 
-def _refresh_uem_gmm(head: GmmHead, z: np.ndarray, targets: np.ndarray,
-                     cfg: LlrConfig, rng: np.random.Generator,
-                     counters: dict) -> GmmHead:
-    for k in range(2):
-        feats = z[targets == k]
-        if feats.shape[0] < head.components:
-            continue
-        if feats.shape[0] > cfg.gmm_max_pixels_per_class:
-            idx = rng.choice(feats.shape[0], cfg.gmm_max_pixels_per_class,
-                             replace=False)
-            feats = feats[idx]
-        comp_ll = component_log_densities(feats, head, k)
-        plan = sinkhorn_assign(comp_ll, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters)
-        head = em_update(head, k, feats, plan, cfg.gmm_momentum, counters)
-    return head
-
-
 def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
     """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs.
 
-    The returned stage-2 bundle embeds every stage-1 tensor byte-identically;
-    a digest mismatch at entry or exit raises FreezeViolation.
+    Adam on the LLR loss for every phi tensor; a GMM head is also refreshed
+    by one Sinkhorn-EM round per epoch. The returned stage-2 bundle embeds
+    every stage-1 tensor byte-identically; a digest mismatch at entry or
+    exit raises FreezeViolation.
     """
     if stage1.manifest["stage"] != "inlier":
         raise LlrsegError("train_uem needs a stage-1 (inlier) bundle")
@@ -418,9 +311,10 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
     if x.shape[0] == 0:
         raise AllIgnored("every pixel in the dataset is ignored")
 
-    if cfg.head_kind == GENERATIVE:
+    em = cfg.head_kind == GENERATIVE
+    if em:
         z0, _ = mlp_forward(u.projection, x)
-        u.head = _init_uem_gmm(z0, y, cfg, rng)
+        u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
 
     params = uem_params(u)
     opt = make_optimizer("adam", cfg.lr)
@@ -432,9 +326,12 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
             _, grads = _loss_and_grads(u, x[idx], max_logit[idx], y[idx], cfg)
             opt, params = optimizer_step(opt, params, grads)
             set_uem_params(u, params)
-        if cfg.head_kind == GENERATIVE:
+        if em:
             z, _ = mlp_forward(u.projection, x)
-            u.head = _refresh_uem_gmm(u.head, z, y, cfg, rng, counters)
+            u.head = refresh(u.head, [z[y == k] for k in range(2)], rng,
+                             cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters,
+                             cfg.gmm_momentum, cfg.gmm_max_pixels_per_class,
+                             counters)
             params = uem_params(u)
 
     final_digests = {name: tensor_digest(stage1.tensors[name])
@@ -445,25 +342,6 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
     return bundle_from_uem(u, stage1, cfg, initial_digests)
 
 
-def _init_uem_gmm(z: np.ndarray, targets: np.ndarray, cfg: LlrConfig,
-                  rng: np.random.Generator) -> GmmHead:
-    comp = cfg.gmm_components
-    d = z.shape[1]
-    means = np.empty((2, comp, d))
-    variances = np.empty((2, comp, d))
-    for k in range(2):
-        feats = z[targets == k]
-        if feats.shape[0] < comp:
-            means[k] = rng.standard_normal((comp, d))
-            variances[k] = 1.0
-            continue
-        idx = rng.choice(feats.shape[0], size=comp, replace=False)
-        means[k] = feats[idx]
-        variances[k] = np.maximum(feats.var(axis=0), gmm_mod.VAR_FLOOR)
-    return GmmHead(means=means, variances=variances,
-                   weights=uniform_weights(2, comp))
-
-
 # ---------------------------------------------------------------------------
 # bundle conversion
 # ---------------------------------------------------------------------------
@@ -471,21 +349,8 @@ def _init_uem_gmm(z: np.ndarray, targets: np.ndarray, cfg: LlrConfig,
 def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
                     frozen_digests: dict) -> ModelBundle:
     tensors = {name: stage1.tensors[name] for name in stage1_tensor_names(stage1)}
-    f32 = lambda t: np.asarray(t, dtype=np.float32).astype(np.float64)
-    for name, t in mlp_params(u.projection, "uem.proj").items():
-        tensors[name] = f32(t)
-    if u.head_kind == DISCRIMINATIVE:
-        tensors["uem.head.weight"] = f32(u.head.weight)
-        tensors["uem.head.bias"] = f32(u.head.bias)
-        uem_components = 0
-    else:
-        for k in range(2):
-            for c in range(u.head.components):
-                tensors[f"uem.head.{k}.{c}.mean"] = f32(u.head.means[k, c])
-                tensors[f"uem.head.{k}.{c}.var"] = f32(u.head.variances[k, c])
-                tensors[f"uem.head.{k}.{c}.weight"] = f32(
-                    np.array([u.head.weights[k, c]]))
-        uem_components = u.head.components
+    for name, t in uem_params(u).items():
+        tensors[name] = np.asarray(t, dtype=np.float32).astype(np.float64)
     s1 = stage1.manifest
     manifest = {
         "stage": "uem",
@@ -495,8 +360,6 @@ def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
         "feature_dim": s1["feature_dim"],
         "decoder_dim": s1["decoder_dim"],
         "projection_dim": u.projection_dim,
-        "gmm_components": s1["gmm_components"],
-        "uem_gmm_components": uem_components,
         "decoder_layers": s1["decoder_layers"],
         "decoder_activations": s1["decoder_activations"],
         "proj_activations": [l.activation for l in u.projection.layers],
@@ -509,36 +372,22 @@ def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
 
 def uem_from_bundle(bundle: ModelBundle) -> UemModel:
     man = bundle.manifest
-    if man["stage"] != "uem":
+    if man.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
-    activations = man["proj_activations"]
-    layers = [
-        DenseLayer(weight=bundle.tensors[f"uem.proj.{i}.weight"],
-                   bias=bundle.tensors[f"uem.proj.{i}.bias"],
-                   activation=activations[i])
-        for i in range(3)
-    ]
-    projection = Mlp(layers=layers)
-    if man["head_kind"] == DISCRIMINATIVE:
-        head = DenseLayer(weight=bundle.tensors["uem.head.weight"],
-                          bias=bundle.tensors["uem.head.bias"],
-                          activation="identity")
-    else:
-        comp = man["uem_gmm_components"]
-        d = man["projection_dim"]
-        means = np.empty((2, comp, d))
-        variances = np.empty((2, comp, d))
-        weights = np.empty((2, comp))
-        for k in range(2):
-            for c in range(comp):
-                means[k, c] = bundle.tensors[f"uem.head.{k}.{c}.mean"]
-                variances[k, c] = bundle.tensors[f"uem.head.{k}.{c}.var"]
-                weights[k, c] = bundle.tensors[f"uem.head.{k}.{c}.weight"][0]
-        weights = weights / weights.sum(axis=1, keepdims=True)
-        head = GmmHead(means=means,
-                       variances=np.maximum(variances, gmm_mod.VAR_FLOOR),
-                       weights=weights)
-    return UemModel(projection=projection, head=head, head_kind=man["head_kind"])
+    try:
+        layers = [
+            DenseLayer(weight=bundle.tensors[f"uem.proj.{i}.weight"],
+                       bias=bundle.tensors[f"uem.proj.{i}.bias"],
+                       activation=activation)
+            for i, activation in enumerate(man["proj_activations"])
+        ]
+        head = HEAD_TYPES[man["head_kind"]].from_tensors(
+            unprefixed("uem.head", bundle.tensors))
+    except KeyError as exc:
+        raise BadBundle(f"stage-2 model: bundle entry {exc.args[0]!r} "
+                        "missing or unknown") from None
+    return UemModel(projection=Mlp(layers=layers), head=head,
+                    head_kind=man["head_kind"])
 
 
 def verify_freeze(stage2: ModelBundle) -> bool:

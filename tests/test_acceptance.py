@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 from llrseg.anomalymix import DatasetConfig, load_split, make_dataset
-from llrseg.gmm import GmmHead, uniform_weights
+from llrseg.gmm import GmmHead
 from llrseg.inference import score_image, tile_plan
 from llrseg.inlier import (
     DISCRIMINATIVE,
@@ -188,8 +188,7 @@ def test_criterion_9_parameter_budget():
             head = GmmHead(
                 means=rng.normal(0, 1, (k, icfg.gmm_components,
                                         icfg.decoder_dim)),
-                variances=np.ones((k, icfg.gmm_components, icfg.decoder_dim)),
-                weights=uniform_weights(k, icfg.gmm_components))
+                variances=np.ones((k, icfg.gmm_components, icfg.decoder_dim)))
         inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
                              head_kind=head_kind)
         uem = build_uem(c_e, ucfg.projection_dim, ucfg.proj_hidden,

@@ -1,0 +1,227 @@
+"""Packed model bundles: bitwise save/load round trips for both head kinds,
+and every corruption surfacing as an LlrsegError (CLI exit 1)."""
+import json
+import tempfile
+from contextlib import contextmanager
+from pathlib import Path
+
+import numpy as np
+import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+from llrseg.datamodel import BUNDLE_FORMAT_VERSION, ModelBundle, tensor_digest
+from llrseg.errors import BadBundle, DigestMismatch, DimMismatch, LlrsegError
+from llrseg.gmm import GmmHead
+from llrseg.inlier import (
+    DISCRIMINATIVE,
+    GENERATIVE,
+    InlierConfig,
+    InlierModel,
+    bundle_from_inlier,
+    inlier_from_bundle,
+    stage1_tensor_names,
+)
+from llrseg.neuralcore import make_mlp, xavier_dense
+from llrseg.uem import LlrConfig, build_uem, bundle_from_uem, uem_from_bundle
+
+KINDS = st.sampled_from([GENERATIVE, DISCRIMINATIVE])
+C_E = 3
+
+
+def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
+    """A stage-2 bundle over a random stage-1 model, both with `head_kind`
+    heads: K classes, C components, decoder and projection width d."""
+    rng = np.random.default_rng(seed)
+    decoder = make_mlp([C_E, 5, d], rng)
+    if head_kind == GENERATIVE:
+        head = GmmHead(means=rng.normal(0, 1, (k, c, d)),
+                       variances=rng.uniform(0.1, 2.0, (k, c, d)))
+    else:
+        head = xavier_dense(d, k, "identity", rng)
+    inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
+                         head_kind=head_kind)
+    stage1 = bundle_from_inlier(inlier, InlierConfig(
+        head_kind=head_kind, decoder_dim=d, gmm_components=c))
+    stage1.manifest["heldout_miou"] = 0.0
+    u = build_uem(C_E, d, 4, head_kind, c, rng)
+    digests = {n: tensor_digest(stage1.tensors[n]) for n in stage1_tensor_names(stage1)}
+    cfg = LlrConfig(head_kind=head_kind, projection_dim=d, proj_hidden=4,
+                    gmm_components=c)
+    return bundle_from_uem(u, stage1, cfg, digests)
+
+
+def models(bundle: ModelBundle):
+    return inlier_from_bundle(bundle), uem_from_bundle(bundle)
+
+
+def load_models(path, verify=True):
+    return models(ModelBundle.load(path, verify=verify))
+
+
+@contextmanager
+def saved(bundle: ModelBundle):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "bundle"
+        bundle.save(path)
+        yield path
+
+
+def edit_manifest(path: Path, fn) -> None:
+    manifest = json.loads((path / "manifest.json").read_text())
+    fn(manifest)
+    (path / "manifest.json").write_text(json.dumps(manifest))
+
+
+def save_per_component(bundle: ModelBundle, path: Path) -> None:
+    """Write `bundle` in the unversioned layout: one file per GMM component
+    mean, variance and weight."""
+    tensors = {}
+    for name, t in bundle.tensors.items():
+        prefix, _, field = name.rpartition(".")
+        if field not in ("means", "vars"):
+            tensors[name] = t
+            continue
+        for k in range(t.shape[0]):
+            for c in range(t.shape[1]):
+                tensors[f"{prefix}.{k}.{c}.{field[:-1]}"] = t[k, c]
+                tensors[f"{prefix}.{k}.{c}.weight"] = np.array([1.0 / t.shape[1]])
+    ModelBundle(manifest=dict(bundle.manifest), tensors=tensors).save(path)
+    edit_manifest(path, lambda m: m.pop("format_version"))
+
+
+SHAPES = dict(k=st.integers(1, 4), c=st.integers(1, 4), d=st.integers(1, 5))
+
+
+class TestRoundTrip:
+    @settings(max_examples=30, deadline=None)
+    @given(kind=KINDS, seed=st.integers(0, 2**32 - 1), **SHAPES)
+    def test_save_load_is_bitwise(self, kind, k, c, d, seed):
+        bundle = make_stage2(kind, k, c, d, seed)
+        with saved(bundle) as path:
+            loaded = ModelBundle.load(path)
+            files = sorted(p.name for p in path.iterdir())
+        assert loaded.manifest["format_version"] == BUNDLE_FORMAT_VERSION
+        assert set(loaded.tensors) == set(bundle.tensors)
+        for name, t in bundle.tensors.items():
+            assert loaded.tensors[name].shape == t.shape
+            assert np.array_equal(loaded.tensors[name], t)
+        for a, b in zip(models(bundle), models(loaded)):
+            for name, t in a.head.tensors().items():
+                assert np.array_equal(b.head.tensors()[name], t)
+        assert len(files) == len(bundle.tensors) + 1
+
+    @settings(max_examples=10, deadline=None)
+    @given(**SHAPES)
+    def test_gmm_heads_are_two_packed_tensors(self, k, c, d):
+        bundle = make_stage2(GENERATIVE, k, c, d)
+        assert bundle.tensors["gmm.means"].shape == (k, c, d)
+        assert bundle.tensors["gmm.vars"].shape == (k, c, d)
+        assert bundle.tensors["uem.head.means"].shape == (2, c, d)
+        assert bundle.tensors["uem.head.vars"].shape == (2, c, d)
+        # 2 + 2 decoder, 6 projection, 2 + 2 GMM tensors
+        assert len(bundle.tensors) == 14
+
+
+def tensor_file(path: Path, index: int) -> Path:
+    files = sorted(path.glob("*.fmap"))
+    return files[index % len(files)]
+
+
+class TestCorruption:
+    @settings(max_examples=25, deadline=None)
+    @given(kind=KINDS, index=st.integers(0, 100), keep=st.floats(0.0, 0.999))
+    def test_truncated_tensor_file(self, kind, index, keep):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            target = tensor_file(path, index)
+            blob = target.read_bytes()
+            target.write_bytes(blob[:int(keep * len(blob))])
+            with pytest.raises(DigestMismatch):
+                load_models(path)
+            # train-uem loads without digest checks; the file is still rejected
+            with pytest.raises(LlrsegError):
+                load_models(path, verify=False)
+
+    @settings(max_examples=25, deadline=None)
+    @given(kind=KINDS, index=st.integers(0, 100), offset=st.integers(0, 10**6),
+           bit=st.integers(0, 7))
+    def test_byte_flip(self, kind, index, offset, bit):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            target = tensor_file(path, index)
+            blob = bytearray(target.read_bytes())
+            blob[offset % len(blob)] ^= 1 << bit
+            target.write_bytes(bytes(blob))
+            with pytest.raises(DigestMismatch):
+                load_models(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=KINDS, index=st.integers(0, 100), verify=st.booleans())
+    def test_deleted_tensor_file(self, kind, index, verify):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            tensor_file(path, index).unlink()
+            with pytest.raises(BadBundle):
+                load_models(path, verify=verify)
+
+    @settings(max_examples=15, deadline=None)
+    @given(kind=KINDS, index=st.integers(0, 100))
+    def test_tensor_dropped_from_manifest(self, kind, index):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            name = tensor_file(path, index).name[:-len(".fmap")]
+            edit_manifest(path, lambda m: m["tensors"].pop(name))
+            with pytest.raises(BadBundle):
+                load_models(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(prefix=st.sampled_from(["gmm", "uem.head"]),
+           field=st.sampled_from(["means", "vars"]), **SHAPES)
+    def test_transposed_packed_shape_in_manifest(self, prefix, field, k, c, d):
+        bundle = make_stage2(GENERATIVE, k, c, d)
+        name = f"{prefix}.{field}"
+        classes, comps, dim = bundle.tensors[name].shape
+        assume(classes != comps)
+        with saved(bundle) as path:
+            def lie(manifest):
+                manifest["tensors"][name]["shape"] = [comps, classes, dim]
+            edit_manifest(path, lie)
+            with pytest.raises(DimMismatch):
+                load_models(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(prefix=st.sampled_from(["gmm", "uem.head"]), **SHAPES)
+    def test_transposed_packed_head_fails_manifest_dims(self, prefix, k, c, d):
+        """A head saved as [C, K, d] with matching digests and headers still
+        disagrees with the manifest's class count."""
+        bundle = make_stage2(GENERATIVE, k, c, d)
+        classes, comps, dim = bundle.tensors[f"{prefix}.means"].shape
+        assume(classes != comps)
+        tensors = dict(bundle.tensors)
+        for field in ("means", "vars"):
+            tensors[f"{prefix}.{field}"] = tensors[f"{prefix}.{field}"].reshape(
+                comps, classes, dim)
+        with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
+            with pytest.raises(DimMismatch):
+                load_models(path)
+
+    @settings(max_examples=15, deadline=None)
+    @given(version=st.one_of(st.none(), st.integers(-3, 10), st.text(max_size=3)))
+    def test_other_format_version(self, version):
+        assume(version != BUNDLE_FORMAT_VERSION)
+        with saved(make_stage2(GENERATIVE, 3, 2, 4)) as path:
+            def set_version(manifest):
+                if version is None:
+                    manifest.pop("format_version")
+                else:
+                    manifest["format_version"] = version
+            edit_manifest(path, set_version)
+            with pytest.raises(BadBundle, match=f"format version {BUNDLE_FORMAT_VERSION}"):
+                load_models(path)
+
+    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
+    def test_per_component_bundle(self, kind, tmp_path):
+        save_per_component(make_stage2(kind, 3, 2, 4), tmp_path / "old")
+        with pytest.raises(BadBundle, match=f"format version {BUNDLE_FORMAT_VERSION}"):
+            load_models(tmp_path / "old", verify=False)
+
+    def test_missing_manifest(self, tmp_path):
+        with pytest.raises(BadBundle):
+            ModelBundle.load(tmp_path / "nowhere")

@@ -43,6 +43,10 @@ class TestRunConfig:
         with pytest.raises(LlrsegError):
             RunConfig.from_dict({"dataset": {"hieght": 32}})
 
+    def test_threads_key_rejected(self):
+        with pytest.raises(LlrsegError, match="threads"):
+            RunConfig.from_dict({"seed": 0, "threads": 1})
+
     def test_round_trip_through_resolved(self):
         cfg = RunConfig.from_dict(SMALL_RUN)
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.resolved())))
@@ -125,6 +129,56 @@ class TestPipeline:
                      "--dataset", str(d["data"]), "--stage1", str(tampered),
                      "--out", str(tmp_path / "out")])
         assert code == 2
+
+    def test_eval_rejects_unpaired_scores(self, pipeline_dirs, tmp_path, capsys):
+        d = pipeline_dirs
+        smap = str(d["scored"] / "features.llr.smap")
+        code = main(["eval", "--config", str(d["cfg"]), "--out", str(tmp_path),
+                     "--scores", smap, smap,
+                     "--labels", str(d["eval_scene"] / "outliers.lmap")])
+        assert code == 1
+        assert "2 vs 1" in capsys.readouterr().err
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_eval_rejects_unpaired_pred_gt(self, pipeline_dirs, tmp_path, capsys):
+        d = pipeline_dirs
+        labels = str(d["data"] / "scenes" / "0000" / "labels.lmap")
+        code = main(["eval", "--config", str(d["cfg"]), "--out", str(tmp_path),
+                     "--scores", str(d["scored"] / "features.llr.smap"),
+                     "--labels", str(d["eval_scene"] / "outliers.lmap"),
+                     "--pred", labels, "--gt", labels, labels])
+        assert code == 1
+        assert "1 vs 2" in capsys.readouterr().err
+        assert not (tmp_path / "eval_report.json").exists()
+
+    def test_score_rejects_colliding_outputs(self, pipeline_dirs, tmp_path, capsys):
+        d = pipeline_dirs
+        out = tmp_path / "scores"
+        code = main(["score", "--config", str(d["cfg"]),
+                     "--stage2", str(d["s2"] / "stage2"), "--out", str(out),
+                     str(d["data"] / "scenes" / "0000" / "features.fmap"),
+                     str(d["data"] / "scenes" / "0001" / "features.fmap")])
+        assert code == 1
+        assert "same output file" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_per_component_bundles_rejected(self, pipeline_dirs, tmp_path, capsys):
+        from llrseg.datamodel import ModelBundle
+        from test_bundle import save_per_component
+
+        d = pipeline_dirs
+        for stage, name in (("s1", "stage1"), ("s2", "stage2")):
+            save_per_component(ModelBundle.load(d[stage] / name), tmp_path / name)
+        code = main(["score", "--config", str(d["cfg"]),
+                     "--stage2", str(tmp_path / "stage2"), "--out", str(tmp_path / "o"),
+                     str(d["eval_scene"] / "features.fmap")])
+        assert code == 1
+        assert "expected format version 2" in capsys.readouterr().err
+        code = main(["train-uem", "--config", str(d["cfg"]),
+                     "--dataset", str(d["data"]), "--stage1", str(tmp_path / "stage1"),
+                     "--out", str(tmp_path / "o2")])
+        assert code == 1
+        assert "expected format version 2" in capsys.readouterr().err
 
     def test_rerun_synth_is_byte_identical(self, pipeline_dirs, tmp_path):
         d = pipeline_dirs

@@ -9,14 +9,25 @@ from llrseg.gmm import (
     GmmHead,
     em_update,
     fit_gmm,
-    gaussian_log_density,
     gmm_all_log_densities,
     gmm_all_log_densities_with_grad,
-    gmm_log_density,
     component_log_densities,
     sinkhorn_assign,
-    uniform_weights,
 )
+
+
+def gaussian_log_density(x, mu, var) -> float:
+    """log N(x; mu, diag(var)) of one d-vector, via a one-component head."""
+    head = GmmHead(means=np.asarray(mu, dtype=np.float64)[None, None],
+                   variances=np.asarray(var, dtype=np.float64)[None, None])
+    return float(component_log_densities(np.asarray(x, dtype=np.float64)[None],
+                                         head, 0)[0, 0])
+
+
+def gmm_log_density(x, head, k) -> float:
+    """Class-k mixture log density of one d-vector."""
+    return float(gmm_all_log_densities(np.asarray(x, dtype=np.float64)[None],
+                                       head)[0, k])
 
 
 def naive_log_mixture(x, means, variances, weights):
@@ -59,8 +70,7 @@ class TestGmmLogDensity:
         rng = np.random.default_rng(1)
         mu = rng.normal(0, 1, 3)
         var = rng.uniform(0.5, 2.0, 3)
-        head = GmmHead(means=mu[None, None], variances=var[None, None],
-                       weights=uniform_weights(1, 1))
+        head = GmmHead(means=mu[None, None], variances=var[None, None])
         x = rng.normal(0, 1, 3)
         assert gmm_log_density(x, head, 0) == gaussian_log_density(x, mu, var)
 
@@ -68,8 +78,7 @@ class TestGmmLogDensity:
         mu = np.array([0.3, -1.1])
         var = np.array([1.2, 0.8])
         head = GmmHead(means=np.stack([mu, mu])[None],
-                       variances=np.stack([var, var])[None],
-                       weights=uniform_weights(1, 2))
+                       variances=np.stack([var, var])[None])
         x = np.array([0.5, 0.5])
         want = gaussian_log_density(x, mu, var)
         assert gmm_log_density(x, head, 0) == pytest.approx(want, abs=1e-14)
@@ -79,17 +88,15 @@ class TestGmmLogDensity:
         for _ in range(100):
             means = rng.normal(0, 2, (1, 3, 4))
             variances = rng.uniform(0.1, 3.0, (1, 3, 4))
-            head = GmmHead(means=means, variances=variances,
-                           weights=uniform_weights(1, 3))
+            head = GmmHead(means=means, variances=variances)
             x = rng.normal(0, 2, 4)
-            want = naive_log_mixture(x, means[0], variances[0], head.weights[0])
+            want = naive_log_mixture(x, means[0], variances[0], np.full(3, 1 / 3))
             assert gmm_log_density(x, head, 0) == pytest.approx(want, abs=1e-10)
 
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         head = GmmHead(means=rng.normal(0, 1, (2, 3, 5)),
-                       variances=rng.uniform(0.5, 2.0, (2, 3, 5)),
-                       weights=uniform_weights(2, 3))
+                       variances=rng.uniform(0.5, 2.0, (2, 3, 5)))
         x = rng.normal(0, 1, (7, 5))
         dens = gmm_all_log_densities(x, head)
         for i in range(7):
@@ -99,8 +106,7 @@ class TestGmmLogDensity:
     def test_grad_closure_matches_finite_differences(self):
         rng = np.random.default_rng(4)
         head = GmmHead(means=rng.normal(0, 1, (2, 2, 3)),
-                       variances=rng.uniform(0.5, 2.0, (2, 2, 3)),
-                       weights=uniform_weights(2, 2))
+                       variances=rng.uniform(0.5, 2.0, (2, 2, 3)))
         x = rng.normal(0, 1, (5, 3))
         d_out = rng.normal(0, 1, (5, 2))
         _, backward = gmm_all_log_densities_with_grad(x, head)
@@ -166,8 +172,7 @@ class TestEmUpdate:
     def setup_method(self):
         rng = np.random.default_rng(8)
         self.head = GmmHead(means=rng.normal(0, 1, (1, 2, 3)),
-                            variances=rng.uniform(0.5, 2.0, (1, 2, 3)),
-                            weights=uniform_weights(1, 2))
+                            variances=rng.uniform(0.5, 2.0, (1, 2, 3)))
         self.x = rng.normal(0, 1, (10, 3))
         ll = component_log_densities(self.x, self.head, 0)
         self.plan = sinkhorn_assign(ll, epsilon=0.5, iters=30)

@@ -5,7 +5,7 @@ import pytest
 from llrseg.anomalymix import random_spec, synth_scene
 from llrseg.datamodel import FeatureMap, LabelMap, ModelBundle
 from llrseg.errors import LlrsegError
-from llrseg.gmm import GmmHead, gaussian_log_density, uniform_weights
+from llrseg.gmm import VAR_FLOOR, GmmHead, component_log_densities
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
@@ -43,15 +43,14 @@ class TestLogits:
         decoder = make_mlp([4, 8, 3], rng)
         mu = rng.normal(0, 1, 3)
         var = rng.uniform(0.5, 2.0, 3)
-        head = GmmHead(means=mu[None, None], variances=var[None, None],
-                       weights=uniform_weights(1, 1))
+        head = GmmHead(means=mu[None, None], variances=var[None, None])
         m = InlierModel(decoder=decoder, head=head, num_classes=1,
                         head_kind=GENERATIVE)
         f = FeatureMap(rng.normal(0, 1, (4, 2, 2)))
         logits = inlier_logits(m, f)
         decoded, _ = mlp_forward(decoder, f.pixels())
         for i in range(4):
-            want = gaussian_log_density(decoded[i], mu, var)
+            want = component_log_densities(decoded[i:i + 1], head, 0)[0, 0]
             assert logits[0].ravel()[i] == pytest.approx(want, abs=1e-12)
 
     def test_matches_composed_oracle(self):
@@ -182,6 +181,10 @@ class TestTrainInlier:
         with pytest.raises(LlrsegError):
             train_inlier([], 3, InlierConfig())
 
+    def test_unknown_head_kind_rejected(self):
+        with pytest.raises(LlrsegError, match="head kind"):
+            train_inlier(separable_dataset(seed=4), 3, InlierConfig(head_kind="linear"))
+
 
 class TestBundleRoundTrip:
     def test_reload_predicts_identically(self, tmp_path):
@@ -209,3 +212,17 @@ class TestBundleRoundTrip:
         assert np.array_equal(
             inlier_logits(inlier_from_bundle(bundle), f),
             inlier_logits(inlier_from_bundle(reloaded), f))
+
+    def test_variance_at_floor_survives_float32_round_trip(self):
+        # float32(VAR_FLOOR) is just below VAR_FLOOR
+        assert float(np.float32(VAR_FLOOR)) < VAR_FLOOR
+        rng = np.random.default_rng(7)
+        variances = rng.uniform(0.5, 2.0, (2, 2, 3))
+        variances[1, 0, 2] = VAR_FLOOR
+        head = GmmHead(means=rng.normal(0, 1, (2, 2, 3)), variances=variances)
+        m = InlierModel(decoder=make_mlp([4, 8, 3], rng), head=head,
+                        num_classes=2, head_kind=GENERATIVE)
+        cfg = InlierConfig(decoder_dim=3, gmm_components=2)
+        reloaded = inlier_from_bundle(bundle_from_inlier(m, cfg))
+        assert reloaded.head.variances[1, 0, 2] == VAR_FLOOR
+        assert np.all(reloaded.head.variances >= VAR_FLOOR)

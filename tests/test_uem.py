@@ -4,7 +4,7 @@ import pytest
 
 from llrseg.datamodel import IGNORE, BinaryOutlierMap, FeatureMap, tensor_digest
 from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, LlrsegError
-from llrseg.gmm import GmmHead, uniform_weights
+from llrseg.gmm import GmmHead
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
@@ -67,8 +67,7 @@ class TestUemForward:
         mu = np.array([1.0, 0.5])
         head = GmmHead(means=np.stack([mu * [1, 1],
                                        mu * [-1, 1]])[:, None, :],
-                       variances=np.ones((2, 1, 2)),
-                       weights=uniform_weights(2, 1))
+                       variances=np.ones((2, 1, 2)))
         u = UemModel(projection=proj, head=head, head_kind=GENERATIVE)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
         z, _ = mlp_forward(u.projection, f.pixels())
@@ -316,8 +315,7 @@ class TestParameterBudget:
                     means=rng.normal(0, 1, (k, icfg.gmm_components,
                                             icfg.decoder_dim)),
                     variances=np.ones((k, icfg.gmm_components,
-                                       icfg.decoder_dim)),
-                    weights=uniform_weights(k, icfg.gmm_components))
+                                       icfg.decoder_dim)))
             inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
                                  head_kind=head_kind)
             uem = build_uem(c_e, ucfg.projection_dim, ucfg.proj_hidden,
