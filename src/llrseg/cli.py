@@ -57,6 +57,9 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         def build(dc_type, section: dict, where: str):
+            if "seed" in section:
+                raise LlrsegError(f"config key {where}.seed is not allowed: every "
+                                  "sub-seed derives from the root seed; set that")
             known = {f.name for f in fields(dc_type)}
             unknown = set(section) - known
             if unknown:
@@ -72,14 +75,9 @@ class RunConfig:
         if unknown:
             raise LlrsegError(f"unknown top-level config keys: {sorted(unknown)}")
         cfg = cls(seed=raw.get("seed", 0))
-        if "dataset" in raw:
-            cfg.dataset = build(DatasetConfig, raw["dataset"], "dataset")
-        if "inlier" in raw:
-            cfg.inlier = build(InlierConfig, raw["inlier"], "inlier")
-        if "uem" in raw:
-            cfg.uem = build(LlrConfig, raw["uem"], "uem")
-        if "inference" in raw:
-            cfg.inference = build(InferenceConfig, raw["inference"], "inference")
+        for f in fields(cls)[1:]:  # the sections; each one's type is its factory
+            if f.name in raw:
+                setattr(cfg, f.name, build(f.default_factory, raw[f.name], f.name))
         return cfg
 
     @classmethod
@@ -87,13 +85,11 @@ class RunConfig:
         return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
 
     def resolved(self) -> dict:
-        return {
-            "seed": self.seed,
-            "dataset": asdict(self.dataset),
-            "inlier": asdict(self.inlier),
-            "uem": asdict(self.uem),
-            "inference": asdict(self.inference),
-        }
+        """The configuration as `from_dict` accepts it: without the sub-seeds,
+        which derive from the root seed."""
+        return {"seed": self.seed, **{
+            f.name: {k: v for k, v in asdict(getattr(self, f.name)).items() if k != "seed"}
+            for f in fields(self)[1:]}}
 
 
 def _load_config(args) -> RunConfig:

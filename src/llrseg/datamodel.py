@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -46,11 +47,11 @@ def _freeze(a: np.ndarray) -> np.ndarray:
     return a
 
 
-def _check_finite(data: np.ndarray) -> None:
+def _check_finite(data: np.ndarray, what: str = "value") -> None:
     finite = np.isfinite(data)
     if not finite.all():
         pos = int(np.argmin(finite.ravel()))
-        raise NonFinite(pos)
+        raise NonFinite(pos, f"non-finite {what} at position {pos}")
 
 
 @dataclass(frozen=True)
@@ -176,15 +177,13 @@ def validate_pair(f: FeatureMap, l: LabelMap, k: int) -> None:
 # file I/O
 # ---------------------------------------------------------------------------
 
-def _read_exact(fh, n: int, what: str) -> bytes:
-    buf = fh.read(n)
-    if len(buf) != n:
-        raise TruncatedPayload(f"expected {n} bytes for {what}, got {len(buf)}")
-    return buf
-
-
-def _read_u32s(fh, count: int, what: str) -> tuple[int, ...]:
-    return struct.unpack(f"<{count}I", _read_exact(fh, 4 * count, what))
+# magic -> (u32 header fields that must match, u32 dims after them, payload
+# dtype); every image is little-endian and exactly header + payload long
+_LAYOUTS = {
+    FMAP_MAGIC: ((FORMAT_VERSION, DTYPE_F32), 3, "<f4"),
+    LMAP_MAGIC: ((FORMAT_VERSION,), 2, "u1"),
+    SMAP_MAGIC: ((FORMAT_VERSION,), 2, "<f4"),
+}
 
 
 def _check_dims(*dims: int) -> None:
@@ -193,91 +192,69 @@ def _check_dims(*dims: int) -> None:
             raise BadHeader(f"dimension {d} out of range [1, {MAX_DIM}]")
 
 
-def save_feature_map(fmap: FeatureMap, path) -> None:
-    payload = fmap.data.astype(np.float32)
+def _encode(magic: bytes, array: np.ndarray) -> bytes:
+    """The file image of `array`; rejects what `_decode` would reject."""
+    fixed, rank, dtype = _LAYOUTS[magic]
+    with np.errstate(over="ignore"):  # an overflow is the NonFinite below
+        payload = np.asarray(array).astype(dtype)
+    _check_dims(*payload.shape)
     _check_finite(payload)  # guards against f32 overflow
-    c, h, w = fmap.data.shape
-    with open(path, "wb") as fh:
-        fh.write(FMAP_MAGIC)
-        fh.write(struct.pack("<IIIII", FORMAT_VERSION, DTYPE_F32, c, h, w))
-        fh.write(payload.tobytes())
+    return (magic + struct.pack(f"<{len(fixed) + rank}I", *fixed, *payload.shape)
+            + payload.tobytes())
+
+
+def _decode(blob: bytes, magic: bytes) -> np.ndarray:
+    """The payload of a file image, shaped by its header, in its disk dtype."""
+    fixed, rank, dtype = _LAYOUTS[magic]
+    if blob[:4] != magic:
+        raise BadMagic(f"expected {magic!r}, got {blob[:4]!r}")
+    start = 4 + 4 * (len(fixed) + rank)
+    if len(blob) < start:
+        raise TruncatedPayload(f"expected a {start}-byte header, got {len(blob)} bytes")
+    header = struct.unpack_from(f"<{len(fixed) + rank}I", blob, 4)
+    if header[:len(fixed)] != fixed:
+        raise BadHeader(f"unsupported {magic.decode()} version/dtype "
+                        f"{header[:len(fixed)]}, expected {fixed}")
+    shape = header[len(fixed):]
+    _check_dims(*shape)
+    size = start + np.dtype(dtype).itemsize * math.prod(shape)
+    if len(blob) != size:
+        raise TruncatedPayload(f"expected {size} bytes, got {len(blob)}")
+    data = np.frombuffer(blob, dtype=dtype, offset=start).reshape(shape)
+    _check_finite(data)
+    return data
+
+
+def save_feature_map(fmap: FeatureMap, path) -> None:
+    Path(path).write_bytes(_encode(FMAP_MAGIC, fmap.data))
 
 
 def load_feature_map(path) -> FeatureMap:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != FMAP_MAGIC:
-            raise BadMagic(f"expected {FMAP_MAGIC!r}, got {magic!r}")
-        version, dtype, c, h, w = _read_u32s(fh, 5, "header")
-        if version != FORMAT_VERSION:
-            raise BadHeader(f"unsupported version {version}")
-        if dtype != DTYPE_F32:
-            raise BadHeader(f"unsupported dtype code {dtype}")
-        _check_dims(c, h, w)
-        raw = _read_exact(fh, 4 * c * h * w, "payload")
-    data = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(c, h, w)
-    return FeatureMap(data)
-
-
-def _save_u8_map(labels: np.ndarray, path) -> None:
-    h, w = labels.shape
-    with open(path, "wb") as fh:
-        fh.write(LMAP_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, h, w))
-        fh.write(labels.astype(np.uint8).tobytes())
-
-
-def _load_u8_map(path) -> np.ndarray:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != LMAP_MAGIC:
-            raise BadMagic(f"expected {LMAP_MAGIC!r}, got {magic!r}")
-        version, h, w = _read_u32s(fh, 3, "header")
-        if version != FORMAT_VERSION:
-            raise BadHeader(f"unsupported version {version}")
-        _check_dims(h, w)
-        raw = _read_exact(fh, h * w, "payload")
-    return np.frombuffer(raw, dtype=np.uint8).reshape(h, w).copy()
+    return FeatureMap(_decode(Path(path).read_bytes(), FMAP_MAGIC))
 
 
 def save_label_map(lmap: LabelMap, path) -> None:
-    _save_u8_map(lmap.labels, path)
+    Path(path).write_bytes(_encode(LMAP_MAGIC, lmap.labels))
 
 
 def load_label_map(path) -> LabelMap:
-    return LabelMap(_load_u8_map(path))
+    return LabelMap(_decode(Path(path).read_bytes(), LMAP_MAGIC))
 
 
 def save_outlier_map(omap: BinaryOutlierMap, path) -> None:
-    _save_u8_map(omap.labels, path)
+    Path(path).write_bytes(_encode(LMAP_MAGIC, omap.labels))
 
 
 def load_outlier_map(path) -> BinaryOutlierMap:
-    return BinaryOutlierMap(_load_u8_map(path))
+    return BinaryOutlierMap(_decode(Path(path).read_bytes(), LMAP_MAGIC))
 
 
 def save_score_map(smap: ScoreMap, path) -> None:
-    payload = smap.scores.astype(np.float32)
-    _check_finite(payload)
-    h, w = smap.scores.shape
-    with open(path, "wb") as fh:
-        fh.write(SMAP_MAGIC)
-        fh.write(struct.pack("<III", FORMAT_VERSION, h, w))
-        fh.write(payload.tobytes())
+    Path(path).write_bytes(_encode(SMAP_MAGIC, smap.scores))
 
 
 def load_score_map(path) -> ScoreMap:
-    with open(path, "rb") as fh:
-        magic = _read_exact(fh, 4, "magic")
-        if magic != SMAP_MAGIC:
-            raise BadMagic(f"expected {SMAP_MAGIC!r}, got {magic!r}")
-        version, h, w = _read_u32s(fh, 3, "header")
-        if version != FORMAT_VERSION:
-            raise BadHeader(f"unsupported version {version}")
-        _check_dims(h, w)
-        raw = _read_exact(fh, 4 * h * w, "payload")
-    scores = np.frombuffer(raw, dtype="<f4").astype(np.float64).reshape(h, w)
-    return ScoreMap(scores)
+    return ScoreMap(_decode(Path(path).read_bytes(), SMAP_MAGIC))
 
 
 # ---------------------------------------------------------------------------
@@ -286,7 +263,6 @@ def load_score_map(path) -> ScoreMap:
 
 def _fmap_shape(shape) -> tuple:
     """The (C, H, W) header shape that stores a tensor of rank <= 3."""
-    shape = tuple(shape)
     if len(shape) > 3:
         raise DimMismatch(f"cannot serialize tensor of rank {len(shape)}")
     return (1,) * (3 - len(shape)) + shape
@@ -294,10 +270,7 @@ def _fmap_shape(shape) -> tuple:
 
 def _tensor_file_bytes(tensor: np.ndarray) -> bytes:
     """Serialize a tensor as an FMAP file image (C collapsed where needed)."""
-    t = np.asarray(tensor, dtype=np.float64)
-    header = FMAP_MAGIC + struct.pack("<IIIII", FORMAT_VERSION, DTYPE_F32,
-                                      *_fmap_shape(t.shape))
-    return header + t.astype("<f4").tobytes()
+    return _encode(FMAP_MAGIC, np.reshape(tensor, _fmap_shape(np.shape(tensor))))
 
 
 def tensor_digest(tensor: np.ndarray) -> str:
@@ -309,14 +282,24 @@ def tensor_digest(tensor: np.ndarray) -> str:
 class ModelBundle:
     """Named parameter tensors plus a JSON manifest with per-tensor digests.
 
-    A stage-2 ("uem") bundle embeds every stage-1 tensor byte-identically and
-    lists their digests under manifest["frozen_digests"]. On disk it is one
-    FMAP file per tensor plus manifest.json, which records the bundle format
-    version and each tensor's shape and digest.
+    Tensors are rounded to float32 once, at construction, so in-memory values
+    equal what any reload gives. A stage-2 ("uem") bundle embeds every
+    stage-1 tensor byte-identically and lists their digests under
+    manifest["frozen_digests"]. On disk it is one FMAP file per tensor plus
+    manifest.json, which records the bundle format version and each tensor's
+    shape and digest.
     """
 
     manifest: dict
     tensors: dict[str, np.ndarray] = field(default_factory=dict)
+
+    def __post_init__(self):
+        tensors = {}
+        for name, t in self.tensors.items():
+            with np.errstate(over="ignore"):
+                tensors[name] = np.asarray(t, dtype=np.float32).astype(np.float64)
+            _check_finite(tensors[name], f"float32 value in tensor {name!r}")
+        self.tensors = tensors
 
     @property
     def stage(self) -> str:
@@ -326,19 +309,18 @@ class ModelBundle:
         return {name: tensor_digest(t) for name, t in self.tensors.items()}
 
     def save(self, dirpath) -> None:
-        dirpath = Path(dirpath)
-        dirpath.mkdir(parents=True, exist_ok=True)
-        tensor_meta = {}
-        for name, tensor in self.tensors.items():
-            blob = _tensor_file_bytes(tensor)
-            (dirpath / f"{name}.fmap").write_bytes(blob)
-            tensor_meta[name] = {
-                "shape": list(np.asarray(tensor).shape),
-                "digest": hashlib.sha256(blob).hexdigest(),
-            }
+        """Write the bundle; a tensor that cannot be stored leaves no file."""
+        blobs = {name: _tensor_file_bytes(t) for name, t in self.tensors.items()}
         manifest = dict(self.manifest)
         manifest["format_version"] = BUNDLE_FORMAT_VERSION
-        manifest["tensors"] = tensor_meta
+        manifest["tensors"] = {
+            name: {"shape": list(np.shape(self.tensors[name])),
+                   "digest": hashlib.sha256(blob).hexdigest()}
+            for name, blob in blobs.items()}
+        dirpath = Path(dirpath)
+        dirpath.mkdir(parents=True, exist_ok=True)
+        for name, blob in blobs.items():
+            (dirpath / f"{name}.fmap").write_bytes(blob)
         (dirpath / "manifest.json").write_text(
             json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
         )
@@ -364,28 +346,10 @@ class ModelBundle:
                 raise BadBundle(f"tensor {name!r}: {exc}") from None
             if verify and hashlib.sha256(blob).hexdigest() != meta["digest"]:
                 raise DigestMismatch(f"tensor {name!r} digest mismatch")
-            data, header_shape = _parse_fmap_bytes(blob)
+            data = _decode(blob, FMAP_MAGIC)
             shape = tuple(meta["shape"])
-            if _fmap_shape(shape) != header_shape:
+            if _fmap_shape(shape) != data.shape:
                 raise DimMismatch(f"tensor {name!r}: manifest shape {shape} "
-                                  f"vs file header {header_shape}")
+                                  f"vs file header {data.shape}")
             tensors[name] = data.reshape(shape)
         return cls(manifest=manifest, tensors=tensors)
-
-
-def _parse_fmap_bytes(blob: bytes) -> tuple[np.ndarray, tuple]:
-    """Flat float64 payload and (C, H, W) header shape of an FMAP image."""
-    if blob[:4] != FMAP_MAGIC:
-        raise BadMagic(f"expected {FMAP_MAGIC!r}, got {blob[:4]!r}")
-    if len(blob) < 24:
-        raise TruncatedPayload("header truncated")
-    version, dtype, c, h, w = struct.unpack("<IIIII", blob[4:24])
-    if version != FORMAT_VERSION or dtype != DTYPE_F32:
-        raise BadHeader(f"unsupported version/dtype {version}/{dtype}")
-    _check_dims(c, h, w)
-    n = c * h * w
-    if len(blob) != 24 + 4 * n:
-        raise TruncatedPayload(f"expected {24 + 4 * n} bytes, got {len(blob)}")
-    data = np.frombuffer(blob, dtype="<f4", offset=24).astype(np.float64)
-    _check_finite(data)
-    return data, (c, h, w)

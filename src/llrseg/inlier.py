@@ -188,8 +188,11 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrain
     train_idx, held_idx = holdout_split(len(dataset))
     x, y = _gather_pixels(dataset, train_idx, num_classes)
 
-    present = np.unique(y)
     warnings_list = []
+    if held_idx == train_idx:
+        warnings_list.append("one scene only: it is both trained on and held "
+                             "out, so heldout_miou is a training-set mIoU")
+    present = np.unique(y)
     for k in range(num_classes):
         if k not in present:
             warnings_list.append(f"class {k} absent from training data")
@@ -272,11 +275,7 @@ def bundle_from_inlier(model: InlierModel, config: InlierConfig) -> ModelBundle:
         "decoder_activations": [l.activation for l in model.decoder.layers],
         "config": asdict(config),
     }
-    # float32 round trip now so in-memory values match any future reload
-    bundle = ModelBundle(manifest=manifest, tensors={
-        name: np.asarray(t, dtype=np.float32).astype(np.float64)
-        for name, t in tensors.items()})
-    return bundle
+    return ModelBundle(manifest=manifest, tensors=tensors)
 
 
 def inlier_from_bundle(bundle: ModelBundle) -> InlierModel:

@@ -348,9 +348,8 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
 
 def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
                     frozen_digests: dict) -> ModelBundle:
-    tensors = {name: stage1.tensors[name] for name in stage1_tensor_names(stage1)}
-    for name, t in uem_params(u).items():
-        tensors[name] = np.asarray(t, dtype=np.float32).astype(np.float64)
+    tensors = {**{name: stage1.tensors[name] for name in stage1_tensor_names(stage1)},
+               **uem_params(u)}
     s1 = stage1.manifest
     manifest = {
         "stage": "uem",

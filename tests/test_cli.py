@@ -47,6 +47,22 @@ class TestRunConfig:
         with pytest.raises(LlrsegError, match="threads"):
             RunConfig.from_dict({"seed": 0, "threads": 1})
 
+    @pytest.mark.parametrize("section", ["dataset", "inlier", "uem"])
+    def test_section_seed_rejected(self, section, tmp_path, capsys):
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0, section: {"seed": 5}}))
+        assert main(["synth", "--config", str(cfg_path),
+                     "--out", str(tmp_path / "out")]) == 1
+        err = capsys.readouterr().err
+        assert f"{section}.seed" in err and "root seed" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_resolved_has_no_section_seeds(self):
+        resolved = RunConfig.from_dict(SMALL_RUN).resolved()
+        assert resolved["seed"] == 3
+        for section in ("dataset", "inlier", "uem"):
+            assert "seed" not in resolved[section]
+
     def test_round_trip_through_resolved(self):
         cfg = RunConfig.from_dict(SMALL_RUN)
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.resolved())))
@@ -188,6 +204,19 @@ class TestPipeline:
         a = (d["data"] / "scenes" / "0000" / "features.fmap").read_bytes()
         b = (again / "scenes" / "0000" / "features.fmap").read_bytes()
         assert a == b
+
+    def test_echoed_config_reruns_synth_identically(self, pipeline_dirs, tmp_path):
+        d = pipeline_dirs
+        again = tmp_path / "data2"
+        assert main(["synth", "--config", str(d["data"] / "config.json"),
+                     "--out", str(again)]) == 0
+        scenes = sorted(p.relative_to(d["data"])
+                        for p in (d["data"] / "scenes").rglob("*") if p.is_file())
+        assert scenes
+        for rel in scenes:
+            assert (d["data"] / rel).read_bytes() == (again / rel).read_bytes()
+        assert ((d["data"] / "config.json").read_bytes()
+                == (again / "config.json").read_bytes())
 
 
 def test_selfcheck_command_passes():

@@ -1,4 +1,6 @@
 """Map types, file round trips, and bundle digest verification."""
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -23,6 +25,7 @@ from llrseg.datamodel import (
     validate_pair,
 )
 from llrseg.errors import (
+    BadHeader,
     BadMagic,
     DigestMismatch,
     DimMismatch,
@@ -183,3 +186,105 @@ class TestModelBundle:
         flipped = t.copy()
         flipped[0, 0] += 1
         assert tensor_digest(t) != tensor_digest(flipped)
+
+
+# ---------------------------------------------------------------------------
+# one codec: every map and bundle-tensor image is written and checked alike
+# ---------------------------------------------------------------------------
+
+def _bundle_save(tensor, path):
+    ModelBundle(manifest={"stage": "inlier"}, tensors={"t": tensor}).save(path)
+    return path / "t.fmap"
+
+
+# name -> (magic, fixed u32 header fields, payload dtype, sample, save, load);
+# save returns the path of the image it wrote
+CODECS = {
+    "fmap": (b"FMAP", 2, "<f4", f32_exact(np.random.default_rng(4), (2, 3, 4)),
+             lambda a, p: save_feature_map(FeatureMap(a), p) or p,
+             lambda p: load_feature_map(p).data),
+    "lmap": (b"LMAP", 1, "u1", np.array([[0, 1, 2], [IGNORE, 1, 0]], dtype=np.uint8),
+             lambda a, p: save_label_map(LabelMap(a), p) or p,
+             lambda p: load_label_map(p).labels),
+    "smap": (b"SMAP", 1, "<f4", f32_exact(np.random.default_rng(5), (3, 5)),
+             lambda a, p: save_score_map(ScoreMap(a), p) or p,
+             lambda p: load_score_map(p).scores),
+    # a rank-2 tensor is stored under the FMAP header shape (1, H, W)
+    "bundle tensor": (b"FMAP", 2, "<f4", f32_exact(np.random.default_rng(6), (3, 4)),
+                      _bundle_save,
+                      lambda p: ModelBundle.load(p.parent, verify=False).tensors["t"]),
+}
+
+
+def _u32(blob: bytes, index: int, value: int) -> bytes:
+    """`blob` with its index-th u32 header field (after the magic) replaced."""
+    return blob[:4 + 4 * index] + struct.pack("<I", value) + blob[8 + 4 * index:]
+
+
+def _corrupt(case, blob, fixed, header):
+    return {
+        "truncated header": lambda: blob[:header - 1],
+        "truncated payload": lambda: blob[:-1],
+        "trailing byte": lambda: blob + b"\x00",
+        "wrong version": lambda: _u32(blob, 0, 2),
+        "zero dimension": lambda: _u32(blob, (header - 4) // 4 - 1, 0),
+    }[case]()
+
+
+class TestCodec:
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_round_trip_is_byte_exact(self, kind, tmp_path):
+        magic, fixed, dtype, sample, save, load = CODECS[kind]
+        image = save(sample, tmp_path / "a")
+        blob = image.read_bytes()
+        dims = sample.shape if kind != "bundle tensor" else (1, *sample.shape)
+        header = 4 + 4 * (fixed + len(dims))
+        assert blob[:4] == magic
+        assert struct.unpack_from(f"<{fixed + len(dims)}I", blob, 4)[fixed:] == dims
+        assert blob[header:] == np.asarray(sample).astype(dtype).tobytes()
+        assert len(blob) == header + np.dtype(dtype).itemsize * sample.size
+        loaded = load(image)
+        assert np.array_equal(loaded, sample)
+        assert save(loaded, tmp_path / "b").read_bytes() == blob
+
+    @pytest.mark.parametrize("case", ["truncated header", "truncated payload",
+                                      "trailing byte", "wrong version",
+                                      "zero dimension"])
+    @pytest.mark.parametrize("kind", CODECS)
+    def test_bad_image_rejected(self, kind, case, tmp_path):
+        magic, fixed, dtype, sample, save, load = CODECS[kind]
+        image = save(sample, tmp_path / "a")
+        blob = image.read_bytes()
+        rank = 3 if kind == "bundle tensor" else sample.ndim
+        image.write_bytes(_corrupt(case, blob, fixed, 4 + 4 * (fixed + rank)))
+        expected = (BadHeader if case in ("wrong version", "zero dimension")
+                    else TruncatedPayload)
+        with pytest.raises(expected):
+            load(image)
+
+    @pytest.mark.parametrize("kind", ["fmap", "smap", "bundle tensor"])
+    def test_float32_overflow_rejected_before_writing(self, kind, tmp_path):
+        *_, sample, save, load = CODECS[kind]
+        big = sample.copy()
+        big.flat[1] = 1e39  # finite in float64, inf in float32
+        target = tmp_path / "a"
+        with pytest.raises(NonFinite) as exc:
+            if kind == "bundle tensor":
+                bundle = ModelBundle(manifest={"stage": "inlier"}, tensors={"t": sample})
+                bundle.tensors["t"] = big  # bypasses the rounding at construction
+                bundle.save(target)
+            else:
+                save(big, target)
+        assert exc.value.position == 1
+        assert not target.exists()
+
+    def test_bundle_rounds_to_float32_once(self):
+        t = np.array([0.1, 1.0 / 3.0])
+        bundle = ModelBundle(manifest={"stage": "inlier"}, tensors={"t": t})
+        assert np.array_equal(bundle.tensors["t"],
+                              t.astype(np.float32).astype(np.float64))
+        assert bundle.tensors["t"].dtype == np.float64
+
+    def test_bundle_rejects_tensor_overflowing_float32(self):
+        with pytest.raises(NonFinite, match="'t'"):
+            ModelBundle(manifest={"stage": "inlier"}, tensors={"t": np.array([1.0, 1e39])})

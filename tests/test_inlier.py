@@ -177,6 +177,19 @@ class TestTrainInlier:
         result = train_inlier(dataset, 4, cfg)  # class 3 never occurs
         assert any("class 3" in w for w in result.warnings)
 
+    def test_one_scene_heldout_warns(self):
+        dataset = separable_dataset(seed=4, scenes=1)
+        cfg = InlierConfig(head_kind=DISCRIMINATIVE, decoder_hidden=32,
+                           decoder_dim=8, epochs=1, seed=0)
+        result = train_inlier(dataset, 3, cfg)
+        assert any("training-set mIoU" in w for w in result.warnings)
+
+    def test_several_scenes_do_not_warn_about_heldout(self):
+        cfg = InlierConfig(head_kind=DISCRIMINATIVE, decoder_hidden=32,
+                           decoder_dim=8, epochs=1, seed=0)
+        result = train_inlier(separable_dataset(seed=4), 3, cfg)
+        assert not any("training-set mIoU" in w for w in result.warnings)
+
     def test_empty_dataset_rejected(self):
         with pytest.raises(LlrsegError):
             train_inlier([], 3, InlierConfig())
