@@ -173,6 +173,7 @@ def cmd_score(args) -> int:
     out = Path(args.out)
     _echo_config(cfg, out)
     stage2 = ModelBundle.load(args.stage2)
+    verify_freeze(stage2)
     for fpath in args.features:
         f = load_feature_map(fpath)
         plan = tile_plan(f.height, f.width, cfg.inference.window,

@@ -11,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.special import logsumexp
 
 from .errors import DegenerateCovariance, DimMismatch, InsufficientSamples, InvalidCost
 
@@ -85,6 +84,26 @@ class GmmHead:
                    variances=np.maximum(tensors["vars"], VAR_FLOOR))
 
 
+def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
+    """log(sum(exp(a))) along `axis`, bit for bit what scipy.special.logsumexp
+    returns for real input, without its array-API overhead.
+
+    The m entries equal to the maximum are taken out of the sum (they add
+    log(m)) and the rest is summed relative to it; a slice that is all -inf
+    gives -inf.
+    """
+    axis = tuple(range(a.ndim)) if axis is None else axis  # as scipy sums
+    a_max = np.max(a, axis=axis, keepdims=True)
+    at_max = a == a_max
+    m = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
+    shift = np.where(np.isfinite(a_max), a_max, 0.0)  # -inf - -inf is NaN
+    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
+        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - shift),
+                   axis=axis, keepdims=True) / m
+        out = np.log1p(s) + np.log(m) + a_max
+    return np.squeeze(out, axis=axis)
+
+
 def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
     """[N, C] matrix of per-component log densities for class k (no weights)."""
     x = np.asarray(x, dtype=np.float64)
@@ -102,7 +121,7 @@ def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:
     out = np.empty((x.shape[0], head.classes))
     for k in range(head.classes):
         comp = component_log_densities(x, head, k) + head.log_weight
-        out[:, k] = logsumexp(comp, axis=1)
+        out[:, k] = _logsumexp(comp, axis=1)
     return out
 
 
@@ -205,10 +224,10 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
     u = np.zeros(n)
     v = np.zeros(c)
     for _ in range(iters):
-        u = log_a - logsumexp(log_k + v[None, :], axis=1)
-        v = log_b - logsumexp(log_k + u[:, None], axis=0)
+        u = log_a - _logsumexp(log_k + v[None, :], axis=1)
+        v = log_b - _logsumexp(log_k + u[:, None], axis=0)
     log_p = log_k + u[:, None] + v[None, :]
-    log_p -= logsumexp(log_p)  # exact unit total mass
+    log_p -= _logsumexp(log_p)  # exact unit total mass
     return SinkhornPlan(matrix=np.exp(log_p), iterations=iters, epsilon=float(epsilon))
 
 

@@ -1,8 +1,9 @@
-"""Sliding-window scoring with overlap stitching.
+"""Whole-frame scoring in window-sized batches.
 
-Tiles cover every pixel; overlapping pixels are averaged by visit count,
-which for the pixel-wise heads here makes stitched output equal direct
-whole-image scoring.
+Every head is pixel-wise, so a pixel's score does not depend on which
+pixels share its batch. `score_image` therefore scores each pixel exactly
+once, in row-major batches of one window's area; the tile plan bounds the
+batch size (and with it the peak memory) and must cover the frame.
 """
 from __future__ import annotations
 
@@ -28,6 +29,8 @@ class TilePlan:
 
 
 def _axis_origins(dim: int, win: int, stride: int) -> list[int]:
+    if win < 1:
+        raise LlrsegError(f"window must be >= 1, got {win}")
     if stride < 1:
         raise LlrsegError("stride must be >= 1")
     if win >= dim:
@@ -38,16 +41,35 @@ def _axis_origins(dim: int, win: int, stride: int) -> list[int]:
     return starts
 
 
+def _check_covers(plan: TilePlan, height: int, width: int) -> None:
+    """Every tile lies inside the frame and together they cover every pixel."""
+    wh, ww = plan.window
+    covered = np.zeros((height, width), dtype=bool)
+    for y, x in plan.origins:
+        if y < 0 or x < 0 or y + wh > height or x + ww > width:
+            raise DimMismatch(f"{wh}x{ww} tile at ({y}, {x}) is not inside "
+                              f"the {height}x{width} image")
+        covered[y:y + wh, x:x + ww] = True
+    if not covered.all():
+        y, x = np.argwhere(~covered)[0]
+        raise LlrsegError(f"tile plan (window {plan.window}, stride {plan.stride}) "
+                          f"leaves pixel ({y}, {x}) of the {height}x{width} image "
+                          "uncovered; use a stride no larger than the window")
+
+
 def tile_plan(height: int, width: int, window, stride) -> TilePlan:
     """Row-major tile origins covering every pixel; windows larger than the
-    image clamp to it."""
+    image clamp to it. A window below 1 or a stride that leaves a gap
+    between tiles is an LlrsegError."""
     wh, ww = (window, window) if np.isscalar(window) else window
     sh, sw = (stride, stride) if np.isscalar(stride) else stride
     wh, ww = min(wh, height), min(ww, width)
     ys = _axis_origins(height, wh, sh)
     xs = _axis_origins(width, ww, sw)
     origins = [(y, x) for y in ys for x in xs]
-    return TilePlan(window=(wh, ww), stride=(sh, sw), origins=origins)
+    plan = TilePlan(window=(wh, ww), stride=(sh, sw), origins=origins)
+    _check_covers(plan, height, width)
+    return plan
 
 
 SCORERS = ("llr", "id", "ood")
@@ -65,22 +87,20 @@ def _score_tile(inlier_model, uem_model, tile: FeatureMap, scorer: str) -> np.nd
 
 def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
                 scorer: str = "llr") -> ScoreMap:
-    """Score all tiles and average overlaps by visit count."""
+    """Score each pixel once, in row-major batches of the plan's window area.
+
+    The plan must cover the frame; that is checked before any scoring.
+    """
     if scorer not in SCORERS:
         raise LlrsegError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
+    _check_covers(plan, f.height, f.width)
     inlier_model = inlier_from_bundle(stage2)
     inlier_model.frozen = True
     uem_model = uem_from_bundle(stage2) if scorer != "id" else None
-    h, w = f.height, f.width
-    wh, ww = plan.window
-    total = np.zeros((h, w))
-    visits = np.zeros((h, w))
-    for y, x in plan.origins:
-        if y + wh > h or x + ww > w:
-            raise DimMismatch(f"tile at ({y}, {x}) exceeds the {h}x{w} image")
-        tile = FeatureMap(f.data[:, y:y + wh, x:x + ww])
-        total[y:y + wh, x:x + ww] += _score_tile(inlier_model, uem_model, tile, scorer)
-        visits[y:y + wh, x:x + ww] += 1.0
-    if np.any(visits == 0):
-        raise LlrsegError("tile plan does not cover every pixel")
-    return ScoreMap(total / visits)
+    pixels = f.data.reshape(f.channels, -1)
+    batch = plan.window[0] * plan.window[1]
+    scores = np.empty(pixels.shape[1])
+    for start in range(0, scores.size, batch):
+        rows = FeatureMap(pixels[:, None, start:start + batch])
+        scores[start:start + batch] = _score_tile(inlier_model, uem_model, rows, scorer)[0]
+    return ScoreMap(scores.reshape(f.height, f.width))

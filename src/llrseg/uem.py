@@ -390,8 +390,18 @@ def uem_from_bundle(bundle: ModelBundle) -> UemModel:
 
 
 def verify_freeze(stage2: ModelBundle) -> bool:
-    """Check that every frozen stage-1 tensor digest still matches."""
-    frozen = stage2.manifest.get("frozen_digests", {})
+    """Check that the manifest's frozen digests name exactly the bundle's
+    stage-1 tensors and that every one still matches."""
+    if stage2.manifest.get("stage") != "uem":
+        raise LlrsegError("not a stage-2 bundle")
+    frozen = stage2.manifest.get("frozen_digests")
+    if not isinstance(frozen, dict):
+        raise FreezeViolation("stage-2 manifest has no frozen_digests")
+    names = set(stage1_tensor_names(stage2))
+    if set(frozen) != names:
+        raise FreezeViolation(
+            f"frozen_digests do not name the stage-1 tensors: unlisted "
+            f"{sorted(names - set(frozen))}, absent {sorted(set(frozen) - names)}")
     for name, digest in frozen.items():
         if tensor_digest(stage2.tensors[name]) != digest:
             raise FreezeViolation(f"frozen tensor {name!r} digest mismatch")

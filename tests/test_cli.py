@@ -1,5 +1,9 @@
 """Command-line workflow: synth -> train -> score -> eval, plus config rules."""
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -178,6 +182,33 @@ class TestPipeline:
         assert "same output file" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_score_rejects_window_zero(self, pipeline_dirs, tmp_path, capsys):
+        d = pipeline_dirs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, "inference": {"window": 0}}))
+        out = tmp_path / "scores"
+        code = main(["score", "--config", str(cfg), "--stage2", str(d["s2"] / "stage2"),
+                     "--out", str(out), str(d["eval_scene"] / "features.fmap")])
+        assert code == 1
+        assert "window must be >= 1" in capsys.readouterr().err
+        assert not list(out.glob("*.smap"))
+
+    def test_score_rejects_resigned_stage1_tensor(self, pipeline_dirs, tmp_path, capsys):
+        from llrseg.datamodel import ModelBundle
+
+        d = pipeline_dirs
+        stage2 = ModelBundle.load(d["s2"] / "stage2")
+        tensors = dict(stage2.tensors)
+        tensors["decoder.0.weight"] = tensors["decoder.0.weight"] + 1.0
+        # save() signs the rewritten tensor afresh; frozen_digests keep the old one
+        ModelBundle(manifest=stage2.manifest, tensors=tensors).save(tmp_path / "stage2")
+        out = tmp_path / "scores"
+        code = main(["score", "--config", str(d["cfg"]), "--stage2", str(tmp_path / "stage2"),
+                     "--out", str(out), str(d["eval_scene"] / "features.fmap")])
+        assert code == 2
+        assert "frozen tensor 'decoder.0.weight' digest mismatch" in capsys.readouterr().err
+        assert not list(out.glob("*.smap"))
+
     def test_per_component_bundles_rejected(self, pipeline_dirs, tmp_path, capsys):
         from llrseg.datamodel import ModelBundle
         from test_bundle import save_per_component
@@ -221,3 +252,12 @@ class TestPipeline:
 
 def test_selfcheck_command_passes():
     assert main(["selfcheck"]) == 0
+
+
+def test_python_m_llrseg_runs_from_source_tree(tmp_path):
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {**os.environ, "PYTHONPATH": str(src)}
+    done = subprocess.run([sys.executable, "-m", "llrseg", "selfcheck"], cwd=tmp_path,
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    assert "[PASS] stitching-equivalence" in done.stdout

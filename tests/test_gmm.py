@@ -1,6 +1,10 @@
 """Gaussian densities, Sinkhorn assignment, and EM fitting."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import logsumexp
 
 from llrseg.errors import DegenerateCovariance, InsufficientSamples, InvalidCost
 from llrseg.gmm import (
@@ -14,6 +18,7 @@ from llrseg.gmm import (
     component_log_densities,
     sinkhorn_assign,
 )
+from llrseg.gmm import _logsumexp
 
 
 def gaussian_log_density(x, mu, var) -> float:
@@ -123,6 +128,31 @@ class TestGmmLogDensity:
                 xm = x.copy(); xm[i, j] -= h
                 numeric = (loss_at(xp) - loss_at(xm)) / (2 * h)
                 assert dx[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7)
+
+
+# finite values plus -inf; the few distinct magnitudes after rounding make
+# ties at the maximum common, which the log-sum-exp takes out of the sum
+LSE_VALUES = st.one_of(st.just(-np.inf),
+                       st.floats(-1e4, 1e4).map(lambda v: round(v, 1)),
+                       st.floats(-800.0, 800.0))
+
+
+class TestLogSumExp:
+    @settings(max_examples=300, deadline=None)
+    @given(a=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
+                    elements=LSE_VALUES),
+           axis=st.sampled_from([0, 1, None]))
+    def test_bitwise_equal_to_scipy(self, a, axis):
+        assert np.array_equal(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
+
+    def test_all_minus_inf_slice_is_minus_inf(self):
+        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
+        out = _logsumexp(a, axis=1)
+        assert out[0] == -np.inf
+        assert out[1] == logsumexp(a[1])
+
+    def test_ties_at_the_max(self):
+        assert _logsumexp(np.zeros((1, 4)), axis=1)[0] == np.log(4.0)
 
 
 class TestSinkhorn:

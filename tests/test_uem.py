@@ -2,7 +2,13 @@
 import numpy as np
 import pytest
 
-from llrseg.datamodel import IGNORE, BinaryOutlierMap, FeatureMap, tensor_digest
+from llrseg.datamodel import (
+    IGNORE,
+    BinaryOutlierMap,
+    FeatureMap,
+    ModelBundle,
+    tensor_digest,
+)
 from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, LlrsegError
 from llrseg.gmm import GmmHead
 from llrseg.inlier import (
@@ -273,6 +279,28 @@ class TestTrainUem:
         stage2.tensors[name] = t
         with pytest.raises(FreezeViolation):
             verify_freeze(stage2)
+
+    def test_verify_freeze_needs_frozen_digests(self):
+        bundle = ModelBundle(manifest={"stage": "uem"},
+                             tensors={"decoder.0.weight": np.ones((2, 2))})
+        with pytest.raises(FreezeViolation, match="no frozen_digests"):
+            verify_freeze(bundle)
+
+    @pytest.mark.parametrize("change", ["drop", "add"])
+    def test_verify_freeze_needs_every_stage1_name(self, small_stage2, change):
+        frozen = dict(small_stage2.manifest["frozen_digests"])
+        if change == "drop":
+            frozen.pop(stage1_tensor_names(small_stage2)[-1])
+        else:
+            frozen["decoder.9.weight"] = next(iter(frozen.values()))
+        bundle = ModelBundle(manifest={**small_stage2.manifest, "frozen_digests": frozen},
+                             tensors=small_stage2.tensors)
+        with pytest.raises(FreezeViolation, match="do not name the stage-1 tensors"):
+            verify_freeze(bundle)
+
+    def test_verify_freeze_rejects_stage1_bundle(self, small_stage1):
+        with pytest.raises(LlrsegError, match="not a stage-2 bundle"):
+            verify_freeze(small_stage1.bundle)
 
     def test_deterministic_per_seed(self):
         dataset, stage1 = self.stage1(seed=4)
