@@ -126,7 +126,7 @@ def cmd_train_inlier(args) -> int:
     result = train_inlier(dataset, cfg.dataset.num_classes, cfg.inlier)
     result.bundle.save(out / "stage1")
     report = {"heldout_miou": result.miou, "loss_history": result.loss_history,
-              "warnings": result.warnings}
+              "warnings": result.warnings, "em_counters": result.em_counters}
     (out / "inlier_report.json").write_text(json.dumps(report, indent=2),
                                             encoding="utf-8")
     print(f"stage-1 bundle saved; held-out mIoU = {result.miou:.4f}")
@@ -142,9 +142,12 @@ def cmd_train_uem(args) -> int:
     stage1 = ModelBundle.load(args.stage1, verify=False)
     triples = load_split(args.dataset, "train_uem")
     dataset = [(f, o) for f, _, o in triples]
-    stage2 = train_uem(stage1, dataset, cfg.uem)
-    verify_freeze(stage2)
-    stage2.save(out / "stage2")
+    result = train_uem(stage1, dataset, cfg.uem)
+    verify_freeze(result.bundle)
+    result.bundle.save(out / "stage2")
+    report = {"loss_history": result.loss_history, "em_counters": result.em_counters}
+    (out / "uem_report.json").write_text(json.dumps(report, indent=2),
+                                         encoding="utf-8")
     print("freeze contract verified: all stage-1 digests unchanged")
     print(f"stage-2 bundle saved to {out / 'stage2'}")
     return 0
@@ -208,7 +211,7 @@ def cmd_eval(args) -> int:
     sp = ScoredPixels(scores=np.concatenate(scores), labels=np.concatenate(labels))
     report = evaluation_report(sp)
     if args.pred:
-        values = [miou(load_label_map(p), load_label_map(g), args.num_classes)
+        values = [miou(load_label_map(p), load_label_map(g), cfg.dataset.num_classes)
                   for p, g in zip(args.pred, args.gt)]
         report["miou"] = float(np.mean(values))
     (out / "eval_report.json").write_text(json.dumps(report, indent=2),
@@ -265,11 +268,9 @@ def build_parser() -> argparse.ArgumentParser:
                    help="optional predicted label maps for mIoU")
     p.add_argument("--gt", nargs="*", default=None,
                    help="optional ground-truth label maps for mIoU")
-    p.add_argument("--num-classes", type=int, default=5)
     p.set_defaults(fn=cmd_eval)
 
     p = sub.add_parser("selfcheck", help="run the verification battery")
-    common(p)
     p.set_defaults(fn=cmd_selfcheck)
     return parser
 
@@ -281,7 +282,7 @@ def main(argv=None) -> int:
     except FreezeViolation as exc:
         print(f"FreezeViolation: {exc}", file=sys.stderr)
         return 2
-    except LlrsegError as exc:
+    except (LlrsegError, OSError) as exc:
         print(f"error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return 1
 

@@ -333,13 +333,24 @@ class ModelBundle:
             manifest = json.loads((dirpath / "manifest.json").read_text(encoding="utf-8"))
         except (OSError, ValueError) as exc:
             raise BadBundle(f"cannot read {dirpath / 'manifest.json'}: {exc}") from None
+        if not isinstance(manifest, dict):
+            raise BadBundle(f"{dirpath / 'manifest.json'} is not a JSON object")
         version = manifest.get("format_version")
         if version != BUNDLE_FORMAT_VERSION:
             raise BadBundle(
                 f"bundle {dirpath} has format version {version}, expected format "
                 f"version {BUNDLE_FORMAT_VERSION}; retrain it with this version")
+        entries = manifest.get("tensors")
+        if not isinstance(entries, dict):
+            raise BadBundle(f"bundle {dirpath}: manifest has no 'tensors' object")
+        for name, meta in entries.items():
+            if not (isinstance(meta, dict) and isinstance(meta.get("digest"), str)
+                    and isinstance(meta.get("shape"), list)
+                    and all(type(n) is int for n in meta["shape"])):
+                raise BadBundle(f"bundle {dirpath}: manifest entry of tensor {name!r} "
+                                "needs a 'shape' list of integers and a 'digest' string")
         tensors = {}
-        for name, meta in manifest["tensors"].items():
+        for name, meta in entries.items():
             try:
                 blob = (dirpath / f"{name}.fmap").read_bytes()
             except OSError as exc:

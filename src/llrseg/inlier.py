@@ -8,7 +8,7 @@ every stage handles them alike.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict, field
+from dataclasses import dataclass, asdict
 
 import numpy as np
 
@@ -64,6 +64,58 @@ def prefixed(prefix: str, tensors: dict) -> dict:
 def unprefixed(prefix: str, tensors: dict) -> dict:
     p = prefix + "."
     return {name[len(p):]: t for name, t in tensors.items() if name.startswith(p)}
+
+
+def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
+    """The training loop of both stages: seeded shuffles, minibatch Adam
+    (cfg.lr, .epochs, .batch_size) on `net` and `head`, both rebuilt from the
+    parameters after every step, and one Sinkhorn-EM refresh (cfg.gmm_*) of
+    a GMM head per epoch on net(x) grouped by y. `loss(head, z, idx)` returns
+    (loss, d_z, head gradients) for the net output z of rows idx; a head
+    tensor without a gradient keeps its value.
+
+    Returns (head, mean batch loss of each epoch, EM counters).
+    """
+    params = {**mlp_params(net, "net"), **prefixed("head", head.tensors())}
+    opt = make_optimizer("adam", cfg.lr)
+    counters, loss_history = {}, []
+    for _ in range(cfg.epochs):
+        order = rng.permutation(x.shape[0])
+        losses = []
+        for start in range(0, x.shape[0], cfg.batch_size):
+            idx = order[start:start + cfg.batch_size]
+            z, tape = mlp_forward(net, x[idx])
+            value, d_z, head_grads = loss(head, z, idx)
+            net_grads, _ = mlp_backward(net, tape, d_z)
+            grads = {**mlp_grads_dict(net_grads, "net"), **prefixed("head", head_grads)}
+            opt, params = optimizer_step(opt, params, grads)
+            set_mlp_params(net, "net", params)
+            head = type(head).from_tensors(unprefixed("head", params))
+            losses.append(value)
+        loss_history.append(sum(losses) / max(1, len(losses)))
+        if isinstance(head, GmmHead):
+            z, _ = mlp_forward(net, x)
+            head = refresh(head, [z[y == k] for k in range(head.classes)], rng,
+                           cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters, cfg.gmm_momentum,
+                           cfg.gmm_max_pixels_per_class, counters)
+            params.update(prefixed("head", head.tensors()))
+    return head, loss_history, counters
+
+
+@dataclass
+class TrainResult:
+    """What either training stage returns: the bundle, the mean loss of each
+    epoch, the EM counters (`empty_components`, `absent_classes`; a key
+    appears once its event has happened) and warnings about the data."""
+    bundle: ModelBundle
+    loss_history: list
+    em_counters: dict
+    warnings: list
+
+    @property
+    def miou(self) -> float | None:
+        """Held-out mIoU of the stage-1 model in the bundle."""
+        return self.bundle.manifest.get("heldout_miou")
 
 
 @dataclass
@@ -141,14 +193,6 @@ class InlierConfig:
     gmm_max_pixels_per_class: int = 4096
 
 
-@dataclass
-class InlierTrainResult:
-    bundle: ModelBundle
-    miou: float
-    loss_history: list = field(default_factory=list)
-    warnings: list = field(default_factory=list)
-
-
 def holdout_split(n: int) -> tuple[list[int], list[int]]:
     """Deterministic 90/10 split by scene index; at least one held out."""
     n_held = max(1, n // 10)
@@ -172,12 +216,12 @@ def _gather_pixels(dataset, indices, num_classes):
     return np.concatenate(feats, axis=0), np.concatenate(labels)
 
 
-def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrainResult:
+def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult:
     """Train decoder + head on (FeatureMap, LabelMap) pairs.
 
-    Adam on the cross-entropy of the head's logits. A linear head trains
-    jointly with the decoder; a GMM head is fitted by Sinkhorn EM alone,
-    one refresh per epoch on the decoded features. Deterministic per seed.
+    `fit` runs Adam on the cross-entropy of the head's logits. A linear head
+    trains jointly with the decoder; a GMM head is fitted by Sinkhorn EM
+    alone. Deterministic per seed.
     """
     if not dataset:
         raise LlrsegError("empty dataset")
@@ -205,38 +249,15 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrain
                          config.gmm_components, rng)
     else:
         head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
-    params = {**mlp_params(decoder, "decoder"), **prefixed("head", head.tensors())}
-    opt = make_optimizer("adam", config.lr)
-    counters: dict = {}
-    loss_history = []
-    for _ in range(config.epochs):
-        order = rng.permutation(x.shape[0])
-        epoch_loss = 0.0
-        n_batches = 0
-        for start in range(0, x.shape[0], config.batch_size):
-            idx = order[start:start + config.batch_size]
-            decoded, tape = mlp_forward(decoder, x[idx])
-            logits, head_backward = head.logits_with_grad(decoded)
-            loss, d_logits = softmax_cross_entropy(logits, y[idx])
-            d_decoded, head_grads = head_backward(d_logits)
-            dec_grads, _ = mlp_backward(decoder, tape, d_decoded)
-            grads = mlp_grads_dict(dec_grads, "decoder")
-            # EM alone fits a GMM head: Adam keeps tensors that get no gradient
-            if not em:
-                grads.update(prefixed("head", head_grads))
-            opt, params = optimizer_step(opt, params, grads)
-            set_mlp_params(decoder, "decoder", params)
-            head = type(head).from_tensors(unprefixed("head", params))
-            epoch_loss += loss
-            n_batches += 1
-        loss_history.append(epoch_loss / max(1, n_batches))
-        if em:
-            decoded_all, _ = mlp_forward(decoder, x)
-            head = refresh(head, [decoded_all[y == k] for k in range(num_classes)],
-                           rng, config.gmm_epsilon, config.gmm_sinkhorn_iters,
-                           config.gmm_momentum, config.gmm_max_pixels_per_class,
-                           counters)
-            params.update(prefixed("head", head.tensors()))
+
+    def cross_entropy(head, decoded, idx):
+        logits, head_backward = head.logits_with_grad(decoded)
+        value, d_logits = softmax_cross_entropy(logits, y[idx])
+        d_decoded, head_grads = head_backward(d_logits)
+        # EM alone fits a GMM head: Adam keeps tensors that get no gradient
+        return value, d_decoded, {} if em else head_grads
+
+    head, loss_history, counters = fit(decoder, head, x, y, cross_entropy, rng, config)
     model = InlierModel(decoder=decoder, head=head, num_classes=num_classes,
                         head_kind=config.head_kind)
 
@@ -245,8 +266,8 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> InlierTrain
     reloaded = inlier_from_bundle(bundle)
     miou_value = heldout_miou(reloaded, dataset, held_idx, num_classes)
     bundle.manifest["heldout_miou"] = miou_value
-    return InlierTrainResult(bundle=bundle, miou=miou_value,
-                             loss_history=loss_history, warnings=warnings_list)
+    return TrainResult(bundle=bundle, loss_history=loss_history,
+                       em_counters=counters, warnings=warnings_list)
 
 
 def heldout_miou(model: InlierModel, dataset, held_idx, num_classes: int) -> float:

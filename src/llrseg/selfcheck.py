@@ -210,7 +210,7 @@ def check_stitching(seed: int = 0, tol: float = 1e-12) -> tuple[bool, str]:
     from .anomalymix import inject_outliers
     mixed, omap, _ = inject_outliers(feats, labels, bank, rng)
     ucfg = LlrConfig(epochs=1, seed=seed, projection_dim=8, proj_hidden=6)
-    stage2 = train_uem(stage1, [(mixed, omap)], ucfg)
+    stage2 = train_uem(stage1, [(mixed, omap)], ucfg).bundle
     whole = score_image(stage2, mixed, tile_plan(16, 16, 16, 16))
     worst = 0.0
     for stride in (1, 2, 4, 8):

@@ -27,7 +27,6 @@ from .gmm import (
     component_backward,
     component_log_densities,
     init_head,
-    refresh,
     sinkhorn_assign,
 )
 from .inlier import (
@@ -35,7 +34,9 @@ from .inlier import (
     GENERATIVE,
     HEAD_TYPES,
     InlierModel,
+    TrainResult,
     check_head,
+    fit,
     inlier_from_bundle,
     max_inlier_logit,
     prefixed,
@@ -46,12 +47,10 @@ from .neuralcore import (
     DenseLayer,
     Mlp,
     make_mlp,
-    make_optimizer,
     mlp_backward,
     mlp_forward,
     mlp_grads_dict,
     mlp_params,
-    optimizer_step,
     set_mlp_params,
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
@@ -183,19 +182,18 @@ def set_uem_params(u: UemModel, params: dict[str, np.ndarray]) -> None:
     u.head = type(u.head).from_tensors(unprefixed("uem.head", params))
 
 
-def _loss_and_grads(u: UemModel, x: np.ndarray, max_logit: np.ndarray,
+def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
                     targets: np.ndarray, cfg: LlrConfig):
-    """Core of the LLR loss over flattened pixels.
+    """The LLR loss of the head over projected pixels.
 
-    x: [N, C_e] raw features; max_logit: [N] frozen inlier term;
-    targets: [N] in {0, 1, IGNORE}. Returns (loss, grads over phi).
+    z: [N, C_p] projection output; max_logit: [N] frozen inlier term;
+    targets: [N] in {0, 1, IGNORE}. Returns (loss, d_z, head gradients).
     """
     valid = targets != IGNORE
     if not valid.any():
         raise AllIgnored("every pixel is ignored")
 
-    z, tape = mlp_forward(u.projection, x)
-    logits2, head_backward = u.head.logits_with_grad(z)
+    logits2, head_backward = head.logits_with_grad(z)
     d_logits2 = np.zeros_like(logits2)
 
     llr = logits2[:, OUTLIER_CLASS] - logits2[:, INLIER_CLASS] - max_logit
@@ -209,19 +207,15 @@ def _loss_and_grads(u: UemModel, x: np.ndarray, max_logit: np.ndarray,
         d_logits2 += cfg.alpha * d_ce
 
     d_z, head_grads = head_backward(d_logits2)
-    if cfg.alpha > 0 and cfg.beta > 0 and u.head_kind == GENERATIVE:
-        c_loss, d_comp = _contrast_loss(u.head, z, targets, cfg)
+    if cfg.alpha > 0 and cfg.beta > 0 and isinstance(head, GmmHead):
+        c_loss, d_comp = _contrast_loss(head, z, targets, cfg)
         loss += cfg.alpha * cfg.beta * c_loss
         d_comp = (cfg.alpha * cfg.beta * d_comp).reshape(z.shape[0], 2, -1)
-        dz_c, dmeans_c, dvars_c = component_backward(u.head, z, d_comp)
+        dz_c, dmeans_c, dvars_c = component_backward(head, z, d_comp)
         d_z += dz_c
         head_grads["means"] = head_grads["means"] + dmeans_c
         head_grads["vars"] = head_grads["vars"] + dvars_c
-
-    proj_grads, _ = mlp_backward(u.projection, tape, d_z)
-    grads = prefixed("uem.head", head_grads)
-    grads.update(mlp_grads_dict(proj_grads, "uem.proj"))
-    return float(loss), grads
+    return float(loss), d_z, head_grads
 
 
 def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
@@ -260,20 +254,25 @@ def llr_loss(u: UemModel, inlier_model: InlierModel, f: FeatureMap,
     if (f.height, f.width) != (outliers.height, outliers.width):
         raise DimMismatch("feature map and outlier map dims differ")
     max_logit = max_inlier_logit(inlier_model, f).ravel()
-    return _loss_and_grads(u, f.pixels(), max_logit, outliers.labels.ravel(), cfg)
+    z, tape = mlp_forward(u.projection, f.pixels())
+    loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
+                                            outliers.labels.ravel(), cfg)
+    proj_grads, _ = mlp_backward(u.projection, tape, d_z)
+    return loss, {**prefixed("uem.head", head_grads),
+                  **mlp_grads_dict(proj_grads, "uem.proj")}
 
 
 # ---------------------------------------------------------------------------
 # stage-2 training
 # ---------------------------------------------------------------------------
 
-def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
+def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs.
 
-    Adam on the LLR loss for every phi tensor; a GMM head is also refreshed
-    by one Sinkhorn-EM round per epoch. The returned stage-2 bundle embeds
-    every stage-1 tensor byte-identically; a digest mismatch at entry or
-    exit raises FreezeViolation.
+    `fit` runs Adam on the LLR loss for every phi tensor and refreshes a GMM
+    head by Sinkhorn EM. The result's bundle embeds every stage-1 tensor
+    byte-identically; a digest mismatch at entry or exit raises
+    FreezeViolation.
     """
     if stage1.manifest["stage"] != "inlier":
         raise LlrsegError("train_uem needs a stage-1 (inlier) bundle")
@@ -311,35 +310,22 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> ModelBundle:
     if x.shape[0] == 0:
         raise AllIgnored("every pixel in the dataset is ignored")
 
-    em = cfg.head_kind == GENERATIVE
-    if em:
+    if cfg.head_kind == GENERATIVE:
         z0, _ = mlp_forward(u.projection, x)
         u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
 
-    params = uem_params(u)
-    opt = make_optimizer("adam", cfg.lr)
-    counters: dict = {}
-    for _ in range(cfg.epochs):
-        order = rng.permutation(x.shape[0])
-        for start in range(0, x.shape[0], cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
-            _, grads = _loss_and_grads(u, x[idx], max_logit[idx], y[idx], cfg)
-            opt, params = optimizer_step(opt, params, grads)
-            set_uem_params(u, params)
-        if em:
-            z, _ = mlp_forward(u.projection, x)
-            u.head = refresh(u.head, [z[y == k] for k in range(2)], rng,
-                             cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters,
-                             cfg.gmm_momentum, cfg.gmm_max_pixels_per_class,
-                             counters)
-            params = uem_params(u)
+    u.head, loss_history, counters = fit(
+        u.projection, u.head, x, y,
+        lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
+        rng, cfg)
 
     final_digests = {name: tensor_digest(stage1.tensors[name])
                      for name in stage1_tensor_names(stage1)}
     if final_digests != initial_digests:
         raise FreezeViolation("stage-1 tensors changed during UEM training")
 
-    return bundle_from_uem(u, stage1, cfg, initial_digests)
+    return TrainResult(bundle=bundle_from_uem(u, stage1, cfg, initial_digests),
+                       loss_history=loss_history, em_counters=counters, warnings=[])
 
 
 # ---------------------------------------------------------------------------

@@ -53,4 +53,4 @@ def small_stage1(small_dataset_dir):
 def small_stage2(small_stage1, small_dataset_dir):
     triples = load_split(small_dataset_dir, "train_uem")
     dataset = [(f, o) for f, _, o in triples]
-    return train_uem(small_stage1.bundle, dataset, SMALL_UEM)
+    return train_uem(small_stage1.bundle, dataset, SMALL_UEM).bundle

@@ -126,7 +126,7 @@ def _benchmark_metrics(seed: int) -> dict:
         inlier_ds = [(f, l) for f, l, _ in load_split(tmp, "train_inlier")]
         stage1 = train_inlier(inlier_ds, 5, InlierConfig(seed=seed))
         uem_ds = [(f, o) for f, _, o in load_split(tmp, "train_uem")]
-        stage2 = train_uem(stage1.bundle, uem_ds, LlrConfig(seed=seed))
+        stage2 = train_uem(stage1.bundle, uem_ds, LlrConfig(seed=seed)).bundle
         out = {}
         eval_scenes = load_split(tmp, "eval")
         for scorer in ("llr", "id", "ood"):

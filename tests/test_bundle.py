@@ -225,3 +225,27 @@ class TestCorruption:
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(BadBundle):
             ModelBundle.load(tmp_path / "nowhere")
+
+    @pytest.mark.parametrize("manifest", [
+        [],
+        [{"format_version": BUNDLE_FORMAT_VERSION}],
+        "uem",
+        {"format_version": BUNDLE_FORMAT_VERSION, "stage": "uem"},
+        {"format_version": BUNDLE_FORMAT_VERSION, "stage": "uem", "tensors": []},
+    ], ids=["empty-list", "list", "string", "no-tensors", "tensors-list"])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_manifest_not_a_bundle_object(self, manifest, verify, tmp_path):
+        tmp_path.joinpath("manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(BadBundle):
+            ModelBundle.load(tmp_path, verify=verify)
+
+    @pytest.mark.parametrize("entry", [
+        None, [], {}, {"shape": [2, 3]}, {"digest": "0" * 64},
+        {"shape": "2x3", "digest": "0" * 64}, {"shape": [2, 3], "digest": 7},
+        {"shape": [2.0, 3], "digest": "0" * 64},
+    ])
+    def test_malformed_tensor_entry(self, entry):
+        with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
+            edit_manifest(path, lambda m: m["tensors"].update({"decoder.0.weight": entry}))
+            with pytest.raises(BadBundle, match="'decoder.0.weight'"):
+                ModelBundle.load(path, verify=False)

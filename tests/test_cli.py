@@ -227,6 +227,54 @@ class TestPipeline:
         assert code == 1
         assert "expected format version 2" in capsys.readouterr().err
 
+    def test_training_reports(self, pipeline_dirs, tmp_path):
+        d = pipeline_dirs
+        inlier = json.loads((d["s1"] / "inlier_report.json").read_text())
+        uem = json.loads((d["s2"] / "uem_report.json").read_text())
+        for report, section in ((inlier, "inlier"), (uem, "uem")):
+            losses = report["loss_history"]
+            assert len(losses) == SMALL_RUN[section]["epochs"]
+            assert all(np.isfinite(losses))
+            assert isinstance(report["em_counters"], dict)
+        again = tmp_path / "stage2"
+        assert main(["train-uem", "--config", str(d["cfg"]), "--dataset", str(d["data"]),
+                     "--stage1", str(d["s1"] / "stage1"), "--out", str(again)]) == 0
+        assert ((again / "uem_report.json").read_bytes()
+                == (d["s2"] / "uem_report.json").read_bytes())
+
+    def test_eval_miou_takes_class_count_from_config(self, pipeline_dirs, tmp_path):
+        from llrseg.datamodel import LabelMap, save_label_map
+
+        d = pipeline_dirs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 0, "dataset": {"num_classes": 8}}))
+        save_label_map(LabelMap(np.array([[0, 0], [7, 7]], dtype=np.uint8)),
+                       tmp_path / "gt.lmap")
+        save_label_map(LabelMap(np.zeros((2, 2), dtype=np.uint8)), tmp_path / "pred.lmap")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--scores", str(d["scored"] / "features.llr.smap"),
+                     "--labels", str(d["eval_scene"] / "outliers.lmap"),
+                     "--pred", str(tmp_path / "pred.lmap"),
+                     "--gt", str(tmp_path / "gt.lmap")]) == 0
+        report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
+        assert report["miou"] == 0.25  # class 0 IoU 0.5, class 7 IoU 0
+
+    @pytest.mark.parametrize("command", ["score", "train-inlier", "eval"])
+    def test_missing_input_file_exits_1(self, pipeline_dirs, tmp_path, capsys, command):
+        d = pipeline_dirs
+        missing = str(tmp_path / "missing")
+        argv = {
+            "score": ["--stage2", str(d["s2"] / "stage2"), missing + ".fmap"],
+            "train-inlier": ["--dataset", missing],
+            "eval": ["--scores", missing + ".smap",
+                     "--labels", str(d["eval_scene"] / "outliers.lmap")],
+        }[command]
+        code = main([command, "--config", str(d["cfg"]), "--out", str(tmp_path / "out"),
+                     *argv])
+        assert code == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: FileNotFoundError") and missing in err
+
     def test_rerun_synth_is_byte_identical(self, pipeline_dirs, tmp_path):
         d = pipeline_dirs
         again = tmp_path / "data2"
@@ -252,6 +300,15 @@ class TestPipeline:
 
 def test_selfcheck_command_passes():
     assert main(["selfcheck"]) == 0
+
+
+@pytest.mark.parametrize("option", [["--out", "x"], ["--seed", "1"],
+                                    ["--config", "run.json"]])
+def test_selfcheck_takes_no_options(option, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["selfcheck", *option])
+    assert exc.value.code == 2
+    assert "unrecognized arguments" in capsys.readouterr().err
 
 
 def test_python_m_llrseg_runs_from_source_tree(tmp_path):

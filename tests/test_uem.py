@@ -240,7 +240,7 @@ class TestTrainUem:
         dataset, stage1 = self.stage1()
         before = {n: tensor_digest(stage1.tensors[n])
                   for n in stage1_tensor_names(stage1)}
-        stage2 = train_uem(stage1, mixed_pairs(dataset), self.ucfg(epochs=0))
+        stage2 = train_uem(stage1, mixed_pairs(dataset), self.ucfg(epochs=0)).bundle
         for name, digest in before.items():
             assert tensor_digest(stage2.tensors[name]) == digest
         assert verify_freeze(stage2)
@@ -248,7 +248,7 @@ class TestTrainUem:
     def test_stage2_embeds_stage1_byte_identical(self, tmp_path):
         dataset, stage1 = self.stage1(seed=1)
         stage1.save(tmp_path / "s1")
-        stage2 = train_uem(stage1, mixed_pairs(dataset, 1), self.ucfg())
+        stage2 = train_uem(stage1, mixed_pairs(dataset, 1), self.ucfg()).bundle
         stage2.save(tmp_path / "s2")
         for name in stage1_tensor_names(stage1):
             a = (tmp_path / "s1" / f"{name}.fmap").read_bytes()
@@ -272,7 +272,7 @@ class TestTrainUem:
 
     def test_verify_freeze_detects_mutation(self):
         dataset, stage1 = self.stage1(seed=3)
-        stage2 = train_uem(stage1, mixed_pairs(dataset, 3), self.ucfg())
+        stage2 = train_uem(stage1, mixed_pairs(dataset, 3), self.ucfg()).bundle
         name = stage1_tensor_names(stage2)[0]
         t = stage2.tensors[name].copy()
         t.ravel()[0] += 1.0
@@ -305,14 +305,14 @@ class TestTrainUem:
     def test_deterministic_per_seed(self):
         dataset, stage1 = self.stage1(seed=4)
         pairs = mixed_pairs(dataset, 4)
-        a = train_uem(stage1, pairs, self.ucfg(seed=5))
-        b = train_uem(stage1, pairs, self.ucfg(seed=5))
+        a = train_uem(stage1, pairs, self.ucfg(seed=5)).bundle
+        b = train_uem(stage1, pairs, self.ucfg(seed=5)).bundle
         assert a.digests() == b.digests()
 
     def test_generative_head_round_trip(self, tmp_path):
         dataset, stage1 = self.stage1(seed=5)
         cfg = self.ucfg(head_kind=GENERATIVE, epochs=1)
-        stage2 = train_uem(stage1, mixed_pairs(dataset, 5), cfg)
+        stage2 = train_uem(stage1, mixed_pairs(dataset, 5), cfg).bundle
         stage2.save(tmp_path / "b")
         from llrseg.datamodel import ModelBundle
         reloaded = ModelBundle.load(tmp_path / "b")
@@ -323,7 +323,7 @@ class TestTrainUem:
 
     def test_wrong_stage_rejected(self):
         dataset, stage1 = self.stage1(seed=6)
-        stage2 = train_uem(stage1, mixed_pairs(dataset, 6), self.ucfg())
+        stage2 = train_uem(stage1, mixed_pairs(dataset, 6), self.ucfg()).bundle
         with pytest.raises(LlrsegError):
             train_uem(stage2, mixed_pairs(dataset, 6), self.ucfg())
 
