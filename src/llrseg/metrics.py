@@ -8,7 +8,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .datamodel import IGNORE, LabelMap, ScoreMap
 from .errors import DimMismatch, OneClassOnly
@@ -70,10 +69,26 @@ def _grouped_counts(sp: ScoredPixels):
     return scores[idx], tp_cum[idx], fp_cum[idx]
 
 
+def _midranks(scores: np.ndarray) -> np.ndarray:
+    """Ascending 1-based ranks, each tied group sharing its mean rank.
+
+    A group at sorted positions a..b gets (a + b + 2) / 2, an integer or a
+    half-integer, so every rank is exact in float64.
+    """
+    order = np.argsort(scores, kind="stable")
+    sorted_scores = scores[order]
+    first = np.concatenate([[0], np.nonzero(np.diff(sorted_scores) != 0)[0] + 1])
+    last = np.concatenate([first[1:] - 1, [scores.size - 1]])
+    group_rank = (first + last + 2) / 2.0
+    ranks = np.empty(scores.size)
+    ranks[order] = np.repeat(group_rank, last - first + 1)
+    return ranks
+
+
 def auroc(sp: ScoredPixels) -> float:
     """Mann-Whitney statistic: (correct pairs + half the ties) / (P*N)."""
     _require_two_classes(sp)
-    ranks = rankdata(sp.scores, method="average")  # midranks handle ties exactly
+    ranks = _midranks(sp.scores)  # midranks handle ties exactly
     pos_ranks = ranks[sp.labels == 1]
     p, n = sp.positives, sp.negatives
     u = pos_ranks.sum() - p * (p + 1) / 2.0

@@ -1,8 +1,8 @@
 """Minimal dense layers with analytic gradients, losses, and optimizers.
 
 Everything runs in float64. Forward passes are pure; a tape produced by
-mlp_forward carries the per-layer inputs and pre-activations needed for
-the exact reverse pass.
+mlp_forward carries the per-layer inputs, pre-activations and GELU gates
+needed for the exact reverse pass, which evaluates no erf.
 """
 from __future__ import annotations
 
@@ -18,25 +18,40 @@ _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 
 
-def _activate(name: str, pre: np.ndarray) -> np.ndarray:
+def _activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
+    """Returns (activation, gate). GELU's gate 1 + erf(pre/√2) is what its
+    reverse pass needs; the other activations return None for it."""
     if name == "identity":
-        return pre
+        return pre, None
     if name == "relu":
-        return np.maximum(pre, 0.0)
+        return np.maximum(pre, 0.0), None
     if name == "gelu":
-        return 0.5 * pre * (1.0 + erf(pre / _SQRT2))
+        gate = np.divide(pre, _SQRT2)
+        erf(gate, out=gate)
+        gate += 1.0
+        out = 0.5 * pre
+        out *= gate
+        return out, gate
     raise ValueError(f"unknown activation {name!r}")
 
 
-def _activate_grad(name: str, pre: np.ndarray) -> np.ndarray:
+def _d_pre(name: str, pre: np.ndarray, gate: np.ndarray | None,
+           d: np.ndarray) -> np.ndarray:
+    """The upstream gradient d times the activation's derivative at pre."""
     if name == "identity":
-        return np.ones_like(pre)
+        return d
     if name == "relu":
-        return (pre > 0.0).astype(np.float64)
+        return d * (pre > 0.0)
     if name == "gelu":
-        cdf = 0.5 * (1.0 + erf(pre / _SQRT2))
-        pdf = _INV_SQRT_2PI * np.exp(-0.5 * pre**2)
-        return cdf + pre * pdf
+        # d * (cdf + pre*pdf), cdf = gate/2, pdf = exp(-pre²/2)/√(2π)
+        d_pre = np.square(pre)
+        d_pre *= -0.5
+        np.exp(d_pre, out=d_pre)
+        d_pre *= _INV_SQRT_2PI
+        d_pre *= pre
+        d_pre += 0.5 * gate
+        d_pre *= d
+        return d_pre
     raise ValueError(f"unknown activation {name!r}")
 
 
@@ -129,6 +144,7 @@ def make_mlp(dims: list[int], rng: np.random.Generator,
 class Tape:
     inputs: list[np.ndarray]       # per-layer input
     pre_activations: list[np.ndarray]
+    gates: list[np.ndarray | None]  # per-layer GELU gate, None for other layers
     layer_shapes: list[tuple]
 
 
@@ -138,14 +154,16 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
-    inputs, pres = [], []
+    inputs, pres, gates = [], [], []
     h = x
     for layer in m.layers:
         inputs.append(h)
-        pre = h @ layer.weight.T + layer.bias
+        pre = h @ layer.weight.T
+        pre += layer.bias
         pres.append(pre)
-        h = _activate(layer.activation, pre)
-    tape = Tape(inputs=inputs, pre_activations=pres,
+        h, gate = _activate(layer.activation, pre)
+        gates.append(gate)
+    tape = Tape(inputs=inputs, pre_activations=pres, gates=gates,
                 layer_shapes=[l.weight.shape for l in m.layers])
     return h, tape
 
@@ -153,7 +171,9 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     """Exact reverse pass. Returns (grads, d_x) with grads a list of
     (dW, db) matching the layer order."""
-    if tape.layer_shapes != [l.weight.shape for l in m.layers]:
+    if (tape.layer_shapes != [l.weight.shape for l in m.layers]
+            or [g is not None for g in tape.gates]
+            != [l.activation == "gelu" for l in m.layers]):
         raise StaleTape("tape does not match this MLP")
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (tape.inputs[0].shape[0], m.out_dim):
@@ -162,7 +182,7 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     d = d_out
     for i in reversed(range(len(m.layers))):
         layer = m.layers[i]
-        d_pre = d * _activate_grad(layer.activation, tape.pre_activations[i])
+        d_pre = _d_pre(layer.activation, tape.pre_activations[i], tape.gates[i], d)
         grads[i] = (d_pre.T @ tape.inputs[i], d_pre.sum(axis=0))
         d = d_pre @ layer.weight
     return grads, d

@@ -1,11 +1,21 @@
 """Ranking metrics and mIoU against brute-force oracles."""
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.stats import rankdata
 
 from llrseg.datamodel import IGNORE, LabelMap, ScoreMap
 from llrseg.errors import OneClassOnly
 from llrseg.metrics import (
     ScoredPixels,
+    _midranks,
     auroc,
     average_precision,
     evaluation_report,
@@ -45,6 +55,27 @@ class TestAuroc:
     def test_one_class_only(self):
         with pytest.raises(OneClassOnly):
             auroc(sp([0.1, 0.2], [1, 1]))
+
+
+class TestMidranks:
+    # a handful of distinct values (signed zeros among them) makes long ties
+    @settings(max_examples=300, deadline=None)
+    @given(scores=arrays(np.float64, st.integers(1, 60),
+                         elements=st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0, 1e300])))
+    def test_bitwise_equal_to_scipy_rankdata(self, scores):
+        want = rankdata(scores, method="average")
+        got = _midranks(scores)
+        assert got.dtype == want.dtype
+        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    def test_cli_import_does_not_load_scipy_stats(self):
+        src = Path(__file__).resolve().parents[1] / "src"
+        env = {**os.environ, "PYTHONPATH": str(src)}
+        code = "import sys, llrseg.cli; print('scipy.stats' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert done.returncode == 0, done.stderr
+        assert done.stdout.strip() == "False"
 
 
 class TestAveragePrecision:

@@ -1,12 +1,18 @@
 """Dense layers, losses, optimizers, and the gradient checker."""
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+from scipy.special import erf
 
 from llrseg.datamodel import IGNORE
 from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
     DenseLayer,
     Mlp,
+    _activate,
+    _d_pre,
     grad_check,
     make_mlp,
     make_optimizer,
@@ -97,6 +103,57 @@ class TestBackward:
         _, tape = mlp_forward(m, rng.normal(0, 1, (4, 3)))
         with pytest.raises(StaleTape):
             mlp_backward(other, tape, np.zeros((4, 2)))
+
+
+# signed zeros, subnormals, the smallest normal, the tails where GELU and its
+# derivative round to 0 or x, and typical pre-activations
+GELU_VALUES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, -1e-310,
+                     2.2250738585072014e-308, -2.2250738585072014e-308,
+                     40.0, -40.0, 38.5, -38.5]),
+    st.floats(-40.0, 40.0),
+    st.floats(-3.0, 3.0),
+)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+class TestGeluTape:
+    @settings(max_examples=200, deadline=None)
+    @given(data=st.data(), shape=st.tuples(st.integers(1, 6), st.integers(1, 5)))
+    def test_bitwise_equal_to_textbook_formulas(self, data, shape):
+        x = data.draw(arrays(np.float64, shape, elements=GELU_VALUES))
+        d = data.draw(arrays(np.float64, shape, elements=GELU_VALUES))
+        cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
+        pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x**2)
+        out, gate = _activate("gelu", x)
+        assert bitwise_equal(out, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
+        assert bitwise_equal(_d_pre("gelu", x, gate, d), d * (cdf + x * pdf))
+
+    def test_erf_runs_once_per_gelu_layer_and_never_backward(self, monkeypatch):
+        calls = []
+
+        def counting_erf(*args, **kwargs):
+            calls.append(1)
+            return erf(*args, **kwargs)
+
+        monkeypatch.setattr("llrseg.neuralcore.erf", counting_erf)
+        rng = np.random.default_rng(11)
+        m = make_mlp([3, 7, 5, 2], rng)  # two GELU layers, identity output
+        _, tape = mlp_forward(m, rng.normal(0, 1, (6, 3)))
+        assert len(calls) == 2
+        mlp_backward(m, tape, rng.normal(0, 1, (6, 2)))
+        assert len(calls) == 2
+
+    def test_tape_from_other_activations_rejected(self):
+        rng = np.random.default_rng(12)
+        m = make_mlp([3, 4, 2], rng)
+        _, tape = mlp_forward(m, rng.normal(0, 1, (4, 3)))
+        m.layers[0].activation = "relu"
+        with pytest.raises(StaleTape):
+            mlp_backward(m, tape, np.zeros((4, 2)))
 
 
 class TestSoftmaxCrossEntropy:
