@@ -8,7 +8,7 @@ from .datamodel import (
     ModelBundle,
     ScoreMap,
 )
-from .gmm import GmmHead, SinkhornPlan, fit_gmm, gmm_all_log_densities, sinkhorn_assign
+from .gmm import GmmHead, SinkhornPlan, gmm_all_log_densities, sinkhorn_assign
 from .inlier import InlierConfig, InlierModel, id_score, inlier_predict, train_inlier
 from .uem import LlrConfig, UemModel, llr_score, ood_score, train_uem
 from .metrics import ScoredPixels, auroc, average_precision, fpr_at_tpr, miou
@@ -23,7 +23,6 @@ __all__ = [
     "ScoreMap",
     "GmmHead",
     "SinkhornPlan",
-    "fit_gmm",
     "gmm_all_log_densities",
     "sinkhorn_assign",
     "InlierConfig",

@@ -215,6 +215,11 @@ class DatasetConfig:
     width: int = 64
     bank_size: int = 8
     train_bank: int = 5          # first N bank members used for training
+    # A floor, not a placement: each bank mean lies at least separation x
+    # the largest class scale from every inlier mean and earlier bank mean.
+    # It rarely binds at the default dims: over root seeds 0-49 the nearest
+    # of 400 bank draws lay 14.8 away, so any separation up to 14.8 gives
+    # the same bank.
     separation: float = 6.0
     min_area: float = 0.01
     max_area: float = 0.10

@@ -12,6 +12,7 @@ import math
 import struct
 from dataclasses import dataclass, field
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -278,16 +279,18 @@ def tensor_digest(tensor: np.ndarray) -> str:
     return hashlib.sha256(_tensor_file_bytes(tensor)).hexdigest()
 
 
-@dataclass
+@dataclass(frozen=True)
 class ModelBundle:
     """Named parameter tensors plus a JSON manifest with per-tensor digests.
 
-    Tensors are rounded to float32 once, at construction, so in-memory values
-    equal what any reload gives. A stage-2 ("uem") bundle embeds every
-    stage-1 tensor byte-identically and lists their digests under
-    manifest["frozen_digests"]. On disk it is one FMAP file per tensor plus
-    manifest.json, which records the bundle format version and each tensor's
-    shape and digest.
+    Tensors are rounded to float32 once, at construction, and are read-only
+    from then on (a read-only mapping of non-writeable arrays), so in-memory
+    values equal what `tensor_digest` hashes, `save` writes and any reload
+    gives; to change a tensor, build a new bundle. A stage-2 ("uem") bundle
+    embeds every stage-1 tensor byte-identically and lists their digests
+    under manifest["frozen_digests"]. On disk it is one FMAP file per tensor
+    plus manifest.json, which records the bundle format version and each
+    tensor's shape and digest.
     """
 
     manifest: dict
@@ -299,11 +302,8 @@ class ModelBundle:
             with np.errstate(over="ignore"):
                 tensors[name] = np.asarray(t, dtype=np.float32).astype(np.float64)
             _check_finite(tensors[name], f"float32 value in tensor {name!r}")
-        self.tensors = tensors
-
-    @property
-    def stage(self) -> str:
-        return self.manifest["stage"]
+            _freeze(tensors[name])
+        object.__setattr__(self, "tensors", MappingProxyType(tensors))
 
     def digests(self) -> dict[str, str]:
         return {name: tensor_digest(t) for name, t in self.tensors.items()}

@@ -54,12 +54,6 @@ class InvalidCost(LlrsegError):
     pass
 
 
-class InsufficientSamples(LlrsegError):
-    def __init__(self, class_index, msg=None):
-        self.class_index = class_index
-        super().__init__(msg or f"class {class_index} has too few samples")
-
-
 # --- neural core / training ---
 
 class AllIgnored(LlrsegError):

@@ -1,18 +1,18 @@
 """Diagonal-covariance Gaussian mixtures fitted with Sinkhorn EM.
 
 One GmmHead serves every mixture in the package: the stage-1 class
-densities, the stage-2 inlier/outlier densities and `fit_gmm`. Mixture
+densities and the stage-2 inlier/outlier densities. Mixture
 weights are uniform per class and never stored or re-estimated, so the
 log-weight is the constant log(1/C). Every density evaluation goes through
 a max-subtracted log-sum-exp so finite inputs never produce -inf.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DegenerateCovariance, DimMismatch, InsufficientSamples, InvalidCost
+from .errors import DegenerateCovariance, DimMismatch, InvalidCost
 
 VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
@@ -184,14 +184,6 @@ class SinkhornPlan:
     iterations: int
     epsilon: float
 
-    @property
-    def n(self) -> int:
-        return self.matrix.shape[0]
-
-    @property
-    def components(self) -> int:
-        return self.matrix.shape[1]
-
     def marginal_residual(self) -> float:
         """L1 distance of row/column sums from the (1/N, 1/C) marginals."""
         n, c = self.matrix.shape
@@ -237,7 +229,7 @@ def em_update(
     features: np.ndarray,
     plan: SinkhornPlan,
     momentum: float,
-    counters: dict | None = None,
+    counters: dict,
 ) -> GmmHead:
     """One M-step for class k: plan-weighted moments blended by momentum.
 
@@ -254,8 +246,7 @@ def em_update(
     for c in range(head.components):
         mass = plan.matrix[:, c].sum()
         if mass < 1e-12:
-            if counters is not None:
-                counters["empty_components"] = counters.get("empty_components", 0) + 1
+            counters["empty_components"] = counters.get("empty_components", 0) + 1
             continue
         w = plan.matrix[:, c] / mass
         mu_new = w @ x
@@ -269,23 +260,6 @@ def em_update(
 # ---------------------------------------------------------------------------
 # fitting
 # ---------------------------------------------------------------------------
-
-@dataclass
-class GmmFitConfig:
-    components: int = 5
-    epsilon: float = 0.1
-    sinkhorn_iters: int = 10
-    em_rounds: int = 20
-    momentum: float = 0.99
-    seed: int = 0
-
-
-@dataclass
-class GmmFitResult:
-    head: GmmHead
-    avg_loglik: list  # per EM round, mean over all features
-    counters: dict = field(default_factory=dict)
-
 
 def init_head(features_by_class, components: int, rng: np.random.Generator) -> GmmHead:
     """Seeded init, class by class: component means are distinct sampled
@@ -310,7 +284,7 @@ def init_head(features_by_class, components: int, rng: np.random.Generator) -> G
 
 def refresh(head: GmmHead, features_by_class, rng: np.random.Generator,
             epsilon: float, sinkhorn_iters: int, momentum: float,
-            max_pixels: int | None = None, counters: dict | None = None) -> GmmHead:
+            max_pixels: int, counters: dict) -> GmmHead:
     """One Sinkhorn-EM round per class, in class order.
 
     A class with fewer features than components is skipped and counted
@@ -320,36 +294,12 @@ def refresh(head: GmmHead, features_by_class, rng: np.random.Generator,
     for k, feats in enumerate(features_by_class):
         feats = np.asarray(feats, dtype=np.float64)
         if feats.shape[0] < head.components:
-            if counters is not None:
-                counters["absent_classes"] = counters.get("absent_classes", 0) + 1
+            counters["absent_classes"] = counters.get("absent_classes", 0) + 1
             continue
-        if max_pixels is not None and feats.shape[0] > max_pixels:
+        if feats.shape[0] > max_pixels:
             idx = rng.choice(feats.shape[0], max_pixels, replace=False)
             feats = feats[idx]
         comp_ll = component_log_densities(feats, head, k)
         plan = sinkhorn_assign(comp_ll, epsilon, sinkhorn_iters)
         head = em_update(head, k, feats, plan, momentum, counters)
     return head
-
-
-def fit_gmm(features_by_class, config: GmmFitConfig) -> GmmFitResult:
-    """Sinkhorn-EM fit of one GMM per class. Deterministic for a fixed seed."""
-    features_by_class = [np.asarray(f, dtype=np.float64) for f in features_by_class]
-    for k, feats in enumerate(features_by_class):
-        if feats.shape[0] < config.components:
-            raise InsufficientSamples(k)
-    rng = np.random.default_rng(config.seed)
-    head = init_head(features_by_class, config.components, rng)
-    counters: dict = {}
-    history = []
-    for _ in range(config.em_rounds):
-        head = refresh(head, features_by_class, rng, config.epsilon,
-                       config.sinkhorn_iters, config.momentum, counters=counters)
-        total = 0.0
-        count = 0
-        for k, feats in enumerate(features_by_class):
-            ll = gmm_all_log_densities(feats, head)[:, k]
-            total += ll.sum()
-            count += ll.shape[0]
-        history.append(total / count)
-    return GmmFitResult(head=head, avg_loglik=history, counters=counters)

@@ -1,9 +1,15 @@
 """Whole-frame scoring in window-sized batches.
 
-Every head is pixel-wise, so a pixel's score does not depend on which
-pixels share its batch. `score_image` therefore scores each pixel exactly
-once, in row-major batches of one window's area; the tile plan bounds the
-batch size (and with it the peak memory) and must cover the frame.
+Every head is pixel-wise, so `score_image` scores each pixel exactly once,
+in row-major batches of one window's area; the tile plan sets the batch
+size (and with it the peak memory) and must cover the frame.
+
+A pixel's score can still depend on its batch in the last bits: NumPy
+multiplies a one-row batch on its matrix-vector path, which rounds
+differently from the matrix-matrix path of every larger batch (by a few
+1e-12 on scores of a few 1e3). So no batch has a single row unless the frame
+is a single pixel: a window of one pixel scores pairs, and a one-row tail
+joins the batch before it.
 """
 from __future__ import annotations
 
@@ -87,7 +93,8 @@ def _score_tile(inlier_model, uem_model, tile: FeatureMap, scorer: str) -> np.nd
 
 def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
                 scorer: str = "llr") -> ScoreMap:
-    """Score each pixel once, in row-major batches of the plan's window area.
+    """Score each pixel once, in row-major batches of the plan's window
+    area (at least two rows; a one-row tail joins the batch before it).
 
     The plan must cover the frame; that is checked before any scoring.
     """
@@ -95,12 +102,15 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
         raise LlrsegError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
     _check_covers(plan, f.height, f.width)
     inlier_model = inlier_from_bundle(stage2)
-    inlier_model.frozen = True
     uem_model = uem_from_bundle(stage2) if scorer != "id" else None
     pixels = f.data.reshape(f.channels, -1)
-    batch = plan.window[0] * plan.window[1]
-    scores = np.empty(pixels.shape[1])
-    for start in range(0, scores.size, batch):
-        rows = FeatureMap(pixels[:, None, start:start + batch])
-        scores[start:start + batch] = _score_tile(inlier_model, uem_model, rows, scorer)[0]
+    n = pixels.shape[1]
+    batch = max(2, plan.window[0] * plan.window[1])
+    starts = list(range(0, n, batch))
+    if n % batch == 1 and n > 1:
+        starts.pop()  # the one-row tail joins the batch before it
+    scores = np.empty(n)
+    for start, end in zip(starts, starts[1:] + [n]):
+        rows = FeatureMap(pixels[:, None, start:end])
+        scores[start:end] = _score_tile(inlier_model, uem_model, rows, scorer)[0]
     return ScoreMap(scores.reshape(f.height, f.width))

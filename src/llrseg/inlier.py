@@ -25,8 +25,8 @@ from .metrics import miou
 from .neuralcore import (
     DenseLayer,
     Mlp,
+    OptimizerState,
     make_mlp,
-    make_optimizer,
     mlp_backward,
     mlp_forward,
     mlp_grads_dict,
@@ -77,7 +77,7 @@ def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
     Returns (head, mean batch loss of each epoch, EM counters).
     """
     params = {**mlp_params(net, "net"), **prefixed("head", head.tensors())}
-    opt = make_optimizer("adam", cfg.lr)
+    opt = OptimizerState(lr=cfg.lr)
     counters, loss_history = {}, []
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])

@@ -116,8 +116,7 @@ def fpr_at_tpr(sp: ScoredPixels, tpr: float = 0.95) -> float:
     return float(fp[ok[0]] / sp.negatives)
 
 
-def miou(pred: LabelMap, gt: LabelMap, num_classes: int,
-         return_per_class: bool = False):
+def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
     """Mean IoU over classes present in gt; IGNORE pixels excluded."""
     if pred.labels.shape != gt.labels.shape:
         raise DimMismatch(
@@ -137,10 +136,7 @@ def miou(pred: LabelMap, gt: LabelMap, num_classes: int,
         fp = int((~gt_k & pred_k).sum())
         fn = int((gt_k & ~pred_k).sum())
         per_class[k] = tp / (tp + fp + fn)
-    mean = float(np.mean(list(per_class.values())))
-    if return_per_class:
-        return mean, per_class
-    return mean
+    return float(np.mean(list(per_class.values())))
 
 
 def evaluation_report(sp: ScoredPixels, tpr: float = 0.95) -> dict:

@@ -1,4 +1,4 @@
-"""Minimal dense layers with analytic gradients, losses, and optimizers.
+"""Minimal dense layers with analytic gradients, losses, and Adam.
 
 Everything runs in float64. Forward passes are pure; a tape produced by
 mlp_forward carries the per-layer inputs, pre-activations and GELU gates
@@ -259,12 +259,12 @@ def sigmoid_bce_with_logits(z: np.ndarray, targets: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# optimizers
+# optimizer
 # ---------------------------------------------------------------------------
 
 @dataclass
 class OptimizerState:
-    kind: str  # "sgd" | "adam"
+    """Adam's state: hyperparameters, step count and per-tensor moments."""
     lr: float
     beta1: float = 0.9
     beta2: float = 0.999
@@ -274,24 +274,12 @@ class OptimizerState:
     v: dict = field(default_factory=dict)
 
 
-def make_optimizer(kind: str, lr: float, **kwargs) -> OptimizerState:
-    if kind not in ("sgd", "adam"):
-        raise ValueError(f"unknown optimizer {kind!r}")
-    return OptimizerState(kind=kind, lr=lr, **kwargs)
-
-
 def optimizer_step(state: OptimizerState, params: dict, grads: dict):
-    """Returns (state', params'). SGD: p - lr*g; Adam: bias-corrected."""
+    """One bias-corrected Adam step. Returns (state', params')."""
     for name, g in grads.items():
         if not np.isfinite(g).all():
             raise NonFiniteGradient(name)
     new_params = {}
-    if state.kind == "sgd":
-        for name, p in params.items():
-            g = grads.get(name)
-            new_params[name] = p if g is None else p - state.lr * g
-        state.step += 1
-        return state, new_params
     t = state.step + 1
     for name, p in params.items():
         g = grads.get(name)

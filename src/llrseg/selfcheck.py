@@ -5,7 +5,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .anomalymix import random_bank, random_spec, synth_scene
+from .anomalymix import inject_outliers, random_bank, random_spec, synth_scene
 from .datamodel import BinaryOutlierMap, FeatureMap
 from .gmm import GmmHead, gmm_all_log_densities, sinkhorn_assign
 from .inlier import (
@@ -13,6 +13,8 @@ from .inlier import (
     GENERATIVE,
     InlierConfig,
     InlierModel,
+    inlier_from_bundle,
+    max_inlier_logit,
     train_inlier,
 )
 from .inference import score_image, tile_plan
@@ -24,10 +26,14 @@ from .uem import (
     LlrConfig,
     build_uem,
     llr_loss,
+    llr_score,
     llr_score_discriminative,
     llr_score_generative,
+    ood_score,
     set_uem_params,
     train_uem,
+    uem_forward,
+    uem_from_bundle,
     uem_params,
 )
 
@@ -199,6 +205,10 @@ def check_metric_oracles(seeds: int = 20, n: int = 300,
 
 
 def check_stitching(seed: int = 0, tol: float = 1e-12) -> tuple[bool, str]:
+    """`score_image` in window-sized batches against whole-frame terms
+    computed by the models directly, not through `llrseg.inference`, for
+    every scorer. Windows 1 and (1, 3) on a 16x16 frame are the batches that
+    would hold a single row; 8 and 16 are square tiles and the whole frame."""
     rng = np.random.default_rng(seed)
     spec = random_spec(3, 6, 16, 16, rng)
     feats, labels = synth_scene(spec, rng)
@@ -207,17 +217,21 @@ def check_stitching(seed: int = 0, tol: float = 1e-12) -> tuple[bool, str]:
                        decoder_dim=8, epochs=1, seed=seed)
     stage1 = train_inlier(dataset, 3, cfg).bundle
     bank = random_bank(spec, 2, rng)
-    from .anomalymix import inject_outliers
     mixed, omap, _ = inject_outliers(feats, labels, bank, rng)
     ucfg = LlrConfig(epochs=1, seed=seed, projection_dim=8, proj_hidden=6)
     stage2 = train_uem(stage1, [(mixed, omap)], ucfg).bundle
-    whole = score_image(stage2, mixed, tile_plan(16, 16, 16, 16))
+    log_in, log_out = uem_forward(uem_from_bundle(stage2), mixed)
+    max_logit = max_inlier_logit(inlier_from_bundle(stage2), mixed)
+    whole = {"llr": llr_score(log_out, log_in, max_logit).scores,
+             "id": -max_logit,
+             "ood": ood_score(log_out).scores}
     worst = 0.0
-    for stride in (1, 2, 4, 8):
-        plan = tile_plan(16, 16, 8, stride)
-        tiled = score_image(stage2, mixed, plan)
-        worst = max(worst, float(np.abs(tiled.scores - whole.scores).max()))
-    return worst < tol, f"max |tiled - whole| = {worst:.3e}"
+    for window in (1, (1, 3), 8, 16):
+        plan = tile_plan(16, 16, window, window)
+        for scorer, reference in whole.items():
+            batched = score_image(stage2, mixed, plan, scorer).scores
+            worst = max(worst, float(np.abs(batched - reference).max()))
+    return worst < tol, f"max |batched - whole| = {worst:.3e}"
 
 
 ALL_CHECKS = [

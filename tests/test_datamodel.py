@@ -166,9 +166,18 @@ class TestModelBundle:
         bundle = self.make_bundle()
         bundle.save(tmp_path / "b")
         loaded = ModelBundle.load(tmp_path / "b")
-        assert loaded.stage == "inlier"
+        assert loaded.manifest["stage"] == "inlier"
         for name, t in bundle.tensors.items():
             assert np.array_equal(loaded.tensors[name], t)
+
+    def test_tensors_are_read_only(self):
+        bundle = self.make_bundle()
+        with pytest.raises(TypeError):
+            bundle.tensors["decoder.0.bias"] = np.zeros(4)
+        with pytest.raises(ValueError, match="read-only"):
+            bundle.tensors["decoder.0.bias"][0] = 1e39
+        with pytest.raises(AttributeError):
+            bundle.tensors = {}
 
     def test_single_byte_flip_detected(self, tmp_path):
         bundle = self.make_bundle()
@@ -271,7 +280,9 @@ class TestCodec:
         with pytest.raises(NonFinite) as exc:
             if kind == "bundle tensor":
                 bundle = ModelBundle(manifest={"stage": "inlier"}, tensors={"t": sample})
-                bundle.tensors["t"] = big  # bypasses the rounding at construction
+                # forced past construction's check: save checks every tensor
+                # again before it writes any file
+                object.__setattr__(bundle, "tensors", {"t": big})
                 bundle.save(target)
             else:
                 save(big, target)

@@ -6,16 +6,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from llrseg.errors import DegenerateCovariance, InsufficientSamples, InvalidCost
+from llrseg.errors import DegenerateCovariance, InvalidCost
 from llrseg.gmm import (
     VAR_FLOOR,
-    GmmFitConfig,
     GmmHead,
     em_update,
-    fit_gmm,
     gmm_all_log_densities,
     gmm_all_log_densities_with_grad,
     component_log_densities,
+    init_head,
+    refresh,
     sinkhorn_assign,
 )
 from llrseg.gmm import _logsumexp
@@ -208,12 +208,12 @@ class TestEmUpdate:
         self.plan = sinkhorn_assign(ll, epsilon=0.5, iters=30)
 
     def test_full_momentum_is_identity(self):
-        new = em_update(self.head, 0, self.x, self.plan, momentum=1.0)
+        new = em_update(self.head, 0, self.x, self.plan, momentum=1.0, counters={})
         assert np.array_equal(new.means, self.head.means)
         assert np.array_equal(new.variances, self.head.variances)
 
     def test_zero_momentum_gives_weighted_moments(self):
-        new = em_update(self.head, 0, self.x, self.plan, momentum=0.0)
+        new = em_update(self.head, 0, self.x, self.plan, momentum=0.0, counters={})
         for c in range(2):
             w = self.plan.matrix[:, c] / self.plan.matrix[:, c].sum()
             mu = w @ self.x
@@ -226,7 +226,7 @@ class TestEmUpdate:
         x = np.ones((6, 3))
         ll = component_log_densities(x, self.head, 0)
         plan = sinkhorn_assign(ll, epsilon=0.5, iters=10)
-        new = em_update(self.head, 0, x, plan, momentum=0.0)
+        new = em_update(self.head, 0, x, plan, momentum=0.0, counters={})
         assert np.all(new.variances == VAR_FLOOR)
 
     def test_empty_component_counter(self):
@@ -241,10 +241,22 @@ class TestEmUpdate:
         assert np.array_equal(new.means[0, 1], self.head.means[0, 1])
 
 
-class TestFitGmm:
+class TestRefresh:
+    """`init_head` then `refresh` rounds, as `inlier.fit` drives them."""
+
     def make_clusters(self, rng, centers, n=250):
         return np.vstack([c + 0.3 * rng.standard_normal((n, len(c)))
                           for c in centers])
+
+    def fit(self, features_by_class, components, rounds, seed=0, epsilon=0.1,
+            momentum=0.99, max_pixels=4096, counters=None):
+        rng = np.random.default_rng(seed)
+        head = init_head(features_by_class, components, rng)
+        counters = {} if counters is None else counters
+        for _ in range(rounds):
+            head = refresh(head, features_by_class, rng, epsilon, 10, momentum,
+                           max_pixels, counters)
+        return head
 
     def test_recovers_separated_clusters(self):
         rng = np.random.default_rng(9)
@@ -252,10 +264,8 @@ class TestFitGmm:
         feats = self.make_clusters(rng, centers)
         # moderate entropy lets the balanced assignment escape the symmetric
         # init where both sampled means land in the same cluster
-        result = fit_gmm([feats], GmmFitConfig(components=2, momentum=0.0,
-                                               em_rounds=40, epsilon=1.0,
-                                               seed=0))
-        found = result.head.means[0]
+        head = self.fit([feats], 2, rounds=40, epsilon=1.0, momentum=0.0)
+        found = head.means[0]
         # each generating center must be matched by some component mean
         for c in centers:
             assert np.linalg.norm(found - c, axis=1).min() < 0.1
@@ -263,28 +273,49 @@ class TestFitGmm:
     def test_deterministic_per_seed(self):
         rng = np.random.default_rng(10)
         feats = [rng.normal(0, 1, (50, 3))]
-        cfg = GmmFitConfig(components=2, seed=11)
-        a = fit_gmm(feats, cfg).head
-        b = fit_gmm(feats, cfg).head
+        a = self.fit(feats, 2, rounds=20, seed=11)
+        b = self.fit(feats, 2, rounds=20, seed=11)
         assert np.array_equal(a.means, b.means)
         assert np.array_equal(a.variances, b.variances)
 
     def test_single_component_closed_form(self):
         rng = np.random.default_rng(12)
         feats = rng.normal(0, 1, (200, 4))
-        result = fit_gmm([feats], GmmFitConfig(components=1, momentum=0.0,
-                                               em_rounds=1))
-        assert np.allclose(result.head.means[0, 0], feats.mean(axis=0), atol=1e-10)
-        assert np.allclose(result.head.variances[0, 0], feats.var(axis=0), atol=1e-10)
+        head = self.fit([feats], 1, rounds=1, momentum=0.0)
+        assert np.allclose(head.means[0, 0], feats.mean(axis=0), atol=1e-10)
+        assert np.allclose(head.variances[0, 0], feats.var(axis=0), atol=1e-10)
 
     def test_too_few_samples(self):
-        with pytest.raises(InsufficientSamples) as exc:
-            fit_gmm([np.zeros((2, 3))], GmmFitConfig(components=5))
-        assert exc.value.class_index == 0
+        rng = np.random.default_rng(14)
+        feats = [rng.normal(0, 1, (40, 3)), np.zeros((2, 3))]
+        head = init_head(feats, 5, rng)
+        counters = {}
+        new = refresh(head, feats, rng, 0.1, 10, 0.0, 4096, counters)
+        # class 1 has fewer features than components: skipped and counted
+        assert counters == {"absent_classes": 1}
+        assert np.array_equal(new.means[1], head.means[1])
+        assert np.array_equal(new.variances[1], head.variances[1])
+        assert not np.array_equal(new.means[0], head.means[0])
 
-    def test_loglik_history_reported(self):
+    def test_rounds_raise_loglik(self):
         rng = np.random.default_rng(13)
-        feats = [rng.normal(0, 1, (80, 2))]
-        result = fit_gmm(feats, GmmFitConfig(components=2, em_rounds=5))
-        assert len(result.avg_loglik) == 5
-        assert all(np.isfinite(v) for v in result.avg_loglik)
+        feats = [self.make_clusters(rng, [np.array([-3.0, 1.0]),
+                                          np.array([3.0, -1.0])], n=40)]
+
+        def avg_loglik(head):
+            return gmm_all_log_densities(feats[0], head)[:, 0].mean()
+
+        start = avg_loglik(self.fit(feats, 2, rounds=0))
+        end = avg_loglik(self.fit(feats, 2, rounds=5, momentum=0.0))
+        assert np.isfinite(end) and end > start
+
+    def test_max_pixels_subsamples_with_the_shared_rng(self):
+        rng = np.random.default_rng(15)
+        feats = [rng.normal(0, 1, (60, 3))]
+        head = init_head(feats, 2, np.random.default_rng(0))
+        got = refresh(head, feats, np.random.default_rng(7), 0.1, 10, 0.0, 25, {})
+        idx = np.random.default_rng(7).choice(60, 25, replace=False)
+        want = refresh(head, [feats[0][idx]], np.random.default_rng(0), 0.1, 10,
+                       0.0, 25, {})
+        assert np.array_equal(got.means, want.means)
+        assert np.array_equal(got.variances, want.variances)

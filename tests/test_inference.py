@@ -176,7 +176,8 @@ class TestScoreImage:
         assert np.all(np.abs(scores - oracle) <= 1e-12 + visits * eps * np.abs(oracle))
 
     @pytest.mark.parametrize("window, stride", [(16, 8), (24, 12), (5, 3),
-                                                ((7, 32), (7, 1)), (32, 32)])
+                                                ((7, 32), (7, 1)), (32, 32),
+                                                (1, 1), ((1, 3), (1, 3))])
     def test_each_pixel_scored_once(self, small_stage2, eval_scene, monkeypatch,
                                     window, stride):
         f, _ = eval_scene
@@ -196,9 +197,13 @@ class TestScoreImage:
         monkeypatch.setattr("llrseg.inlier.mlp_forward", counting_forward)
         monkeypatch.setattr("llrseg.uem.mlp_forward", counting_forward)
         score_image(small_stage2, f, plan)
-        area = plan.window[0] * plan.window[1]
+        batch = max(2, plan.window[0] * plan.window[1])
         assert sum(batches) == f.height * f.width
-        assert all(n == area for n in batches[:-1]) and 1 <= batches[-1] <= area
+        # batches of the window area, never a single row: a one-pixel window
+        # scores pairs and a one-row tail (1024 = 341 * 3 + 1) joins the
+        # batch before it
+        assert all(n == batch for n in batches[:-1])
+        assert 2 <= batches[-1] <= batch + 1
         # the decoder and the UEM projection each see every pixel once
         assert sum(rows) == 2 * f.height * f.width
 

@@ -1,4 +1,4 @@
-"""Dense layers, losses, optimizers, and the gradient checker."""
+"""Dense layers, losses, Adam, and the gradient checker."""
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -11,11 +11,11 @@ from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
     DenseLayer,
     Mlp,
+    OptimizerState,
     _activate,
     _d_pre,
     grad_check,
     make_mlp,
-    make_optimizer,
     mlp_backward,
     mlp_forward,
     mlp_grads_dict,
@@ -230,21 +230,15 @@ class TestSigmoidBce:
 
 
 class TestOptimizers:
-    def test_sgd_step(self):
-        opt = make_optimizer("sgd", lr=0.1)
-        _, params = optimizer_step(opt, {"p": np.array([1.0])},
-                                   {"p": np.array([1.0])})
-        assert params["p"][0] == pytest.approx(0.9, abs=1e-15)
-
     def test_adam_zero_gradient_is_identity(self):
-        opt = make_optimizer("adam", lr=0.1)
+        opt = OptimizerState(lr=0.1)
         p0 = np.array([1.0, -2.0])
         _, params = optimizer_step(opt, {"p": p0.copy()}, {"p": np.zeros(2)})
         assert np.array_equal(params["p"], p0)
 
     def test_adam_matches_hand_stepped_reference(self):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
-        opt = make_optimizer("adam", lr=lr)
+        opt = OptimizerState(lr=lr)
         params = {"p": np.array([2.0])}
         m = v = 0.0
         ref = 2.0
@@ -258,7 +252,7 @@ class TestOptimizers:
         assert params["p"][0] == pytest.approx(ref, abs=1e-12)
 
     def test_non_finite_gradient_rejected(self):
-        opt = make_optimizer("sgd", lr=0.1)
+        opt = OptimizerState(lr=0.1)
         with pytest.raises(NonFiniteGradient) as exc:
             optimizer_step(opt, {"p": np.zeros(1)}, {"p": np.array([np.nan])})
         assert exc.value.tensor_name == "p"

@@ -266,9 +266,10 @@ class TestTrainUem:
         name = stage1_tensor_names(loaded)[0]
         t = loaded.tensors[name].copy()
         t.ravel()[0] += 1.0
-        loaded.tensors[name] = t
+        tampered = ModelBundle(manifest=loaded.manifest,
+                               tensors={**loaded.tensors, name: t})
         with pytest.raises(FreezeViolation):
-            train_uem(loaded, mixed_pairs(dataset, 2), self.ucfg())
+            train_uem(tampered, mixed_pairs(dataset, 2), self.ucfg())
 
     def test_verify_freeze_detects_mutation(self):
         dataset, stage1 = self.stage1(seed=3)
@@ -276,9 +277,10 @@ class TestTrainUem:
         name = stage1_tensor_names(stage2)[0]
         t = stage2.tensors[name].copy()
         t.ravel()[0] += 1.0
-        stage2.tensors[name] = t
+        mutated = ModelBundle(manifest=stage2.manifest,
+                              tensors={**stage2.tensors, name: t})
         with pytest.raises(FreezeViolation):
-            verify_freeze(stage2)
+            verify_freeze(mutated)
 
     def test_verify_freeze_needs_frozen_digests(self):
         bundle = ModelBundle(manifest={"stage": "uem"},
