@@ -9,8 +9,8 @@ from .datamodel import (
     ScoreMap,
 )
 from .gmm import GmmHead, SinkhornPlan, gmm_all_log_densities, sinkhorn_assign
-from .inlier import InlierConfig, InlierModel, id_score, inlier_predict, train_inlier
-from .uem import LlrConfig, UemModel, llr_score, ood_score, train_uem
+from .inlier import InlierConfig, PixelModel, id_score, inlier_predict, train_inlier
+from .uem import LlrConfig, llr_score, ood_score, train_uem
 from .metrics import ScoredPixels, auroc, average_precision, fpr_at_tpr, miou
 from .inference import TilePlan, score_image, tile_plan
 
@@ -26,12 +26,11 @@ __all__ = [
     "gmm_all_log_densities",
     "sinkhorn_assign",
     "InlierConfig",
-    "InlierModel",
+    "PixelModel",
     "id_score",
     "inlier_predict",
     "train_inlier",
     "LlrConfig",
-    "UemModel",
     "llr_score",
     "ood_score",
     "train_uem",

@@ -161,17 +161,23 @@ class ScoreMap:
         return self.scores.shape[1]
 
 
+def check_labels(l: LabelMap, k: int) -> None:
+    """Every label is one of K classes or IGNORE; the first that is not
+    raises IllegalLabel with its row-major position."""
+    labels = l.labels
+    bad = (labels != IGNORE) & (labels >= k)
+    if bad.any():
+        pos = int(np.argmax(bad.ravel()))
+        raise IllegalLabel(int(labels.ravel()[pos]), pos)
+
+
 def validate_pair(f: FeatureMap, l: LabelMap, k: int) -> None:
     """Check that a feature/label pair is consistent for K classes."""
     if (f.height, f.width) != (l.height, l.width):
         raise DimMismatch(
             f"features are {f.height}x{f.width}, labels are {l.height}x{l.width}"
         )
-    labels = l.labels
-    bad = (labels != IGNORE) & (labels >= k)
-    if bad.any():
-        pos = int(np.argmax(bad.ravel()))
-        raise IllegalLabel(int(labels.ravel()[pos]), pos)
+    check_labels(l, k)
 
 
 # ---------------------------------------------------------------------------

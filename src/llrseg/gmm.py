@@ -181,8 +181,6 @@ class SinkhornPlan:
     """Balanced assignment of N features to C components, total mass 1."""
 
     matrix: np.ndarray  # [N, C], non-negative, sums to 1
-    iterations: int
-    epsilon: float
 
     def marginal_residual(self) -> float:
         """L1 distance of row/column sums from the (1/N, 1/C) marginals."""
@@ -220,7 +218,7 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
         v = log_b - _logsumexp(log_k + u[:, None], axis=0)
     log_p = log_k + u[:, None] + v[None, :]
     log_p -= _logsumexp(log_p)  # exact unit total mass
-    return SinkhornPlan(matrix=np.exp(log_p), iterations=iters, epsilon=float(epsilon))
+    return SinkhornPlan(matrix=np.exp(log_p))
 
 
 def em_update(

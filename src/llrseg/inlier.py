@@ -1,10 +1,12 @@
-"""Stage-1 inlier segmentor: pixel-wise decoder + classification head.
+"""Stage-1 inlier segmentor, and what both stages share: the per-pixel
+model and the training loop.
 
-The decoder is a 2-layer MLP applied per pixel; the head is either a
-linear layer (discriminative) or one diagonal GMM per class (generative,
-class log densities used directly as logits). Both heads expose the same
-surface (logits, logits with a backward, tensors to and from a bundle), so
-every stage handles them alike.
+Both stages are a `PixelModel`: an MLP applied per pixel and a head that is
+either a linear layer (discriminative) or one diagonal GMM per class
+(generative, class log densities used directly as logits). Both heads expose
+the same surface (logits, logits with a backward, tensors to and from a
+bundle), so the model, `fit` and the bundle loaders handle them alike. The
+stage-1 decoder is a 2-layer MLP.
 """
 from __future__ import annotations
 
@@ -29,6 +31,7 @@ from .neuralcore import (
     make_mlp,
     mlp_backward,
     mlp_forward,
+    mlp_from_tensors,
     mlp_grads_dict,
     mlp_params,
     optimizer_step,
@@ -43,18 +46,6 @@ DISCRIMINATIVE = "discriminative"
 HEAD_TYPES = {DISCRIMINATIVE: DenseLayer, GENERATIVE: GmmHead}
 # bundle name prefix of the stage-1 head tensors
 STAGE1_HEAD_PREFIX = {DISCRIMINATIVE: "head", GENERATIVE: "gmm"}
-
-
-def check_head(head, head_kind: str, in_dim: int, out_dim: int, what: str) -> None:
-    """A head of `head_kind` must be its kind's type and map in_dim -> out_dim."""
-    if head_kind not in HEAD_TYPES:
-        raise ValueError(f"unknown head kind {head_kind!r}")
-    if not isinstance(head, HEAD_TYPES[head_kind]):
-        raise TypeError(
-            f"{head_kind} {what} head must be a {HEAD_TYPES[head_kind].__name__}")
-    if (head.in_dim, head.out_dim) != (in_dim, out_dim):
-        raise DimMismatch(f"{what} head maps {head.in_dim} -> {head.out_dim}, "
-                          f"expected {in_dim} -> {out_dim}")
 
 
 def prefixed(prefix: str, tensors: dict) -> dict:
@@ -119,56 +110,54 @@ class TrainResult:
 
 
 @dataclass
-class InlierModel:
-    decoder: Mlp                      # pixel-wise C_e -> C_d
-    head: object                      # DenseLayer (disc) or GmmHead (gen)
-    num_classes: int
-    head_kind: str
+class PixelModel:
+    """A per-pixel MLP and a head over its output: the stage-1 decoder and
+    class head, or the stage-2 projection and inlier/outlier head. The head
+    is a DenseLayer (discriminative) or a GmmHead (generative); its out_dim
+    is the class count. The stage-1 model of a stage-2 bundle is frozen."""
+    net: Mlp
+    head: object
     frozen: bool = False
 
     def __post_init__(self):
-        check_head(self.head, self.head_kind, self.decoder.out_dim,
-                   self.num_classes, "inlier")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.decoder.in_dim
-
-    @property
-    def decoder_dim(self) -> int:
-        return self.decoder.out_dim
+        if not isinstance(self.head, (DenseLayer, GmmHead)):
+            raise TypeError("a head is a DenseLayer or a GmmHead, "
+                            f"not a {type(self.head).__name__}")
+        if self.head.in_dim != self.net.out_dim:
+            raise DimMismatch(f"head takes {self.head.in_dim} channels, "
+                              f"the MLP gives {self.net.out_dim}")
 
     def parameter_count(self) -> int:
-        return (self.decoder.parameter_count()
+        return (self.net.parameter_count()
                 + sum(t.size for t in self.head.tensors().values()))
 
+    def logits(self, f: FeatureMap) -> np.ndarray:
+        """Head logits [H*W, classes] of the pixels in row-major order."""
+        if f.channels != self.net.in_dim:
+            raise DimMismatch(f"feature map has {f.channels} channels, "
+                              f"model expects {self.net.in_dim}")
+        # the tape holds every layer's activations; free it before the head runs
+        z = mlp_forward(self.net, f.pixels())[0]
+        return self.head.logits(z)
 
-def decode_pixels(m: InlierModel, f: FeatureMap) -> np.ndarray:
-    if f.channels != m.feature_dim:
-        raise DimMismatch(
-            f"feature map has {f.channels} channels, model expects {m.feature_dim}")
-    decoded, _ = mlp_forward(m.decoder, f.pixels())
-    return decoded
 
-
-def inlier_logits(m: InlierModel, f: FeatureMap) -> np.ndarray:
+def inlier_logits(m: PixelModel, f: FeatureMap) -> np.ndarray:
     """Per-pixel class logits with shape [K, H, W]."""
-    logits = m.head.logits(decode_pixels(m, f))
-    return logits.T.reshape(m.num_classes, f.height, f.width)
+    return m.logits(f).T.reshape(-1, f.height, f.width)
 
 
-def inlier_predict(m: InlierModel, f: FeatureMap) -> LabelMap:
+def inlier_predict(m: PixelModel, f: FeatureMap) -> LabelMap:
     """Argmax class per pixel; ties break toward the smaller index."""
     logits = inlier_logits(m, f)
     return LabelMap(np.argmax(logits, axis=0).astype(np.uint8))
 
 
-def max_inlier_logit(m: InlierModel, f: FeatureMap) -> np.ndarray:
+def max_inlier_logit(m: PixelModel, f: FeatureMap) -> np.ndarray:
     """Per-pixel max_k logit, shape [H, W]."""
     return inlier_logits(m, f).max(axis=0)
 
 
-def id_score(m: InlierModel, f: FeatureMap) -> ScoreMap:
+def id_score(m: PixelModel, f: FeatureMap) -> ScoreMap:
     """Inlier-density baseline: negated max logit so higher = more outlier."""
     return ScoreMap(-max_inlier_logit(m, f))
 
@@ -258,8 +247,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
         return value, d_decoded, {} if em else head_grads
 
     head, loss_history, counters = fit(decoder, head, x, y, cross_entropy, rng, config)
-    model = InlierModel(decoder=decoder, head=head, num_classes=num_classes,
-                        head_kind=config.head_kind)
+    model = PixelModel(net=decoder, head=head)
 
     bundle = bundle_from_inlier(model, config)
     # report mIoU from the bundle so it is reproducible bit-exactly after reload
@@ -270,7 +258,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
                        em_counters=counters, warnings=warnings_list)
 
 
-def heldout_miou(model: InlierModel, dataset, held_idx, num_classes: int) -> float:
+def heldout_miou(model: PixelModel, dataset, held_idx, num_classes: int) -> float:
     values = []
     for i in held_idx:
         f, l = dataset[i][0], dataset[i][1]
@@ -282,44 +270,46 @@ def heldout_miou(model: InlierModel, dataset, held_idx, num_classes: int) -> flo
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def bundle_from_inlier(model: InlierModel, config: InlierConfig) -> ModelBundle:
-    tensors = {**mlp_params(model.decoder, "decoder"),
-               **prefixed(STAGE1_HEAD_PREFIX[model.head_kind], model.head.tensors())}
+def bundle_from_inlier(model: PixelModel, config: InlierConfig) -> ModelBundle:
+    head_kind = GENERATIVE if isinstance(model.head, GmmHead) else DISCRIMINATIVE
+    tensors = {**mlp_params(model.net, "decoder"),
+               **prefixed(STAGE1_HEAD_PREFIX[head_kind], model.head.tensors())}
     manifest = {
         "stage": "inlier",
-        "head_kind": model.head_kind,
-        "num_classes": model.num_classes,
-        "feature_dim": model.feature_dim,
-        "decoder_dim": model.decoder_dim,
+        "head_kind": head_kind,
+        "num_classes": model.head.out_dim,
+        "feature_dim": model.net.in_dim,
+        "decoder_dim": model.net.out_dim,
         "projection_dim": None,
-        "decoder_layers": len(model.decoder.layers),
-        "decoder_activations": [l.activation for l in model.decoder.layers],
+        "decoder_layers": len(model.net.layers),
+        "decoder_activations": [l.activation for l in model.net.layers],
         "config": asdict(config),
     }
     return ModelBundle(manifest=manifest, tensors=tensors)
 
 
-def inlier_from_bundle(bundle: ModelBundle) -> InlierModel:
+def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
+    """The stage-1 model of a stage-1 or stage-2 bundle (frozen in the
+    latter). A malformed bundle raises BadBundle, or DimMismatch where its
+    tensors do not fit each other or the manifest's class count."""
     man = bundle.manifest
     try:
         if man["stage"] not in ("inlier", "uem"):
             raise LlrsegError(f"unexpected bundle stage {man['stage']!r}")
-        layers = [
-            DenseLayer(weight=bundle.tensors[f"decoder.{i}.weight"],
-                       bias=bundle.tensors[f"decoder.{i}.bias"],
-                       activation=activation)
-            for i, activation in enumerate(man["decoder_activations"])
-        ]
         head_kind = man["inlier_head_kind"] if man["stage"] == "uem" else man["head_kind"]
+        decoder = mlp_from_tensors(bundle.tensors, "decoder", man["decoder_activations"])
         head = HEAD_TYPES[head_kind].from_tensors(
             unprefixed(STAGE1_HEAD_PREFIX[head_kind], bundle.tensors))
         num_classes = man["num_classes"]
     except KeyError as exc:
         raise BadBundle(f"stage-1 model: bundle entry {exc.args[0]!r} "
                         "missing or unknown") from None
-    return InlierModel(decoder=Mlp(layers=layers), head=head,
-                       num_classes=num_classes, head_kind=head_kind,
-                       frozen=man["stage"] == "uem")
+    except (TypeError, ValueError) as exc:
+        raise BadBundle(f"stage-1 model: {exc}") from None
+    if head.out_dim != num_classes:
+        raise DimMismatch(f"stage-1 head has {head.out_dim} classes, "
+                          f"the manifest says {num_classes!r}")
+    return PixelModel(net=decoder, head=head, frozen=man["stage"] == "uem")
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:

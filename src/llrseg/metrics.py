@@ -9,7 +9,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import IGNORE, LabelMap, ScoreMap
+from .datamodel import IGNORE, LabelMap, ScoreMap, check_labels
 from .errors import DimMismatch, OneClassOnly
 
 
@@ -117,10 +117,14 @@ def fpr_at_tpr(sp: ScoredPixels, tpr: float = 0.95) -> float:
 
 
 def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
-    """Mean IoU over classes present in gt; IGNORE pixels excluded."""
+    """Mean IoU over classes present in gt; IGNORE pixels excluded. A label
+    that is neither a class below num_classes nor IGNORE, in either map,
+    raises IllegalLabel."""
     if pred.labels.shape != gt.labels.shape:
         raise DimMismatch(
             f"prediction {pred.labels.shape} vs ground truth {gt.labels.shape}")
+    check_labels(gt, num_classes)
+    check_labels(pred, num_classes)
     valid = gt.labels != IGNORE
     if not valid.any():
         raise OneClassOnly("no non-ignored pixels")

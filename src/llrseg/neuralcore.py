@@ -16,6 +16,7 @@ from .errors import AllIgnored, NonFiniteGradient, StaleTape
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+ACTIVATIONS = ("identity", "relu", "gelu")
 
 
 def _activate(name: str, pre: np.ndarray) -> tuple[np.ndarray, np.ndarray | None]:
@@ -70,6 +71,8 @@ class DenseLayer:
             )
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("non-finite layer parameters")
+        if self.activation not in ACTIVATIONS:
+            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -145,7 +148,6 @@ class Tape:
     inputs: list[np.ndarray]       # per-layer input
     pre_activations: list[np.ndarray]
     gates: list[np.ndarray | None]  # per-layer GELU gate, None for other layers
-    layer_shapes: list[tuple]
 
 
 def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
@@ -163,15 +165,14 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
         pres.append(pre)
         h, gate = _activate(layer.activation, pre)
         gates.append(gate)
-    tape = Tape(inputs=inputs, pre_activations=pres, gates=gates,
-                layer_shapes=[l.weight.shape for l in m.layers])
-    return h, tape
+    return h, Tape(inputs=inputs, pre_activations=pres, gates=gates)
 
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     """Exact reverse pass. Returns (grads, d_x) with grads a list of
     (dW, db) matching the layer order."""
-    if (tape.layer_shapes != [l.weight.shape for l in m.layers]
+    if ([(p.shape[1], x.shape[1]) for p, x in zip(tape.pre_activations, tape.inputs)]
+            != [l.weight.shape for l in m.layers]
             or [g is not None for g in tape.gates]
             != [l.activation == "gelu" for l in m.layers]):
         raise StaleTape("tape does not match this MLP")
@@ -194,6 +195,16 @@ def mlp_params(m: Mlp, prefix: str) -> dict[str, np.ndarray]:
         out[f"{prefix}.{i}.weight"] = layer.weight
         out[f"{prefix}.{i}.bias"] = layer.bias
     return out
+
+
+def mlp_from_tensors(tensors: dict, prefix: str, activations: list) -> Mlp:
+    """The inverse of mlp_params: layer i is `{prefix}.{i}.weight`/`.bias`
+    with activations[i]. A missing tensor raises KeyError; shapes that do not
+    fit or chain, or an unknown activation, raise ValueError."""
+    return Mlp(layers=[DenseLayer(weight=tensors[f"{prefix}.{i}.weight"],
+                                  bias=tensors[f"{prefix}.{i}.bias"],
+                                  activation=activation)
+                       for i, activation in enumerate(activations)])
 
 
 def set_mlp_params(m: Mlp, prefix: str, params: dict[str, np.ndarray]) -> None:

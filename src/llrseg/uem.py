@@ -1,4 +1,5 @@
-"""Unknown Estimation Module: projection MLP + two-class head, the
+"""Unknown Estimation Module: a `PixelModel` whose MLP is a 3-layer
+projection and whose head has two classes (inlier, outlier), the
 log-likelihood-ratio score and loss, and stage-2 training with a hard
 freeze of every stage-1 parameter.
 
@@ -33,9 +34,8 @@ from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     HEAD_TYPES,
-    InlierModel,
+    PixelModel,
     TrainResult,
-    check_head,
     fit,
     inlier_from_bundle,
     max_inlier_logit,
@@ -44,11 +44,10 @@ from .inlier import (
     unprefixed,
 )
 from .neuralcore import (
-    DenseLayer,
-    Mlp,
     make_mlp,
     mlp_backward,
     mlp_forward,
+    mlp_from_tensors,
     mlp_grads_dict,
     mlp_params,
     set_mlp_params,
@@ -61,32 +60,8 @@ INLIER_CLASS = 0
 OUTLIER_CLASS = 1
 
 
-@dataclass
-class UemModel:
-    projection: Mlp   # exactly 3 layers, C_e -> C_p
-    head: object      # DenseLayer (C_p -> 2) or GmmHead with 2 classes
-    head_kind: str
-
-    def __post_init__(self):
-        if len(self.projection.layers) != 3:
-            raise ValueError("the projection MLP must have exactly 3 layers")
-        check_head(self.head, self.head_kind, self.projection.out_dim, 2, "UEM")
-
-    @property
-    def feature_dim(self) -> int:
-        return self.projection.in_dim
-
-    @property
-    def projection_dim(self) -> int:
-        return self.projection.out_dim
-
-    def parameter_count(self) -> int:
-        return (self.projection.parameter_count()
-                + sum(t.size for t in self.head.tensors().values()))
-
-
 def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
-              head_kind: str, components: int, rng: np.random.Generator) -> UemModel:
+              head_kind: str, components: int, rng: np.random.Generator) -> PixelModel:
     projection = make_mlp([feature_dim, proj_hidden, proj_hidden, projection_dim], rng)
     if head_kind == DISCRIMINATIVE:
         head = xavier_dense(projection_dim, 2, "identity", rng)
@@ -94,16 +69,12 @@ def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
         means = rng.standard_normal((2, components, projection_dim))
         head = GmmHead(means=means,
                        variances=np.ones((2, components, projection_dim)))
-    return UemModel(projection=projection, head=head, head_kind=head_kind)
+    return PixelModel(net=projection, head=head)
 
 
-def uem_forward(u: UemModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
+def uem_forward(u: PixelModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel (log p_in, log p_out) maps, each [H, W]."""
-    if f.channels != u.feature_dim:
-        raise DimMismatch(
-            f"feature map has {f.channels} channels, UEM expects {u.feature_dim}")
-    z, _ = mlp_forward(u.projection, f.pixels())
-    out = u.head.logits(z)
+    out = u.logits(f)
     h, w = f.height, f.width
     return out[:, INLIER_CLASS].reshape(h, w), out[:, OUTLIER_CLASS].reshape(h, w)
 
@@ -172,13 +143,13 @@ class LlrConfig:
             raise ValueError("alpha and beta must be non-negative")
 
 
-def uem_params(u: UemModel) -> dict[str, np.ndarray]:
-    return {**mlp_params(u.projection, "uem.proj"),
+def uem_params(u: PixelModel) -> dict[str, np.ndarray]:
+    return {**mlp_params(u.net, "uem.proj"),
             **prefixed("uem.head", u.head.tensors())}
 
 
-def set_uem_params(u: UemModel, params: dict[str, np.ndarray]) -> None:
-    set_mlp_params(u.projection, "uem.proj", params)
+def set_uem_params(u: PixelModel, params: dict[str, np.ndarray]) -> None:
+    set_mlp_params(u.net, "uem.proj", params)
     u.head = type(u.head).from_tensors(unprefixed("uem.head", params))
 
 
@@ -242,7 +213,7 @@ def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
     return softmax_cross_entropy(comp_ll, assigned)
 
 
-def llr_loss(u: UemModel, inlier_model: InlierModel, f: FeatureMap,
+def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
     """LLR training loss and gradients over the phi tensors only.
 
@@ -254,10 +225,10 @@ def llr_loss(u: UemModel, inlier_model: InlierModel, f: FeatureMap,
     if (f.height, f.width) != (outliers.height, outliers.width):
         raise DimMismatch("feature map and outlier map dims differ")
     max_logit = max_inlier_logit(inlier_model, f).ravel()
-    z, tape = mlp_forward(u.projection, f.pixels())
+    z, tape = mlp_forward(u.net, f.pixels())
     loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
                                             outliers.labels.ravel(), cfg)
-    proj_grads, _ = mlp_backward(u.projection, tape, d_z)
+    proj_grads, _ = mlp_backward(u.net, tape, d_z)
     return loss, {**prefixed("uem.head", head_grads),
                   **mlp_grads_dict(proj_grads, "uem.proj")}
 
@@ -311,11 +282,11 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         raise AllIgnored("every pixel in the dataset is ignored")
 
     if cfg.head_kind == GENERATIVE:
-        z0, _ = mlp_forward(u.projection, x)
+        z0, _ = mlp_forward(u.net, x)
         u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
 
     u.head, loss_history, counters = fit(
-        u.projection, u.head, x, y,
+        u.net, u.head, x, y,
         lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
         rng, cfg)
 
@@ -332,7 +303,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
+def bundle_from_uem(u: PixelModel, stage1: ModelBundle, cfg: LlrConfig,
                     frozen_digests: dict) -> ModelBundle:
     tensors = {**{name: stage1.tensors[name] for name in stage1_tensor_names(stage1)},
                **uem_params(u)}
@@ -344,10 +315,10 @@ def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
         "num_classes": s1["num_classes"],
         "feature_dim": s1["feature_dim"],
         "decoder_dim": s1["decoder_dim"],
-        "projection_dim": u.projection_dim,
+        "projection_dim": u.net.out_dim,
         "decoder_layers": s1["decoder_layers"],
         "decoder_activations": s1["decoder_activations"],
-        "proj_activations": [l.activation for l in u.projection.layers],
+        "proj_activations": [l.activation for l in u.net.layers],
         "heldout_miou": s1.get("heldout_miou"),
         "config": asdict(cfg),
         "frozen_digests": frozen_digests,
@@ -355,24 +326,28 @@ def bundle_from_uem(u: UemModel, stage1: ModelBundle, cfg: LlrConfig,
     return ModelBundle(manifest=manifest, tensors=tensors)
 
 
-def uem_from_bundle(bundle: ModelBundle) -> UemModel:
+def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
+    """The UEM of a stage-2 bundle: a 3-layer projection and a 2-class head.
+    A malformed bundle raises BadBundle, or DimMismatch where its tensors do
+    not fit each other or the head is not 2-class."""
     man = bundle.manifest
     if man.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
     try:
-        layers = [
-            DenseLayer(weight=bundle.tensors[f"uem.proj.{i}.weight"],
-                       bias=bundle.tensors[f"uem.proj.{i}.bias"],
-                       activation=activation)
-            for i, activation in enumerate(man["proj_activations"])
-        ]
+        projection = mlp_from_tensors(bundle.tensors, "uem.proj", man["proj_activations"])
         head = HEAD_TYPES[man["head_kind"]].from_tensors(
             unprefixed("uem.head", bundle.tensors))
     except KeyError as exc:
         raise BadBundle(f"stage-2 model: bundle entry {exc.args[0]!r} "
                         "missing or unknown") from None
-    return UemModel(projection=Mlp(layers=layers), head=head,
-                    head_kind=man["head_kind"])
+    except (TypeError, ValueError) as exc:
+        raise BadBundle(f"stage-2 model: {exc}") from None
+    if len(projection.layers) != 3:
+        raise BadBundle("stage-2 model: the projection has "
+                        f"{len(projection.layers)} layers, not 3")
+    if head.out_dim != 2:
+        raise DimMismatch(f"stage-2 head has {head.out_dim} classes, not 2")
+    return PixelModel(net=projection, head=head)
 
 
 def verify_freeze(stage2: ModelBundle) -> bool:

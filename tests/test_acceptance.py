@@ -17,7 +17,7 @@ from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
-    InlierModel,
+    PixelModel,
     heldout_miou,
     holdout_split,
     inlier_from_bundle,
@@ -189,8 +189,7 @@ def test_criterion_9_parameter_budget():
                 means=rng.normal(0, 1, (k, icfg.gmm_components,
                                         icfg.decoder_dim)),
                 variances=np.ones((k, icfg.gmm_components, icfg.decoder_dim)))
-        inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
-                             head_kind=head_kind)
+        inlier = PixelModel(net=decoder, head=head)
         uem = build_uem(c_e, ucfg.projection_dim, ucfg.proj_hidden,
                         head_kind, ucfg.gmm_components, rng)
         ratios[head_kind] = uem.parameter_count() / inlier.parameter_count()

@@ -17,7 +17,7 @@ from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
-    InlierModel,
+    PixelModel,
     bundle_from_inlier,
     inlier_from_bundle,
     stage1_tensor_names,
@@ -39,8 +39,7 @@ def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
                        variances=rng.uniform(0.1, 2.0, (k, c, d)))
     else:
         head = xavier_dense(d, k, "identity", rng)
-    inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
-                         head_kind=head_kind)
+    inlier = PixelModel(net=decoder, head=head)
     stage1 = bundle_from_inlier(inlier, InlierConfig(
         head_kind=head_kind, decoder_dim=d, gmm_components=c))
     stage1.manifest["heldout_miou"] = 0.0
@@ -221,6 +220,44 @@ class TestCorruption:
         save_per_component(make_stage2(kind, 3, 2, 4), tmp_path / "old")
         with pytest.raises(BadBundle, match=f"format version {BUNDLE_FORMAT_VERSION}"):
             load_models(tmp_path / "old", verify=False)
+
+    def test_projection_must_have_three_layers(self):
+        with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
+            edit_manifest(path, lambda m: m["proj_activations"].pop())
+            with pytest.raises(BadBundle, match="projection has 2 layers"):
+                load_models(path)
+
+    def test_uem_head_must_be_two_class(self):
+        bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)
+        head = xavier_dense(4, 3, "identity", np.random.default_rng(0))
+        tensors = {**bundle.tensors, "uem.head.weight": head.weight,
+                   "uem.head.bias": head.bias}
+        with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
+            with pytest.raises(DimMismatch, match="3 classes"):
+                load_models(path)
+
+    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
+    def test_manifest_class_count_must_match_head(self, kind):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            edit_manifest(path, lambda m: m.update(num_classes=4))
+            with pytest.raises(DimMismatch, match="3 classes"):
+                load_models(path)
+
+    @pytest.mark.parametrize("name", ["decoder.1.weight", "uem.proj.0.weight"])
+    def test_resigned_transposed_layer_weight(self, name):
+        """A transposed weight with a fresh digest fails its layer's shapes."""
+        bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)
+        tensors = {**bundle.tensors, name: bundle.tensors[name].T}
+        with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
+            with pytest.raises(BadBundle, match="bad dense shapes"):
+                load_models(path)
+
+    @pytest.mark.parametrize("field", ["decoder_activations", "proj_activations"])
+    def test_unknown_activation(self, field):
+        with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
+            edit_manifest(path, lambda m: m[field].__setitem__(0, "tanh"))
+            with pytest.raises(BadBundle, match="unknown activation 'tanh'"):
+                load_models(path)
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(BadBundle):

@@ -259,6 +259,40 @@ class TestPipeline:
         report = json.loads((tmp_path / "out" / "eval_report.json").read_text())
         assert report["miou"] == 0.25  # class 0 IoU 0.5, class 7 IoU 0
 
+    def test_eval_miou_rejects_label_past_class_count(self, pipeline_dirs, tmp_path,
+                                                      capsys):
+        from llrseg.datamodel import LabelMap, save_label_map
+
+        d = pipeline_dirs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({"seed": 0, "dataset": {"num_classes": 5}}))
+        save_label_map(LabelMap(np.array([[5, 6], [7, 5]], dtype=np.uint8)),
+                       tmp_path / "gt.lmap")
+        save_label_map(LabelMap(np.zeros((2, 2), dtype=np.uint8)), tmp_path / "pred.lmap")
+        assert main(["eval", "--config", str(cfg), "--out", str(tmp_path / "out"),
+                     "--scores", str(d["scored"] / "features.llr.smap"),
+                     "--labels", str(d["eval_scene"] / "outliers.lmap"),
+                     "--pred", str(tmp_path / "pred.lmap"),
+                     "--gt", str(tmp_path / "gt.lmap")]) == 1
+        assert "IllegalLabel: illegal label 5 at position 0" in capsys.readouterr().err
+        assert not (tmp_path / "out" / "eval_report.json").exists()
+
+    def test_score_rejects_two_layer_projection(self, pipeline_dirs, tmp_path, capsys):
+        import shutil
+
+        d = pipeline_dirs
+        stage2 = tmp_path / "stage2"
+        shutil.copytree(d["s2"] / "stage2", stage2)
+        manifest = json.loads((stage2 / "manifest.json").read_text())
+        manifest["proj_activations"].pop()
+        (stage2 / "manifest.json").write_text(json.dumps(manifest))
+        out = tmp_path / "scores"
+        code = main(["score", "--config", str(d["cfg"]), "--stage2", str(stage2),
+                     "--out", str(out), str(d["eval_scene"] / "features.fmap")])
+        assert code == 1
+        assert "BadBundle: stage-2 model: the projection has 2 layers" in capsys.readouterr().err
+        assert not list(out.glob("*.smap"))
+
     @pytest.mark.parametrize("command", ["score", "train-inlier", "eval"])
     def test_missing_input_file_exits_1(self, pipeline_dirs, tmp_path, capsys, command):
         d = pipeline_dirs

@@ -233,7 +233,7 @@ class TestEmUpdate:
         from llrseg.gmm import SinkhornPlan
         matrix = np.zeros((10, 2))
         matrix[:, 0] = 0.1  # all mass on component 0
-        plan = SinkhornPlan(matrix=matrix, iterations=0, epsilon=0.5)
+        plan = SinkhornPlan(matrix=matrix)
         counters = {}
         new = em_update(self.head, 0, self.x, plan, momentum=0.0,
                         counters=counters)

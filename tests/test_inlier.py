@@ -10,7 +10,7 @@ from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
-    InlierModel,
+    PixelModel,
     bundle_from_inlier,
     id_score,
     inlier_from_bundle,
@@ -25,8 +25,7 @@ from llrseg.neuralcore import DenseLayer, Mlp, make_mlp, mlp_forward, xavier_den
 def make_disc_model(rng, c_e=4, c_d=6, k=3):
     decoder = make_mlp([c_e, 8, c_d], rng)
     head = xavier_dense(c_d, k, "identity", rng)
-    return InlierModel(decoder=decoder, head=head, num_classes=k,
-                       head_kind=DISCRIMINATIVE)
+    return PixelModel(net=decoder, head=head)
 
 
 class TestLogits:
@@ -44,8 +43,7 @@ class TestLogits:
         mu = rng.normal(0, 1, 3)
         var = rng.uniform(0.5, 2.0, 3)
         head = GmmHead(means=mu[None, None], variances=var[None, None])
-        m = InlierModel(decoder=decoder, head=head, num_classes=1,
-                        head_kind=GENERATIVE)
+        m = PixelModel(net=decoder, head=head)
         f = FeatureMap(rng.normal(0, 1, (4, 2, 2)))
         logits = inlier_logits(m, f)
         decoded, _ = mlp_forward(decoder, f.pixels())
@@ -57,7 +55,7 @@ class TestLogits:
         rng = np.random.default_rng(2)
         m = make_disc_model(rng)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
-        decoded, _ = mlp_forward(m.decoder, f.pixels())
+        decoded, _ = mlp_forward(m.net, f.pixels())
         want = decoded @ m.head.weight.T + m.head.bias
         got = inlier_logits(m, f).reshape(3, -1).T
         assert np.allclose(got, want, atol=1e-10)
@@ -76,8 +74,7 @@ class TestPredict:
     def test_tie_breaks_toward_smaller_index(self):
         decoder = Mlp([DenseLayer(weight=np.eye(2), bias=np.zeros(2))])
         head = DenseLayer(weight=np.zeros((3, 2)), bias=np.zeros(3))
-        m = InlierModel(decoder=decoder, head=head, num_classes=3,
-                        head_kind=DISCRIMINATIVE)
+        m = PixelModel(net=decoder, head=head)
         f = FeatureMap(np.ones((2, 2, 2)))
         assert np.all(inlier_predict(m, f).labels == 0)
 
@@ -101,8 +98,7 @@ class TestMaxLogitAndIdScore:
         rng = np.random.default_rng(5)
         decoder = make_mlp([4, 8, 6], rng)
         head = xavier_dense(6, 1, "identity", rng)
-        m = InlierModel(decoder=decoder, head=head, num_classes=1,
-                        head_kind=DISCRIMINATIVE)
+        m = PixelModel(net=decoder, head=head)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
         assert np.array_equal(max_inlier_logit(m, f), inlier_logits(m, f)[0])
 
@@ -233,8 +229,7 @@ class TestBundleRoundTrip:
         variances = rng.uniform(0.5, 2.0, (2, 2, 3))
         variances[1, 0, 2] = VAR_FLOOR
         head = GmmHead(means=rng.normal(0, 1, (2, 2, 3)), variances=variances)
-        m = InlierModel(decoder=make_mlp([4, 8, 3], rng), head=head,
-                        num_classes=2, head_kind=GENERATIVE)
+        m = PixelModel(net=make_mlp([4, 8, 3], rng), head=head)
         cfg = InlierConfig(decoder_dim=3, gmm_components=2)
         reloaded = inlier_from_bundle(bundle_from_inlier(m, cfg))
         assert reloaded.head.variances[1, 0, 2] == VAR_FLOOR

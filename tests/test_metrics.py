@@ -12,7 +12,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from llrseg.datamodel import IGNORE, LabelMap, ScoreMap
-from llrseg.errors import OneClassOnly
+from llrseg.errors import IllegalLabel, OneClassOnly
 from llrseg.metrics import (
     ScoredPixels,
     _midranks,
@@ -197,6 +197,25 @@ class TestMiou:
         pred = LabelMap(np.zeros((2, 2), dtype=np.uint8))
         with pytest.raises(OneClassOnly):
             miou(pred, gt, 2)
+
+    @pytest.mark.parametrize("which", ["gt", "pred"])
+    def test_no_label_below_class_count(self, which):
+        """Not one of the 5 classes: an error, not a NaN mean."""
+        bad = LabelMap(np.array([[5, 6], [7, 5]], dtype=np.uint8))
+        good = LabelMap(np.zeros((2, 2), dtype=np.uint8))
+        pred, gt = (good, bad) if which == "gt" else (bad, good)
+        with pytest.raises(IllegalLabel) as exc:
+            miou(pred, gt, 5)
+        assert (exc.value.value, exc.value.position) == (5, 0)
+
+    @pytest.mark.parametrize("which", ["gt", "pred"])
+    def test_label_past_class_count_beside_valid_ones(self, which):
+        bad = LabelMap(np.array([[0, 1], [IGNORE, 2]], dtype=np.uint8))
+        good = LabelMap(np.zeros((2, 2), dtype=np.uint8))
+        pred, gt = (good, bad) if which == "gt" else (bad, good)
+        with pytest.raises(IllegalLabel) as exc:
+            miou(pred, gt, 2)
+        assert (exc.value.value, exc.value.position) == (2, 3)
 
 
 def test_evaluation_report_fields():

@@ -15,8 +15,8 @@ import pytest
 
 import llrseg
 import llrseg.cli  # noqa: F401  (imports every layer the tracer wraps)
-from llrseg.datamodel import FeatureMap
-from llrseg.inference import tile_plan
+from llrseg.datamodel import FeatureMap, save_feature_map
+from llrseg.inference import score_image, tile_plan
 from llrseg.neuralcore import make_mlp
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -46,6 +46,21 @@ def test_perfbench_modules_import(load_perfbench):
     workloads = load_perfbench("workloads")
     assert set(workloads.WORKLOADS) == {"train-gen", "train-disc", "score-tiles"}
     load_perfbench("spans")
+
+
+def test_whole_frame_terms_compose_the_scored_llr(load_perfbench, small_stage2,
+                                                  tmp_path):
+    """The benchmark's own whole-frame path through the models, run on a
+    saved frame, gives the LLR that `score_image` gives."""
+    workloads = load_perfbench("workloads")
+    rng = np.random.default_rng(1)
+    f = FeatureMap(rng.normal(0, 1, (small_stage2.manifest["feature_dim"], 9, 7)))
+    save_feature_map(f, tmp_path / "frame.fmap")
+    frame, log_in, log_out, max_logit = workloads.whole_frame_terms(
+        small_stage2, tmp_path / "frame.fmap")
+    composed = workloads.llr_score(log_out, log_in, max_logit).scores
+    scored = score_image(small_stage2, frame, tile_plan(9, 7, 4, 3)).scores
+    assert np.abs(scored - composed).max() <= workloads.COMPOSITION_ATOL
 
 
 def test_tracer_installs_and_restores(load_perfbench, small_stage2):

@@ -15,14 +15,13 @@ from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
-    InlierModel,
+    PixelModel,
     stage1_tensor_names,
     train_inlier,
 )
 from llrseg.neuralcore import make_mlp, mlp_forward, xavier_dense
 from llrseg.uem import (
     LlrConfig,
-    UemModel,
     build_uem,
     llr_loss,
     llr_score,
@@ -38,22 +37,6 @@ from llrseg.uem import (
 from llrseg.selfcheck import llr_grad_error
 
 from test_inlier import separable_dataset
-
-
-class TestUemModel:
-    def test_projection_must_have_three_layers(self):
-        rng = np.random.default_rng(0)
-        proj = make_mlp([4, 8, 8], rng)  # only two layers
-        head = xavier_dense(8, 2, "identity", rng)
-        with pytest.raises(ValueError):
-            UemModel(projection=proj, head=head, head_kind=DISCRIMINATIVE)
-
-    def test_head_must_be_two_class(self):
-        rng = np.random.default_rng(1)
-        proj = make_mlp([4, 8, 8, 6], rng)
-        head = xavier_dense(6, 3, "identity", rng)
-        with pytest.raises(DimMismatch):
-            UemModel(projection=proj, head=head, head_kind=DISCRIMINATIVE)
 
 
 class TestUemForward:
@@ -74,9 +57,9 @@ class TestUemForward:
         head = GmmHead(means=np.stack([mu * [1, 1],
                                        mu * [-1, 1]])[:, None, :],
                        variances=np.ones((2, 1, 2)))
-        u = UemModel(projection=proj, head=head, head_kind=GENERATIVE)
+        u = PixelModel(net=proj, head=head)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
-        z, _ = mlp_forward(u.projection, f.pixels())
+        z, _ = mlp_forward(u.net, f.pixels())
         # project inputs onto the symmetry plane (first coordinate zero)
         z_sym = z.copy()
         z_sym[:, 0] = 0.0
@@ -88,7 +71,7 @@ class TestUemForward:
         rng = np.random.default_rng(4)
         u = build_uem(4, 6, 5, DISCRIMINATIVE, 2, rng)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
-        z, _ = mlp_forward(u.projection, f.pixels())
+        z, _ = mlp_forward(u.net, f.pixels())
         want = z @ u.head.weight.T + u.head.bias
         log_in, log_out = uem_forward(u, f)
         assert np.allclose(log_in.ravel(), want[:, 0], atol=1e-10)
@@ -147,8 +130,7 @@ class TestLlrScore:
 def frozen_inlier(rng, c_e=5, k=3):
     decoder = make_mlp([c_e, 8, 6], rng)
     head = xavier_dense(6, k, "identity", rng)
-    return InlierModel(decoder=decoder, head=head, num_classes=k,
-                       head_kind=DISCRIMINATIVE, frozen=True)
+    return PixelModel(net=decoder, head=head, frozen=True)
 
 
 class TestLlrLoss:
@@ -346,8 +328,7 @@ class TestParameterBudget:
                                             icfg.decoder_dim)),
                     variances=np.ones((k, icfg.gmm_components,
                                        icfg.decoder_dim)))
-            inlier = InlierModel(decoder=decoder, head=head, num_classes=k,
-                                 head_kind=head_kind)
+            inlier = PixelModel(net=decoder, head=head)
             uem = build_uem(c_e, ucfg.projection_dim, ucfg.proj_hidden,
                             head_kind, ucfg.gmm_components, rng)
             ratio = uem.parameter_count() / inlier.parameter_count()
