@@ -10,7 +10,7 @@ import hashlib
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
 
@@ -35,9 +35,9 @@ SMAP_MAGIC = b"SMAP"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 # Model bundle layout version, written to manifest["format_version"].
-# Version 2 stores each GMM head as two packed [K, C, d] tensors (means,
-# vars) and no weights; unversioned bundles stored one file per component.
-BUNDLE_FORMAT_VERSION = 2
+# Version 3 drops the model dimensions from the manifest; 2 and 3 pack a GMM
+# head as two [K, C, d] tensors, unversioned bundles one file per component.
+BUNDLE_FORMAT_VERSION = 3
 
 # Sanity bound on header dimensions; anything larger is a corrupt header.
 MAX_DIM = 1 << 24
@@ -289,20 +289,21 @@ def tensor_digest(tensor: np.ndarray) -> str:
 class ModelBundle:
     """Named parameter tensors plus a JSON manifest with per-tensor digests.
 
-    Tensors are rounded to float32 once, at construction, and are read-only
-    from then on (a read-only mapping of non-writeable arrays), so in-memory
-    values equal what `tensor_digest` hashes, `save` writes and any reload
-    gives; to change a tensor, build a new bundle. A stage-2 ("uem") bundle
-    embeds every stage-1 tensor byte-identically and lists their digests
-    under manifest["frozen_digests"]. On disk it is one FMAP file per tensor
-    plus manifest.json, which records the bundle format version and each
-    tensor's shape and digest.
+    Both are copied into read-only mappings at construction, the tensors
+    rounded to float32 and non-writeable, so in-memory values equal what
+    `tensor_digest` hashes, `save` writes and any reload gives. The manifest
+    holds only what the tensors cannot: every model dimension is a tensor
+    shape. A stage-2 ("uem") bundle embeds every stage-1 tensor
+    byte-identically and lists their digests under "frozen_digests". On disk
+    it is one FMAP file per tensor plus manifest.json, to which `save` adds
+    the format version and each tensor's shape and digest.
     """
 
     manifest: dict
-    tensors: dict[str, np.ndarray] = field(default_factory=dict)
+    tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
+        object.__setattr__(self, "manifest", MappingProxyType(dict(self.manifest)))
         tensors = {}
         for name, t in self.tensors.items():
             with np.errstate(over="ignore"):

@@ -248,12 +248,10 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
 
     head, loss_history, counters = fit(decoder, head, x, y, cross_entropy, rng, config)
     model = PixelModel(net=decoder, head=head)
-
-    bundle = bundle_from_inlier(model, config)
-    # report mIoU from the bundle so it is reproducible bit-exactly after reload
-    reloaded = inlier_from_bundle(bundle)
-    miou_value = heldout_miou(reloaded, dataset, held_idx, num_classes)
-    bundle.manifest["heldout_miou"] = miou_value
+    # the mIoU of the stored (float32) model, reproducible bit-exactly on reload
+    stored = inlier_from_bundle(bundle_from_inlier(model, config, None))
+    bundle = bundle_from_inlier(
+        model, config, heldout_miou(stored, dataset, held_idx, num_classes))
     return TrainResult(bundle=bundle, loss_history=loss_history,
                        em_counters=counters, warnings=warnings_list)
 
@@ -270,20 +268,24 @@ def heldout_miou(model: PixelModel, dataset, held_idx, num_classes: int) -> floa
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def bundle_from_inlier(model: PixelModel, config: InlierConfig) -> ModelBundle:
+def manifest_fields(model: PixelModel) -> tuple[str, list[str]]:
+    """What a bundle manifest records of a model: its head kind and its
+    MLP's activations. The tensors record the rest."""
     head_kind = GENERATIVE if isinstance(model.head, GmmHead) else DISCRIMINATIVE
+    return head_kind, [l.activation for l in model.net.layers]
+
+
+def bundle_from_inlier(model: PixelModel, config: InlierConfig,
+                       miou_value: float | None) -> ModelBundle:
+    head_kind, activations = manifest_fields(model)
     tensors = {**mlp_params(model.net, "decoder"),
                **prefixed(STAGE1_HEAD_PREFIX[head_kind], model.head.tensors())}
     manifest = {
         "stage": "inlier",
         "head_kind": head_kind,
-        "num_classes": model.head.out_dim,
-        "feature_dim": model.net.in_dim,
-        "decoder_dim": model.net.out_dim,
-        "projection_dim": None,
-        "decoder_layers": len(model.net.layers),
-        "decoder_activations": [l.activation for l in model.net.layers],
+        "decoder_activations": activations,
         "config": asdict(config),
+        "heldout_miou": miou_value,
     }
     return ModelBundle(manifest=manifest, tensors=tensors)
 
@@ -291,7 +293,7 @@ def bundle_from_inlier(model: PixelModel, config: InlierConfig) -> ModelBundle:
 def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
     """The stage-1 model of a stage-1 or stage-2 bundle (frozen in the
     latter). A malformed bundle raises BadBundle, or DimMismatch where its
-    tensors do not fit each other or the manifest's class count."""
+    tensors do not fit each other."""
     man = bundle.manifest
     try:
         if man["stage"] not in ("inlier", "uem"):
@@ -300,15 +302,11 @@ def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
         decoder = mlp_from_tensors(bundle.tensors, "decoder", man["decoder_activations"])
         head = HEAD_TYPES[head_kind].from_tensors(
             unprefixed(STAGE1_HEAD_PREFIX[head_kind], bundle.tensors))
-        num_classes = man["num_classes"]
     except KeyError as exc:
         raise BadBundle(f"stage-1 model: bundle entry {exc.args[0]!r} "
                         "missing or unknown") from None
     except (TypeError, ValueError) as exc:
         raise BadBundle(f"stage-1 model: {exc}") from None
-    if head.out_dim != num_classes:
-        raise DimMismatch(f"stage-1 head has {head.out_dim} classes, "
-                          f"the manifest says {num_classes!r}")
     return PixelModel(net=decoder, head=head, frozen=man["stage"] == "uem")
 
 

@@ -38,6 +38,7 @@ from .inlier import (
     TrainResult,
     fit,
     inlier_from_bundle,
+    manifest_fields,
     max_inlier_logit,
     prefixed,
     stage1_tensor_names,
@@ -245,10 +246,14 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     byte-identically; a digest mismatch at entry or exit raises
     FreezeViolation.
     """
+    inlier_model = inlier_from_bundle(stage1)
     if stage1.manifest["stage"] != "inlier":
         raise LlrsegError("train_uem needs a stage-1 (inlier) bundle")
     if not dataset:
         raise LlrsegError("empty dataset")
+    if cfg.head_kind not in HEAD_TYPES:
+        raise LlrsegError(f"unknown head kind {cfg.head_kind!r}")
+    inlier_model.frozen = True
 
     initial_digests = {name: tensor_digest(stage1.tensors[name])
                        for name in stage1_tensor_names(stage1)}
@@ -257,9 +262,6 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         for name, digest in initial_digests.items():
             if declared[name]["digest"] != digest:
                 raise FreezeViolation(f"stage-1 tensor {name!r} digest mismatch")
-
-    inlier_model = inlier_from_bundle(stage1)
-    inlier_model.frozen = True
 
     rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x2]))
     feature_dim = dataset[0][0].channels
@@ -295,31 +297,29 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     if final_digests != initial_digests:
         raise FreezeViolation("stage-1 tensors changed during UEM training")
 
-    return TrainResult(bundle=bundle_from_uem(u, stage1, cfg, initial_digests),
-                       loss_history=loss_history, em_counters=counters, warnings=[])
+    return TrainResult(
+        bundle=bundle_from_uem(u, inlier_model, stage1, cfg, initial_digests),
+        loss_history=loss_history, em_counters=counters, warnings=[])
 
 
 # ---------------------------------------------------------------------------
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def bundle_from_uem(u: PixelModel, stage1: ModelBundle, cfg: LlrConfig,
-                    frozen_digests: dict) -> ModelBundle:
+def bundle_from_uem(u: PixelModel, inlier_model: PixelModel, stage1: ModelBundle,
+                    cfg: LlrConfig, frozen_digests: dict) -> ModelBundle:
+    """UEM `u` with the tensors of `stage1`, whose model is `inlier_model`."""
     tensors = {**{name: stage1.tensors[name] for name in stage1_tensor_names(stage1)},
                **uem_params(u)}
-    s1 = stage1.manifest
+    head_kind, proj_activations = manifest_fields(u)
+    inlier_head_kind, decoder_activations = manifest_fields(inlier_model)
     manifest = {
         "stage": "uem",
-        "head_kind": cfg.head_kind,
-        "inlier_head_kind": s1["head_kind"],
-        "num_classes": s1["num_classes"],
-        "feature_dim": s1["feature_dim"],
-        "decoder_dim": s1["decoder_dim"],
-        "projection_dim": u.net.out_dim,
-        "decoder_layers": s1["decoder_layers"],
-        "decoder_activations": s1["decoder_activations"],
-        "proj_activations": [l.activation for l in u.net.layers],
-        "heldout_miou": s1.get("heldout_miou"),
+        "head_kind": head_kind,
+        "inlier_head_kind": inlier_head_kind,
+        "decoder_activations": decoder_activations,
+        "proj_activations": proj_activations,
+        "heldout_miou": stage1.manifest.get("heldout_miou"),
         "config": asdict(cfg),
         "frozen_digests": frozen_digests,
     }

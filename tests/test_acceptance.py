@@ -92,8 +92,7 @@ def test_criterion_5_freeze_contract(small_dataset_dir, small_stage1,
     dataset = [(f, l) for f, l, _ in triples]
     _, held_idx = holdout_split(len(dataset))
     model = inlier_from_bundle(small_stage2)
-    recomputed = heldout_miou(model, dataset, held_idx,
-                              stage1.manifest["num_classes"])
+    recomputed = heldout_miou(model, dataset, held_idx, model.head.out_dim)
     miou_ok = recomputed == stage1.manifest["heldout_miou"]
 
     report("5 freeze-contract", digests_ok and miou_ok,

@@ -11,7 +11,13 @@ from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from llrseg.datamodel import BUNDLE_FORMAT_VERSION, ModelBundle, tensor_digest
-from llrseg.errors import BadBundle, DigestMismatch, DimMismatch, LlrsegError
+from llrseg.errors import (
+    BadBundle,
+    DigestMismatch,
+    DimMismatch,
+    FreezeViolation,
+    LlrsegError,
+)
 from llrseg.gmm import GmmHead
 from llrseg.inlier import (
     DISCRIMINATIVE,
@@ -23,15 +29,22 @@ from llrseg.inlier import (
     stage1_tensor_names,
 )
 from llrseg.neuralcore import make_mlp, xavier_dense
-from llrseg.uem import LlrConfig, build_uem, bundle_from_uem, uem_from_bundle
+from llrseg.uem import (
+    LlrConfig,
+    build_uem,
+    bundle_from_uem,
+    uem_from_bundle,
+    verify_freeze,
+)
 
 KINDS = st.sampled_from([GENERATIVE, DISCRIMINATIVE])
 C_E = 3
 
 
-def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
-    """A stage-2 bundle over a random stage-1 model, both with `head_kind`
-    heads: K classes, C components, decoder and projection width d."""
+def make_bundles(head_kind, k, c, d, seed=0) -> tuple[ModelBundle, ModelBundle]:
+    """The stage-1 bundle of a random model and a stage-2 bundle over it,
+    both with `head_kind` heads: K classes, C components, decoder and
+    projection width d."""
     rng = np.random.default_rng(seed)
     decoder = make_mlp([C_E, 5, d], rng)
     if head_kind == GENERATIVE:
@@ -41,13 +54,16 @@ def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
         head = xavier_dense(d, k, "identity", rng)
     inlier = PixelModel(net=decoder, head=head)
     stage1 = bundle_from_inlier(inlier, InlierConfig(
-        head_kind=head_kind, decoder_dim=d, gmm_components=c))
-    stage1.manifest["heldout_miou"] = 0.0
+        head_kind=head_kind, decoder_dim=d, gmm_components=c), 0.0)
     u = build_uem(C_E, d, 4, head_kind, c, rng)
     digests = {n: tensor_digest(stage1.tensors[n]) for n in stage1_tensor_names(stage1)}
     cfg = LlrConfig(head_kind=head_kind, projection_dim=d, proj_hidden=4,
                     gmm_components=c)
-    return bundle_from_uem(u, stage1, cfg, digests)
+    return stage1, bundle_from_uem(u, inlier, stage1, cfg, digests)
+
+
+def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
+    return make_bundles(head_kind, k, c, d, seed)[1]
 
 
 def models(bundle: ModelBundle):
@@ -72,6 +88,16 @@ def edit_manifest(path: Path, fn) -> None:
     (path / "manifest.json").write_text(json.dumps(manifest))
 
 
+def as_format_2(manifest: dict) -> None:
+    """Rewrite a saved manifest as format 2 wrote it, with the model
+    dimensions that format 3 leaves to the tensor shapes."""
+    shapes = {name: meta["shape"] for name, meta in manifest["tensors"].items()}
+    manifest.update(format_version=2, feature_dim=shapes["decoder.0.weight"][1],
+                    decoder_dim=shapes["decoder.1.weight"][0], decoder_layers=2,
+                    num_classes=shapes.get("gmm.means", shapes.get("head.weight"))[0],
+                    projection_dim=shapes.get("uem.proj.2.weight", [None])[0])
+
+
 def save_per_component(bundle: ModelBundle, path: Path) -> None:
     """Write `bundle` in the unversioned layout: one file per GMM component
     mean, variance and weight."""
@@ -89,6 +115,9 @@ def save_per_component(bundle: ModelBundle, path: Path) -> None:
     edit_manifest(path, lambda m: m.pop("format_version"))
 
 
+STAGE1_KEYS = {"stage", "head_kind", "decoder_activations", "config", "heldout_miou",
+               "format_version", "tensors"}
+STAGE2_KEYS = STAGE1_KEYS | {"inlier_head_kind", "proj_activations", "frozen_digests"}
 SHAPES = dict(k=st.integers(1, 4), c=st.integers(1, 4), d=st.integers(1, 5))
 
 
@@ -109,6 +138,20 @@ class TestRoundTrip:
             for name, t in a.head.tensors().items():
                 assert np.array_equal(b.head.tensors()[name], t)
         assert len(files) == len(bundle.tensors) + 1
+
+    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
+    def test_saved_manifest_keys(self, kind):
+        """A format-3 manifest holds no model dimension: the tensors do."""
+        stage1, stage2 = make_bundles(kind, 3, 2, 4)
+        for bundle, keys in ((stage1, STAGE1_KEYS), (stage2, STAGE2_KEYS)):
+            with saved(bundle) as path:
+                manifest = json.loads((path / "manifest.json").read_text())
+            assert set(manifest) == keys
+            assert manifest["format_version"] == BUNDLE_FORMAT_VERSION == 3
+            assert manifest["head_kind"] == kind
+            assert manifest["decoder_activations"] == ["gelu", "identity"]
+        assert manifest["inlier_head_kind"] == kind
+        assert manifest["proj_activations"] == ["gelu", "gelu", "identity"]
 
     @settings(max_examples=10, deadline=None)
     @given(**SHAPES)
@@ -185,21 +228,37 @@ class TestCorruption:
             with pytest.raises(DimMismatch):
                 load_models(path)
 
-    @settings(max_examples=20, deadline=None)
-    @given(prefix=st.sampled_from(["gmm", "uem.head"]), **SHAPES)
-    def test_transposed_packed_head_fails_manifest_dims(self, prefix, k, c, d):
-        """A head saved as [C, K, d] with matching digests and headers still
-        disagrees with the manifest's class count."""
-        bundle = make_stage2(GENERATIVE, k, c, d)
+    @staticmethod
+    def transposed_head(bundle: ModelBundle, prefix: str) -> ModelBundle:
+        """`bundle` with the GMM head `prefix` saved as [C, K, d]."""
         classes, comps, dim = bundle.tensors[f"{prefix}.means"].shape
-        assume(classes != comps)
         tensors = dict(bundle.tensors)
         for field in ("means", "vars"):
             tensors[f"{prefix}.{field}"] = tensors[f"{prefix}.{field}"].reshape(
                 comps, classes, dim)
-        with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
+        return ModelBundle(manifest=bundle.manifest, tensors=tensors)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**SHAPES)
+    def test_transposed_packed_head_fails_manifest_dims(self, k, c, d):
+        """A UEM head saved as [C, 2, d] with matching digests and headers
+        is not 2-class."""
+        assume(c != 2)
+        bundle = self.transposed_head(make_stage2(GENERATIVE, k, c, d), "uem.head")
+        with saved(bundle) as path:
             with pytest.raises(DimMismatch):
                 load_models(path)
+
+    @settings(max_examples=20, deadline=None)
+    @given(**SHAPES)
+    def test_transposed_stage1_head_breaks_the_freeze(self, k, c, d):
+        """A stage-1 head saved as [C, K, d] is a valid C-class head, but its
+        file image, header included, no longer has its frozen digest."""
+        assume(k != c)
+        bundle = self.transposed_head(make_stage2(GENERATIVE, k, c, d), "gmm")
+        with saved(bundle) as path:
+            with pytest.raises(FreezeViolation, match="'gmm.means' digest mismatch"):
+                verify_freeze(ModelBundle.load(path))
 
     @settings(max_examples=15, deadline=None)
     @given(version=st.one_of(st.none(), st.integers(-3, 10), st.text(max_size=3)))
@@ -214,6 +273,14 @@ class TestCorruption:
             edit_manifest(path, set_version)
             with pytest.raises(BadBundle, match=f"format version {BUNDLE_FORMAT_VERSION}"):
                 load_models(path)
+
+    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
+    def test_format_2_bundle(self, kind):
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            edit_manifest(path, as_format_2)
+            with pytest.raises(BadBundle, match="has format version 2, expected format "
+                               "version 3; retrain it with this version"):
+                load_models(path, verify=False)
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
     def test_per_component_bundle(self, kind, tmp_path):
@@ -233,13 +300,6 @@ class TestCorruption:
         tensors = {**bundle.tensors, "uem.head.weight": head.weight,
                    "uem.head.bias": head.bias}
         with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
-            with pytest.raises(DimMismatch, match="3 classes"):
-                load_models(path)
-
-    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
-    def test_manifest_class_count_must_match_head(self, kind):
-        with saved(make_stage2(kind, 3, 2, 4)) as path:
-            edit_manifest(path, lambda m: m.update(num_classes=4))
             with pytest.raises(DimMismatch, match="3 classes"):
                 load_models(path)
 

@@ -9,6 +9,7 @@ import numpy as np
 import pytest
 
 from llrseg.cli import RunConfig, derive_seed, main
+from llrseg.datamodel import BUNDLE_FORMAT_VERSION
 from llrseg.errors import LlrsegError
 
 
@@ -71,6 +72,23 @@ class TestRunConfig:
         cfg = RunConfig.from_dict(SMALL_RUN)
         again = RunConfig.from_dict(json.loads(json.dumps(cfg.resolved())))
         assert again.resolved() == cfg.resolved()
+
+
+def assert_bundles_rejected(d: dict, bundles: Path, capsys, message: str) -> None:
+    """`score` on bundles/stage2 and `train-uem` on bundles/stage1 exit 1
+    with `message` and write no output."""
+    code = main(["score", "--config", str(d["cfg"]),
+                 "--stage2", str(bundles / "stage2"), "--out", str(bundles / "o"),
+                 str(d["eval_scene"] / "features.fmap")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not list((bundles / "o").glob("*.smap"))
+    code = main(["train-uem", "--config", str(d["cfg"]),
+                 "--dataset", str(d["data"]), "--stage1", str(bundles / "stage1"),
+                 "--out", str(bundles / "o2")])
+    assert code == 1
+    assert message in capsys.readouterr().err
+    assert not (bundles / "o2" / "stage2").exists()
 
 
 @pytest.fixture(scope="module")
@@ -216,16 +234,44 @@ class TestPipeline:
         d = pipeline_dirs
         for stage, name in (("s1", "stage1"), ("s2", "stage2")):
             save_per_component(ModelBundle.load(d[stage] / name), tmp_path / name)
-        code = main(["score", "--config", str(d["cfg"]),
-                     "--stage2", str(tmp_path / "stage2"), "--out", str(tmp_path / "o"),
-                     str(d["eval_scene"] / "features.fmap")])
+        assert_bundles_rejected(d, tmp_path, capsys,
+                                f"expected format version {BUNDLE_FORMAT_VERSION}")
+
+    def test_format_2_bundles_rejected(self, pipeline_dirs, tmp_path, capsys):
+        import shutil
+        from test_bundle import as_format_2, edit_manifest
+
+        d = pipeline_dirs
+        for stage, name in (("s1", "stage1"), ("s2", "stage2")):
+            shutil.copytree(d[stage] / name, tmp_path / name)
+            edit_manifest(tmp_path / name, as_format_2)
+        assert_bundles_rejected(d, tmp_path, capsys, "has format version 2, expected "
+                                "format version 3; retrain it with this version")
+
+    @pytest.mark.parametrize("version, key", [
+        (3, "stage"), (3, "head_kind"), (3, "decoder_activations"),
+        (2, "stage"), (2, "feature_dim"), (2, "num_classes")])
+    def test_train_uem_rejects_trimmed_stage1_manifest(self, pipeline_dirs, tmp_path,
+                                                       capsys, version, key):
+        """A stage-1 manifest that lacks a key is a BadBundle before any
+        training. Format 3 keeps no dimension, so the dimension keys are cut
+        from a format-2 manifest, which the version check rejects."""
+        import shutil
+        from test_bundle import as_format_2, edit_manifest
+
+        d = pipeline_dirs
+        stage1 = tmp_path / "stage1"
+        shutil.copytree(d["s1"] / "stage1", stage1)
+        if version == 2:
+            edit_manifest(stage1, as_format_2)
+        edit_manifest(stage1, lambda m: m.pop(key))
+        out = tmp_path / "o"
+        code = main(["train-uem", "--config", str(d["cfg"]), "--dataset", str(d["data"]),
+                     "--stage1", str(stage1), "--out", str(out)])
+        err = capsys.readouterr().err
         assert code == 1
-        assert "expected format version 2" in capsys.readouterr().err
-        code = main(["train-uem", "--config", str(d["cfg"]),
-                     "--dataset", str(d["data"]), "--stage1", str(tmp_path / "stage1"),
-                     "--out", str(tmp_path / "o2")])
-        assert code == 1
-        assert "expected format version 2" in capsys.readouterr().err
+        assert "error: BadBundle" in err and "Traceback" not in err
+        assert not (out / "stage2").exists() and not (out / "uem_report.json").exists()
 
     def test_training_reports(self, pipeline_dirs, tmp_path):
         d = pipeline_dirs

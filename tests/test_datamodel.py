@@ -179,6 +179,18 @@ class TestModelBundle:
         with pytest.raises(AttributeError):
             bundle.tensors = {}
 
+    def test_manifest_is_a_read_only_copy(self):
+        manifest = {"stage": "inlier"}
+        bundle = ModelBundle(manifest=manifest, tensors={})
+        manifest["stage"] = "uem"
+        assert bundle.manifest["stage"] == "inlier"
+        with pytest.raises(TypeError):
+            bundle.manifest["heldout_miou"] = 0.5
+        with pytest.raises(TypeError):
+            del bundle.manifest["stage"]
+        with pytest.raises(AttributeError):
+            bundle.manifest = {}
+
     def test_single_byte_flip_detected(self, tmp_path):
         bundle = self.make_bundle()
         bundle.save(tmp_path / "b")

@@ -163,7 +163,7 @@ class TestScoreImage:
                                                        geometry, seed):
         h, w, window, stride = geometry
         rng = np.random.default_rng(seed)
-        f = FeatureMap(rng.normal(0, 2, (small_stage2.manifest["feature_dim"], h, w)))
+        f = FeatureMap(rng.normal(0, 2, (inlier_from_bundle(small_stage2).net.in_dim, h, w)))
         plan = tile_plan(h, w, window, stride)
         scores = score_image(small_stage2, f, plan).scores
         whole = score_image(small_stage2, f, tile_plan(h, w, (h, w), (h, w))).scores

@@ -231,6 +231,6 @@ class TestBundleRoundTrip:
         head = GmmHead(means=rng.normal(0, 1, (2, 2, 3)), variances=variances)
         m = PixelModel(net=make_mlp([4, 8, 3], rng), head=head)
         cfg = InlierConfig(decoder_dim=3, gmm_components=2)
-        reloaded = inlier_from_bundle(bundle_from_inlier(m, cfg))
+        reloaded = inlier_from_bundle(bundle_from_inlier(m, cfg, None))
         assert reloaded.head.variances[1, 0, 2] == VAR_FLOOR
         assert np.all(reloaded.head.variances >= VAR_FLOOR)

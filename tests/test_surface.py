@@ -15,8 +15,14 @@ import pytest
 
 import llrseg
 import llrseg.cli  # noqa: F401  (imports every layer the tracer wraps)
-from llrseg.datamodel import FeatureMap, save_feature_map
+from llrseg.datamodel import (
+    FeatureMap,
+    ModelBundle,
+    save_feature_map,
+    tensor_digest,
+)
 from llrseg.inference import score_image, tile_plan
+from llrseg.inlier import inlier_from_bundle
 from llrseg.neuralcore import make_mlp
 
 PERFBENCH = Path(__file__).resolve().parent.parent / "perfbench"
@@ -54,13 +60,28 @@ def test_whole_frame_terms_compose_the_scored_llr(load_perfbench, small_stage2,
     saved frame, gives the LLR that `score_image` gives."""
     workloads = load_perfbench("workloads")
     rng = np.random.default_rng(1)
-    f = FeatureMap(rng.normal(0, 1, (small_stage2.manifest["feature_dim"], 9, 7)))
+    f = FeatureMap(rng.normal(0, 1, (inlier_from_bundle(small_stage2).net.in_dim, 9, 7)))
     save_feature_map(f, tmp_path / "frame.fmap")
     frame, log_in, log_out, max_logit = workloads.whole_frame_terms(
         small_stage2, tmp_path / "frame.fmap")
     composed = workloads.llr_score(log_out, log_in, max_logit).scores
     scored = score_image(small_stage2, frame, tile_plan(9, 7, 4, 3)).scores
     assert np.abs(scored - composed).max() <= workloads.COMPOSITION_ATOL
+
+
+def test_saved_manifest_has_what_perfbench_reads(load_perfbench, small_stage2,
+                                                 tmp_path):
+    """perfbench fingerprints a pass by the tensor digests of the saved
+    stage-2 manifest and reports its held-out mIoU."""
+    workloads = load_perfbench("workloads")
+    small_stage2.save(tmp_path / "stage2")
+    loaded = ModelBundle.load(tmp_path / "stage2")
+    entries = loaded.manifest["tensors"]
+    assert set(entries) == set(small_stage2.tensors)
+    for name, t in small_stage2.tensors.items():
+        assert entries[name]["digest"] == tensor_digest(t)
+    assert type(loaded.manifest["heldout_miou"]) is float
+    assert len(workloads.pass_fingerprint(loaded, [])) == 64
 
 
 def test_tracer_installs_and_restores(load_perfbench, small_stage2):
@@ -83,7 +104,7 @@ def test_tracer_installs_and_restores(load_perfbench, small_stage2):
             assert f"llrseg.{layer}" in wrapped, f"nothing traced in {layer}"
         # the counters read TilePlan, Tape and SinkhornPlan attributes
         rng = np.random.default_rng(0)
-        f = FeatureMap(rng.normal(0, 1, (small_stage2.manifest["feature_dim"], 6, 5)))
+        f = FeatureMap(rng.normal(0, 1, (inlier_from_bundle(small_stage2).net.in_dim, 6, 5)))
         llrseg.inference.score_image(small_stage2, f, tile_plan(6, 5, 3, 3))
         mlp = make_mlp([3, 4, 2], rng)
         x = rng.normal(0, 1, (7, 3))

@@ -227,6 +227,13 @@ class TestTrainUem:
             assert tensor_digest(stage2.tensors[name]) == digest
         assert verify_freeze(stage2)
 
+    def test_unknown_head_kind_rejected(self):
+        """The head kind a stage-2 manifest records is the type of the
+        head trained, so an unknown kind is refused before training."""
+        dataset, stage1 = self.stage1()
+        with pytest.raises(LlrsegError, match="unknown head kind 'linear'"):
+            train_uem(stage1, mixed_pairs(dataset), self.ucfg(head_kind="linear"))
+
     def test_stage2_embeds_stage1_byte_identical(self, tmp_path):
         dataset, stage1 = self.stage1(seed=1)
         stage1.save(tmp_path / "s1")
