@@ -10,6 +10,7 @@ import hashlib
 import json
 import math
 import struct
+from collections.abc import Mapping
 from dataclasses import dataclass
 from pathlib import Path
 from types import MappingProxyType
@@ -46,6 +47,16 @@ MAX_DIM = 1 << 24
 def _freeze(a: np.ndarray) -> np.ndarray:
     a.flags.writeable = False
     return a
+
+
+def _read_only(value):
+    """A read-only deep copy of a JSON value: objects become read-only
+    mappings and arrays tuples; JSON writes them back as it read them."""
+    if isinstance(value, Mapping):
+        return MappingProxyType({k: _read_only(v) for k, v in value.items()})
+    if isinstance(value, (list, tuple)):
+        return tuple(_read_only(v) for v in value)
+    return value
 
 
 def _check_finite(data: np.ndarray, what: str = "value") -> None:
@@ -289,21 +300,22 @@ def tensor_digest(tensor: np.ndarray) -> str:
 class ModelBundle:
     """Named parameter tensors plus a JSON manifest with per-tensor digests.
 
-    Both are copied into read-only mappings at construction, the tensors
-    rounded to float32 and non-writeable, so in-memory values equal what
-    `tensor_digest` hashes, `save` writes and any reload gives. The manifest
-    holds only what the tensors cannot: every model dimension is a tensor
-    shape. A stage-2 ("uem") bundle embeds every stage-1 tensor
-    byte-identically and lists their digests under "frozen_digests". On disk
-    it is one FMAP file per tensor plus manifest.json, to which `save` adds
-    the format version and each tensor's shape and digest.
+    Both are copied into read-only mappings at construction, the manifest
+    to every depth, the tensors rounded to float32 and non-writeable, so
+    in-memory values equal what `tensor_digest` hashes, `save` writes and
+    any reload gives. The manifest holds only what the tensors cannot: every
+    model dimension is a tensor shape. A stage-2 ("uem") bundle embeds every
+    stage-1 tensor byte-identically and lists their digests under
+    "frozen_digests". On disk it is one FMAP file per tensor plus
+    manifest.json, to which `save` adds the format version and each tensor's
+    shape and digest.
     """
 
     manifest: dict
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
-        object.__setattr__(self, "manifest", MappingProxyType(dict(self.manifest)))
+        object.__setattr__(self, "manifest", _read_only(self.manifest))
         tensors = {}
         for name, t in self.tensors.items():
             with np.errstate(over="ignore"):
@@ -329,7 +341,8 @@ class ModelBundle:
         for name, blob in blobs.items():
             (dirpath / f"{name}.fmap").write_bytes(blob)
         (dirpath / "manifest.json").write_text(
-            json.dumps(manifest, indent=2, sort_keys=True), encoding="utf-8"
+            json.dumps(manifest, indent=2, sort_keys=True, default=dict),
+            encoding="utf-8"
         )
 
     @classmethod

@@ -57,13 +57,27 @@ def unprefixed(prefix: str, tensors: dict) -> dict:
     return {name[len(p):]: t for name, t in tensors.items() if name.startswith(p)}
 
 
+def refresh_head(head: GmmHead, z, y, rng: np.random.Generator, cfg,
+                 counters: dict) -> GmmHead:
+    """One Sinkhorn-EM refresh (cfg.gmm_*) of a GMM head on the net outputs
+    z grouped by their labels y."""
+    return refresh(head, [z[y == k] for k in range(head.classes)], rng,
+                   cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters, cfg.gmm_momentum,
+                   cfg.gmm_max_pixels_per_class, counters)
+
+
+def _batches(order: np.ndarray, size: int) -> list[np.ndarray]:
+    return [order[start:start + size] for start in range(0, len(order), size)]
+
+
 def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
-    """The training loop of both stages: seeded shuffles, minibatch Adam
-    (cfg.lr, .epochs, .batch_size) on `net` and `head`, both rebuilt from the
-    parameters after every step, and one Sinkhorn-EM refresh (cfg.gmm_*) of
-    a GMM head per epoch on net(x) grouped by y. `loss(head, z, idx)` returns
-    (loss, d_z, head gradients) for the net output z of rows idx; a head
-    tensor without a gradient keeps its value.
+    """The training loop of every net that trains (a discriminative stage 1
+    and both stage-2 kinds): seeded shuffles, minibatch Adam (cfg.lr,
+    .epochs, .batch_size) on `net` and `head`, both rebuilt from the
+    parameters after every step, and one `refresh_head` of a GMM head per
+    epoch on net(x). `loss(head, z, idx)` returns (loss, d_z, head
+    gradients) for the net output z of rows idx; a head tensor without a
+    gradient keeps its value.
 
     Returns (head, mean batch loss of each epoch, EM counters).
     """
@@ -73,8 +87,7 @@ def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])
         losses = []
-        for start in range(0, x.shape[0], cfg.batch_size):
-            idx = order[start:start + cfg.batch_size]
+        for idx in _batches(order, cfg.batch_size):
             z, tape = mlp_forward(net, x[idx])
             value, d_z, head_grads = loss(head, z, idx)
             net_grads, _ = mlp_backward(net, tape, d_z)
@@ -86,9 +99,7 @@ def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
         loss_history.append(sum(losses) / max(1, len(losses)))
         if isinstance(head, GmmHead):
             z, _ = mlp_forward(net, x)
-            head = refresh(head, [z[y == k] for k in range(head.classes)], rng,
-                           cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters, cfg.gmm_momentum,
-                           cfg.gmm_max_pixels_per_class, counters)
+            head = refresh_head(head, z, y, rng, cfg, counters)
             params.update(prefixed("head", head.tensors()))
     return head, loss_history, counters
 
@@ -206,11 +217,15 @@ def _gather_pixels(dataset, indices, num_classes):
 
 
 def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult:
-    """Train decoder + head on (FeatureMap, LabelMap) pairs.
+    """Train a stage-1 model on (FeatureMap, LabelMap) pairs.
 
-    `fit` runs Adam on the cross-entropy of the head's logits. A linear head
-    trains jointly with the decoder; a GMM head is fitted by Sinkhorn EM
-    alone. Deterministic per seed.
+    A linear head trains jointly with the decoder: `fit` runs Adam on the
+    cross-entropy of the head's logits. A GMM head keeps the seeded decoder,
+    as the paper's frozen inlier network is: `init_head` and one
+    `refresh_head` per epoch fit only the head by Sinkhorn EM, on decoder
+    outputs computed once. Its loss history is the cross-entropy of the head
+    in force over each epoch's shuffled batches, and `config.lr` goes unread.
+    Deterministic per seed.
     """
     if not dataset:
         raise LlrsegError("empty dataset")
@@ -231,22 +246,28 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
             warnings_list.append(f"class {k} absent from training data")
 
     decoder = make_mlp([feature_dim, config.decoder_hidden, config.decoder_dim], rng)
-    em = config.head_kind == GENERATIVE
-    if em:
-        decoded_all, _ = mlp_forward(decoder, x)
-        head = init_head([decoded_all[y == k] for k in range(num_classes)],
+    if config.head_kind == GENERATIVE:
+        decoded = mlp_forward(decoder, x)[0]  # the tape is not kept
+        head = init_head([decoded[y == k] for k in range(num_classes)],
                          config.gmm_components, rng)
+        counters, loss_history = {}, []
+        for _ in range(config.epochs):
+            # drawn as `fit` draws it: `refresh` subsamples with the same rng
+            order = rng.permutation(x.shape[0])
+            losses = [softmax_cross_entropy(head.logits(decoded[idx]), y[idx])[0]
+                      for idx in _batches(order, config.batch_size)]
+            loss_history.append(sum(losses) / max(1, len(losses)))
+            head = refresh_head(head, decoded, y, rng, config, counters)
     else:
+        def cross_entropy(head, decoded, idx):
+            logits, head_backward = head.logits_with_grad(decoded)
+            value, d_logits = softmax_cross_entropy(logits, y[idx])
+            d_decoded, head_grads = head_backward(d_logits)
+            return value, d_decoded, head_grads
+
         head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
-
-    def cross_entropy(head, decoded, idx):
-        logits, head_backward = head.logits_with_grad(decoded)
-        value, d_logits = softmax_cross_entropy(logits, y[idx])
-        d_decoded, head_grads = head_backward(d_logits)
-        # EM alone fits a GMM head: Adam keeps tensors that get no gradient
-        return value, d_decoded, {} if em else head_grads
-
-    head, loss_history, counters = fit(decoder, head, x, y, cross_entropy, rng, config)
+        head, loss_history, counters = fit(decoder, head, x, y, cross_entropy,
+                                           rng, config)
     model = PixelModel(net=decoder, head=head)
     # the mIoU of the stored (float32) model, reproducible bit-exactly on reload
     stored = inlier_from_bundle(bundle_from_inlier(model, config, None))

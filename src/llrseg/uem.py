@@ -10,6 +10,7 @@ before and after.
 """
 from __future__ import annotations
 
+from collections.abc import Mapping
 from dataclasses import dataclass, asdict
 
 import numpy as np
@@ -356,7 +357,7 @@ def verify_freeze(stage2: ModelBundle) -> bool:
     if stage2.manifest.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
     frozen = stage2.manifest.get("frozen_digests")
-    if not isinstance(frozen, dict):
+    if not isinstance(frozen, Mapping):
         raise FreezeViolation("stage-2 manifest has no frozen_digests")
     names = set(stage1_tensor_names(stage2))
     if set(frozen) != names:

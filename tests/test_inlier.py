@@ -1,17 +1,21 @@
 """Stage-1 segmentor: logits, predictions, scores, and training."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from llrseg import inlier
 from llrseg.anomalymix import random_spec, synth_scene
 from llrseg.datamodel import FeatureMap, LabelMap, ModelBundle
 from llrseg.errors import LlrsegError
-from llrseg.gmm import VAR_FLOOR, GmmHead, component_log_densities
+from llrseg.gmm import VAR_FLOOR, GmmHead, component_log_densities, init_head, refresh
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
     PixelModel,
     bundle_from_inlier,
+    holdout_split,
     id_score,
     inlier_from_bundle,
     inlier_logits,
@@ -19,7 +23,15 @@ from llrseg.inlier import (
     max_inlier_logit,
     train_inlier,
 )
-from llrseg.neuralcore import DenseLayer, Mlp, make_mlp, mlp_forward, xavier_dense
+from llrseg.neuralcore import (
+    DenseLayer,
+    Mlp,
+    make_mlp,
+    mlp_forward,
+    mlp_params,
+    softmax_cross_entropy,
+    xavier_dense,
+)
 
 
 def make_disc_model(rng, c_e=4, c_d=6, k=3):
@@ -193,6 +205,92 @@ class TestTrainInlier:
     def test_unknown_head_kind_rejected(self):
         with pytest.raises(LlrsegError, match="head kind"):
             train_inlier(separable_dataset(seed=4), 3, InlierConfig(head_kind="linear"))
+
+
+class TestGenerativeStage1:
+    """A GMM head keeps the seeded decoder and is fitted by Sinkhorn EM
+    alone, on decoder outputs computed once."""
+
+    CFG = InlierConfig(decoder_hidden=32, decoder_dim=6, epochs=3, batch_size=100,
+                       gmm_components=2, gmm_max_pixels_per_class=150, seed=3)
+
+    @staticmethod
+    def noisy_dataset(scenes=4, k=3):
+        """Random features and labels: classes overlap, so the cross-entropy
+        is far from 0 and a decoder that trained would move."""
+        rng = np.random.default_rng(21)
+        return [(FeatureMap(rng.normal(0, 1, (5, 12, 12))),
+                 LabelMap(rng.integers(0, k, (12, 12)))) for _ in range(scenes)]
+
+    @staticmethod
+    def seeded_decoder(cfg, feature_dim):
+        """The rng of `train_inlier` and the decoder it draws first."""
+        rng = np.random.default_rng(np.random.SeedSequence([cfg.seed, 0x1]))
+        return rng, make_mlp([feature_dim, cfg.decoder_hidden, cfg.decoder_dim], rng)
+
+    @staticmethod
+    def stored(tensors: dict) -> dict:
+        return {name: np.float32(t).astype(np.float64) for name, t in tensors.items()}
+
+    def test_decoder_is_the_seeded_one(self):
+        dataset = self.noisy_dataset()
+        bundle = train_inlier(dataset, 3, self.CFG).bundle
+        _, decoder = self.seeded_decoder(self.CFG, 5)
+        want = self.stored(mlp_params(decoder, "decoder"))
+        for name, t in want.items():
+            assert bundle.tensors[name].tobytes() == t.tobytes(), name
+        for i in range(len(decoder.layers)):
+            bias = bundle.tensors[f"decoder.{i}.bias"]
+            assert np.all(bias == 0.0) and not np.signbit(bias).any()
+
+    def test_no_backward_pass_or_optimizer_step(self, monkeypatch):
+        calls = {"mlp_backward": 0, "optimizer_step": 0}
+
+        def counted(name, fn):
+            def call(*args):
+                calls[name] += 1
+                return fn(*args)
+            return call
+
+        for name in calls:
+            monkeypatch.setattr(inlier, name, counted(name, getattr(inlier, name)))
+        train_inlier(self.noisy_dataset(), 3, self.CFG)
+        assert calls == {"mlp_backward": 0, "optimizer_step": 0}
+        cfg = replace(self.CFG, head_kind=DISCRIMINATIVE)
+        train_inlier(self.noisy_dataset(), 3, cfg)  # the counters do count
+        assert calls["mlp_backward"] == calls["optimizer_step"] > 0
+
+    def test_head_and_losses_replay_from_library_calls(self):
+        dataset, cfg = self.noisy_dataset(), self.CFG
+        result = train_inlier(dataset, 3, cfg)
+        rng, decoder = self.seeded_decoder(cfg, 5)
+        train_idx, _ = holdout_split(len(dataset))
+        x = np.concatenate([dataset[i][0].pixels() for i in train_idx])
+        y = np.concatenate([dataset[i][1].labels.ravel() for i in train_idx]).astype(int)
+        z, _ = mlp_forward(decoder, x)
+        by_class = [z[y == k] for k in range(3)]
+        head = init_head(by_class, cfg.gmm_components, rng)
+        losses = []
+        for _ in range(cfg.epochs):
+            order = rng.permutation(len(x))
+            batches = [order[s:s + cfg.batch_size] for s in range(0, len(x), cfg.batch_size)]
+            batch_losses = [softmax_cross_entropy(head.logits(z[b]), y[b])[0]
+                            for b in batches]
+            losses.append(sum(batch_losses) / len(batch_losses))
+            head = refresh(head, by_class, rng, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters,
+                           cfg.gmm_momentum, cfg.gmm_max_pixels_per_class, {})
+        want = self.stored({"gmm.means": head.means, "gmm.vars": head.variances})
+        for name, t in want.items():
+            assert result.bundle.tensors[name].tobytes() == t.tobytes(), name
+        assert result.loss_history == losses
+        assert min(losses) > 0.1
+
+    def test_discriminative_decoder_still_trains(self):
+        cfg = replace(self.CFG, head_kind=DISCRIMINATIVE)
+        bundle = train_inlier(self.noisy_dataset(), 3, cfg).bundle
+        _, decoder = self.seeded_decoder(cfg, 5)
+        for name, t in self.stored(mlp_params(decoder, "decoder")).items():
+            assert not np.array_equal(bundle.tensors[name], t), name
 
 
 class TestBundleRoundTrip:

@@ -289,6 +289,24 @@ class TestTrainUem:
         with pytest.raises(FreezeViolation, match="do not name the stage-1 tensors"):
             verify_freeze(bundle)
 
+    def test_loaded_manifest_is_read_only_to_every_depth(self, small_stage2, tmp_path):
+        small_stage2.save(tmp_path / "s2")
+        loaded = ModelBundle.load(tmp_path / "s2")
+        name = stage1_tensor_names(loaded)[0]
+        with pytest.raises(TypeError):
+            loaded.manifest["frozen_digests"][name] = "0" * 64
+        with pytest.raises(TypeError):
+            loaded.manifest["tensors"][name]["digest"] = "0" * 64
+        with pytest.raises(TypeError):
+            loaded.manifest["config"]["lr"] = 1.0
+        with pytest.raises(AttributeError):
+            loaded.manifest["proj_activations"].pop()
+        assert verify_freeze(loaded)
+        # and `save` writes back the manifest it read, byte for byte
+        loaded.save(tmp_path / "again")
+        assert ((tmp_path / "again" / "manifest.json").read_bytes()
+                == (tmp_path / "s2" / "manifest.json").read_bytes())
+
     def test_verify_freeze_rejects_stage1_bundle(self, small_stage1):
         with pytest.raises(LlrsegError, match="not a stage-2 bundle"):
             verify_freeze(small_stage1.bundle)
