@@ -40,6 +40,24 @@ def derive_seed(root_seed: int, label: str) -> int:
     return int.from_bytes(digest[:8], "little")
 
 
+def _fits(value, default) -> bool:
+    """Whether a JSON value has the type of a config field's default: a float
+    also takes an int, no number a bool, a tuple a list as long whose items fit."""
+    if isinstance(default, tuple):
+        return (isinstance(value, list) and len(value) == len(default)
+                and all(_fits(v, d) for v, d in zip(value, default)))
+    if isinstance(value, bool) or isinstance(default, bool):
+        return type(value) is type(default)
+    return isinstance(value, (int, float) if isinstance(default, float) else type(default))
+
+
+def _check_fits(where: str, value, default) -> None:
+    if not _fits(value, default):
+        expected = (f"a list of {len(default)} values like {list(default)}"
+                    if isinstance(default, tuple) else f"of type {type(default).__name__}")
+        raise LlrsegError(f"config key {where} must be {expected}, not {value!r}")
+
+
 @dataclass
 class InferenceConfig:
     window: int = 64
@@ -57,23 +75,30 @@ class RunConfig:
     @classmethod
     def from_dict(cls, raw: dict) -> "RunConfig":
         def build(dc_type, section: dict, where: str):
+            if not isinstance(section, dict):
+                raise LlrsegError(f"config section {where} must be an object, "
+                                  f"not {section!r}")
             if "seed" in section:
                 raise LlrsegError(f"config key {where}.seed is not allowed: every "
                                   "sub-seed derives from the root seed; set that")
-            known = {f.name for f in fields(dc_type)}
-            unknown = set(section) - known
+            unknown = set(section) - {f.name for f in fields(dc_type)}
             if unknown:
                 raise LlrsegError(f"unknown config keys in {where}: {sorted(unknown)}")
-            kwargs = dict(section)
-            for key in ("count_range", "splits"):
-                if key in kwargs:
-                    kwargs[key] = tuple(kwargs[key])
-            return dc_type(**kwargs)
+            defaults = dc_type()
+            for key, value in section.items():
+                _check_fits(f"{where}.{key}", value, getattr(defaults, key))
+            try:
+                return dc_type(**{key: tuple(value) if isinstance(value, list) else value
+                                  for key, value in section.items()})
+            except ValueError as exc:
+                raise LlrsegError(f"config section {where}: {exc}") from None
 
-        known = {f.name for f in fields(cls)}
-        unknown = set(raw) - known
+        if not isinstance(raw, dict):
+            raise LlrsegError(f"a run configuration is an object, not {raw!r}")
+        unknown = set(raw) - {f.name for f in fields(cls)}
         if unknown:
             raise LlrsegError(f"unknown top-level config keys: {sorted(unknown)}")
+        _check_fits("seed", raw.get("seed", 0), 0)
         cfg = cls(seed=raw.get("seed", 0))
         for f in fields(cls)[1:]:  # the sections; each one's type is its factory
             if f.name in raw:

@@ -5,16 +5,18 @@ Both stages are a `PixelModel`: an MLP applied per pixel and a head that is
 either a linear layer (discriminative) or one diagonal GMM per class
 (generative, class log densities used directly as logits). Both heads expose
 the same surface (logits, logits with a backward, tensors to and from a
-bundle), so the model, `fit` and the bundle loaders handle them alike. The
-stage-1 decoder is a 2-layer MLP.
+bundle), so the model, `fit` and the bundle loaders handle them alike; the
+MLP and the model share its tensors half. The stage-1 decoder is a 2-layer
+MLP.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from .datamodel import (
+    IGNORE,
     FeatureMap,
     LabelMap,
     ModelBundle,
@@ -31,11 +33,7 @@ from .neuralcore import (
     make_mlp,
     mlp_backward,
     mlp_forward,
-    mlp_from_tensors,
-    mlp_grads_dict,
-    mlp_params,
     optimizer_step,
-    set_mlp_params,
     softmax_cross_entropy,
     xavier_dense,
 )
@@ -44,12 +42,6 @@ GENERATIVE = "generative"
 DISCRIMINATIVE = "discriminative"
 
 HEAD_TYPES = {DISCRIMINATIVE: DenseLayer, GENERATIVE: GmmHead}
-# bundle name prefix of the stage-1 head tensors
-STAGE1_HEAD_PREFIX = {DISCRIMINATIVE: "head", GENERATIVE: "gmm"}
-
-
-def prefixed(prefix: str, tensors: dict) -> dict:
-    return {f"{prefix}.{name}": t for name, t in tensors.items()}
 
 
 def unprefixed(prefix: str, tensors: dict) -> dict:
@@ -70,38 +62,46 @@ def _batches(order: np.ndarray, size: int) -> list[np.ndarray]:
     return [order[start:start + size] for start in range(0, len(order), size)]
 
 
-def fit(net: Mlp, head, x, y, loss, rng: np.random.Generator, cfg):
-    """The training loop of every net that trains (a discriminative stage 1
-    and both stage-2 kinds): seeded shuffles, minibatch Adam (cfg.lr,
-    .epochs, .batch_size) on `net` and `head`, both rebuilt from the
-    parameters after every step, and one `refresh_head` of a GMM head per
-    epoch on net(x). `loss(head, z, idx)` returns (loss, d_z, head
-    gradients) for the net output z of rows idx; a head tensor without a
-    gradient keeps its value.
+def model_tensors(net: dict, head: dict, names: tuple[str, str] = ("net", "head")) -> dict:
+    """A net's and a head's tensors, or gradients, named as a model's:
+    `{names[0]}.{name}` and `{names[1]}.{name}`."""
+    return {f"{prefix}.{name}": t for prefix, part in zip(names, (net, head))
+            for name, t in part.items()}
 
-    Returns (head, mean batch loss of each epoch, EM counters).
+
+def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
+    """The training loop of every net that trains (a discriminative stage 1
+    and both stage-2 kinds): seeded shuffles, minibatch Adam (cfg.lr, .epochs,
+    .batch_size) on one dict of `model.tensors()`, the model rebuilt from it
+    after every step, and one `refresh_head` of a GMM head per epoch on net(x).
+    `loss(head, z, idx)` returns (loss, d_z, head gradients) for the net
+    output z of rows idx; a head tensor without a gradient keeps its value.
+    The `model` passed in is left unchanged.
+
+    Returns (trained model, mean batch loss of each epoch, EM counters).
     """
-    params = {**mlp_params(net, "net"), **prefixed("head", head.tensors())}
+    params = model.tensors()
     opt = OptimizerState(lr=cfg.lr)
     counters, loss_history = {}, []
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])
         losses = []
         for idx in _batches(order, cfg.batch_size):
-            z, tape = mlp_forward(net, x[idx])
-            value, d_z, head_grads = loss(head, z, idx)
-            net_grads, _ = mlp_backward(net, tape, d_z)
-            grads = {**mlp_grads_dict(net_grads, "net"), **prefixed("head", head_grads)}
+            # z and tape stay bound until the next forward: freed before it, malloc
+            # trims the heap and each step page-faults anew (stage 1 ~20% slower)
+            z, tape = mlp_forward(model.net, x[idx])
+            value, d_z, head_grads = loss(model.head, z, idx)
+            net_grads, _ = mlp_backward(model.net, tape, d_z)
+            grads = model_tensors(net_grads, head_grads)
             opt, params = optimizer_step(opt, params, grads)
-            set_mlp_params(net, "net", params)
-            head = type(head).from_tensors(unprefixed("head", params))
+            model = model.with_tensors(params)
             losses.append(value)
         loss_history.append(sum(losses) / max(1, len(losses)))
-        if isinstance(head, GmmHead):
-            z, _ = mlp_forward(net, x)
-            head = refresh_head(head, z, y, rng, cfg, counters)
-            params.update(prefixed("head", head.tensors()))
-    return head, loss_history, counters
+        if isinstance(model.head, GmmHead):
+            z, _ = mlp_forward(model.net, x)
+            model = replace(model, head=refresh_head(model.head, z, y, rng, cfg, counters))
+            params = model.tensors()
+    return model, loss_history, counters
 
 
 @dataclass
@@ -125,9 +125,11 @@ class PixelModel:
     """A per-pixel MLP and a head over its output: the stage-1 decoder and
     class head, or the stage-2 projection and inlier/outlier head. The head
     is a DenseLayer (discriminative) or a GmmHead (generative); its out_dim
-    is the class count. The stage-1 model of a stage-2 bundle is frozen."""
+    is the class count. The stage-1 model of a stage-2 bundle is frozen.
+    `with_tensors` rebuilds the model, activations, head type and `frozen`
+    flag kept, over tensors named as `tensors()` names them."""
     net: Mlp
-    head: object
+    head: DenseLayer | GmmHead
     frozen: bool = False
 
     def __post_init__(self):
@@ -138,9 +140,16 @@ class PixelModel:
             raise DimMismatch(f"head takes {self.head.in_dim} channels, "
                               f"the MLP gives {self.net.out_dim}")
 
+    def tensors(self, names: tuple[str, str] = ("net", "head")) -> dict:
+        return model_tensors(self.net.tensors(), self.head.tensors(), names)
+
+    def with_tensors(self, tensors: dict) -> "PixelModel":
+        net = Mlp.from_tensors(unprefixed("net", tensors), self.net.activations)
+        head = type(self.head).from_tensors(unprefixed("head", tensors))
+        return PixelModel(net=net, head=head, frozen=self.frozen)
+
     def parameter_count(self) -> int:
-        return (self.net.parameter_count()
-                + sum(t.size for t in self.head.tensors().values()))
+        return sum(t.size for t in self.tensors().values())
 
     def logits(self, f: FeatureMap) -> np.ndarray:
         """Head logits [H*W, classes] of the pixels in row-major order."""
@@ -210,7 +219,7 @@ def _gather_pixels(dataset, indices, num_classes):
         validate_pair(f, l, num_classes)
         px = f.pixels()
         lab = l.labels.ravel()
-        keep = lab != 255
+        keep = lab != IGNORE
         feats.append(px[keep])
         labels.append(lab[keep].astype(np.int64))
     return np.concatenate(feats, axis=0), np.concatenate(labels)
@@ -258,6 +267,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
                       for idx in _batches(order, config.batch_size)]
             loss_history.append(sum(losses) / max(1, len(losses)))
             head = refresh_head(head, decoded, y, rng, config, counters)
+        model = PixelModel(net=decoder, head=head)
     else:
         def cross_entropy(head, decoded, idx):
             logits, head_backward = head.logits_with_grad(decoded)
@@ -266,9 +276,8 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
             return value, d_decoded, head_grads
 
         head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
-        head, loss_history, counters = fit(decoder, head, x, y, cross_entropy,
-                                           rng, config)
-    model = PixelModel(net=decoder, head=head)
+        model, loss_history, counters = fit(PixelModel(net=decoder, head=head), x, y,
+                                            cross_entropy, rng, config)
     # the mIoU of the stored (float32) model, reproducible bit-exactly on reload
     stored = inlier_from_bundle(bundle_from_inlier(model, config, None))
     bundle = bundle_from_inlier(
@@ -293,14 +302,17 @@ def manifest_fields(model: PixelModel) -> tuple[str, list[str]]:
     """What a bundle manifest records of a model: its head kind and its
     MLP's activations. The tensors record the rest."""
     head_kind = GENERATIVE if isinstance(model.head, GmmHead) else DISCRIMINATIVE
-    return head_kind, [l.activation for l in model.net.layers]
+    return head_kind, model.net.activations
+
+
+def stage1_names(head_kind: str) -> tuple[str, str]:
+    """The bundle name prefixes of a stage-1 model's decoder and head."""
+    return "decoder", {DISCRIMINATIVE: "head", GENERATIVE: "gmm"}[head_kind]
 
 
 def bundle_from_inlier(model: PixelModel, config: InlierConfig,
                        miou_value: float | None) -> ModelBundle:
     head_kind, activations = manifest_fields(model)
-    tensors = {**mlp_params(model.net, "decoder"),
-               **prefixed(STAGE1_HEAD_PREFIX[head_kind], model.head.tensors())}
     manifest = {
         "stage": "inlier",
         "head_kind": head_kind,
@@ -308,30 +320,41 @@ def bundle_from_inlier(model: PixelModel, config: InlierConfig,
         "config": asdict(config),
         "heldout_miou": miou_value,
     }
-    return ModelBundle(manifest=manifest, tensors=tensors)
+    return ModelBundle(manifest=manifest, tensors=model.tensors(stage1_names(head_kind)))
+
+
+def model_parts(bundle: ModelBundle, what: str, names, head_kind_key: str,
+                activations_key: str) -> tuple[Mlp, DenseLayer | GmmHead]:
+    """The MLP and head of a bundle's model: head kind and activations under
+    the manifest keys given, tensors prefixed by `names(head kind)`. A bad
+    entry raises BadBundle; GMM tensors of unequal shapes raise DimMismatch."""
+    man = bundle.manifest
+    try:
+        head_kind = man[head_kind_key]
+        net, head = names(head_kind)
+        return (Mlp.from_tensors(unprefixed(net, bundle.tensors), man[activations_key]),
+                HEAD_TYPES[head_kind].from_tensors(unprefixed(head, bundle.tensors)))
+    except KeyError as exc:
+        raise BadBundle(f"{what} model: bundle entry {exc.args[0]!r} "
+                        "missing or unknown") from None
+    except (TypeError, ValueError) as exc:
+        raise BadBundle(f"{what} model: {exc}") from None
 
 
 def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
     """The stage-1 model of a stage-1 or stage-2 bundle (frozen in the
     latter). A malformed bundle raises BadBundle, or DimMismatch where its
     tensors do not fit each other."""
-    man = bundle.manifest
-    try:
-        if man["stage"] not in ("inlier", "uem"):
-            raise LlrsegError(f"unexpected bundle stage {man['stage']!r}")
-        head_kind = man["inlier_head_kind"] if man["stage"] == "uem" else man["head_kind"]
-        decoder = mlp_from_tensors(bundle.tensors, "decoder", man["decoder_activations"])
-        head = HEAD_TYPES[head_kind].from_tensors(
-            unprefixed(STAGE1_HEAD_PREFIX[head_kind], bundle.tensors))
-    except KeyError as exc:
-        raise BadBundle(f"stage-1 model: bundle entry {exc.args[0]!r} "
-                        "missing or unknown") from None
-    except (TypeError, ValueError) as exc:
-        raise BadBundle(f"stage-1 model: {exc}") from None
-    return PixelModel(net=decoder, head=head, frozen=man["stage"] == "uem")
+    stage = bundle.manifest.get("stage")
+    if stage not in ("inlier", "uem"):
+        raise BadBundle(f"stage-1 model: unexpected bundle stage {stage!r}")
+    decoder, head = model_parts(bundle, "stage-1", stage1_names,
+                                "inlier_head_kind" if stage == "uem" else "head_kind",
+                                "decoder_activations")
+    return PixelModel(net=decoder, head=head, frozen=stage == "uem")
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:
     """Names of every stage-1 (theta) tensor in a bundle."""
-    return [n for n in bundle.tensors
-            if n.startswith(("decoder.", "head.", "gmm."))]
+    prefixes = tuple(f"{p}." for kind in HEAD_TYPES for p in stage1_names(kind))
+    return [n for n in bundle.tensors if n.startswith(prefixes)]

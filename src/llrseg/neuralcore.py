@@ -56,19 +56,17 @@ def _d_pre(name: str, pre: np.ndarray, gate: np.ndarray | None,
     raise ValueError(f"unknown activation {name!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # [out, in]
     bias: np.ndarray    # [out]
     activation: str = "identity"
 
     def __post_init__(self):
-        self.weight = np.asarray(self.weight, dtype=np.float64)
-        self.bias = np.asarray(self.bias, dtype=np.float64)
+        object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
+        object.__setattr__(self, "bias", np.asarray(self.bias, dtype=np.float64))
         if self.weight.ndim != 2 or self.bias.shape != (self.weight.shape[0],):
-            raise ValueError(
-                f"bad dense shapes W={self.weight.shape}, b={self.bias.shape}"
-            )
+            raise ValueError(f"bad dense shapes W={self.weight.shape}, b={self.bias.shape}")
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("non-finite layer parameters")
         if self.activation not in ACTIVATIONS:
@@ -103,11 +101,12 @@ class DenseLayer:
         return cls(weight=tensors["weight"], bias=tensors["bias"])
 
 
-@dataclass
+@dataclass(frozen=True)
 class Mlp:
-    layers: list[DenseLayer]
+    layers: tuple[DenseLayer, ...]
 
     def __post_init__(self):
+        object.__setattr__(self, "layers", tuple(self.layers))
         if not self.layers:
             raise ValueError("an MLP needs at least one layer")
         for a, b in zip(self.layers, self.layers[1:]):
@@ -122,8 +121,21 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    def parameter_count(self) -> int:
-        return sum(l.weight.size + l.bias.size for l in self.layers)
+    @property
+    def activations(self) -> list[str]:
+        return [layer.activation for layer in self.layers]
+
+    def tensors(self) -> dict[str, np.ndarray]:
+        """Layer i's weight and bias as `{i}.weight` and `{i}.bias`."""
+        return {f"{i}.{name}": t for i, layer in enumerate(self.layers)
+                for name, t in layer.tensors().items()}
+
+    @classmethod
+    def from_tensors(cls, tensors: dict, activations: list) -> "Mlp":
+        """The inverse of `tensors`, activations[i] for layer i. A missing
+        tensor raises KeyError; bad shapes or activations raise ValueError."""
+        return cls([DenseLayer(tensors[f"{i}.weight"], tensors[f"{i}.bias"], activation)
+                    for i, activation in enumerate(activations)])
 
 
 def xavier_dense(in_dim: int, out_dim: int, activation: str,
@@ -169,8 +181,8 @@ def mlp_forward(m: Mlp, x: np.ndarray) -> tuple[np.ndarray, Tape]:
 
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
-    """Exact reverse pass. Returns (grads, d_x) with grads a list of
-    (dW, db) matching the layer order."""
+    """Exact reverse pass. Returns (grads, d_x) with grads keyed like
+    `m.tensors()`."""
     if ([(p.shape[1], x.shape[1]) for p, x in zip(tape.pre_activations, tape.inputs)]
             != [l.weight.shape for l in m.layers]
             or [g is not None for g in tape.gates]
@@ -179,46 +191,15 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (tape.inputs[0].shape[0], m.out_dim):
         raise StaleTape(f"upstream gradient shape {d_out.shape} mismatch")
-    grads = [None] * len(m.layers)
+    grads = {}
     d = d_out
     for i in reversed(range(len(m.layers))):
         layer = m.layers[i]
         d_pre = _d_pre(layer.activation, tape.pre_activations[i], tape.gates[i], d)
-        grads[i] = (d_pre.T @ tape.inputs[i], d_pre.sum(axis=0))
+        grads[f"{i}.weight"] = d_pre.T @ tape.inputs[i]
+        grads[f"{i}.bias"] = d_pre.sum(axis=0)
         d = d_pre @ layer.weight
     return grads, d
-
-
-def mlp_params(m: Mlp, prefix: str) -> dict[str, np.ndarray]:
-    out = {}
-    for i, layer in enumerate(m.layers):
-        out[f"{prefix}.{i}.weight"] = layer.weight
-        out[f"{prefix}.{i}.bias"] = layer.bias
-    return out
-
-
-def mlp_from_tensors(tensors: dict, prefix: str, activations: list) -> Mlp:
-    """The inverse of mlp_params: layer i is `{prefix}.{i}.weight`/`.bias`
-    with activations[i]. A missing tensor raises KeyError; shapes that do not
-    fit or chain, or an unknown activation, raise ValueError."""
-    return Mlp(layers=[DenseLayer(weight=tensors[f"{prefix}.{i}.weight"],
-                                  bias=tensors[f"{prefix}.{i}.bias"],
-                                  activation=activation)
-                       for i, activation in enumerate(activations)])
-
-
-def set_mlp_params(m: Mlp, prefix: str, params: dict[str, np.ndarray]) -> None:
-    for i, layer in enumerate(m.layers):
-        layer.weight = np.asarray(params[f"{prefix}.{i}.weight"], dtype=np.float64)
-        layer.bias = np.asarray(params[f"{prefix}.{i}.bias"], dtype=np.float64)
-
-
-def mlp_grads_dict(grads, prefix: str) -> dict[str, np.ndarray]:
-    out = {}
-    for i, (dw, db) in enumerate(grads):
-        out[f"{prefix}.{i}.weight"] = dw
-        out[f"{prefix}.{i}.bias"] = db
-    return out
 
 
 # ---------------------------------------------------------------------------

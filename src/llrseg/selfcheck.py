@@ -19,9 +19,8 @@ from .inlier import (
 )
 from .inference import score_image, tile_plan
 from .metrics import ScoredPixels, auroc, average_precision, fpr_at_tpr
-from .neuralcore import grad_check, make_mlp, mlp_forward, mlp_backward, \
-    mlp_grads_dict, mlp_params, set_mlp_params, sigmoid_bce_with_logits, \
-    xavier_dense
+from .neuralcore import Mlp, grad_check, make_mlp, mlp_forward, mlp_backward, \
+    sigmoid_bce_with_logits, xavier_dense
 from .uem import (
     LlrConfig,
     build_uem,
@@ -30,11 +29,9 @@ from .uem import (
     llr_score_discriminative,
     llr_score_generative,
     ood_score,
-    set_uem_params,
     train_uem,
     uem_forward,
     uem_from_bundle,
-    uem_params,
 )
 
 
@@ -117,10 +114,9 @@ def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
     u, inlier_model, f, omap, cfg = _tiny_setup(uem_kind, seed)
 
     def fn(params):
-        set_uem_params(u, params)
-        return llr_loss(u, inlier_model, f, omap, cfg)
+        return llr_loss(u.with_tensors(params), inlier_model, f, omap, cfg)
 
-    return grad_check(fn, {k: v.copy() for k, v in uem_params(u).items()},
+    return grad_check(fn, {k: v.copy() for k, v in u.tensors().items()},
                       h=h, max_coords=max_coords, seed=seed)
 
 
@@ -137,14 +133,13 @@ def check_mlp_bce_gradient(seed: int = 0, tol: float = 1e-4) -> tuple[bool, str]
     t = rng.integers(0, 2, 12)
 
     def fn(params):
-        set_mlp_params(m, "mlp", params)
-        out, tape = mlp_forward(m, x)
+        net = Mlp.from_tensors(params, m.activations)
+        out, tape = mlp_forward(net, x)
         loss, dz = sigmoid_bce_with_logits(out[:, 0], t)
-        grads, _ = mlp_backward(m, tape, dz[:, None])
-        return loss, mlp_grads_dict(grads, "mlp")
+        grads, _ = mlp_backward(net, tape, dz[:, None])
+        return loss, grads
 
-    err = grad_check(fn, {k: v.copy() for k, v in mlp_params(m, "mlp").items()},
-                     seed=seed)
+    err = grad_check(fn, {k: v.copy() for k, v in m.tensors().items()}, seed=seed)
     return err < tol, f"max relative error = {err:.3e}"
 
 

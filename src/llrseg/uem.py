@@ -41,18 +41,14 @@ from .inlier import (
     inlier_from_bundle,
     manifest_fields,
     max_inlier_logit,
-    prefixed,
+    model_parts,
+    model_tensors,
     stage1_tensor_names,
-    unprefixed,
 )
 from .neuralcore import (
     make_mlp,
     mlp_backward,
     mlp_forward,
-    mlp_from_tensors,
-    mlp_grads_dict,
-    mlp_params,
-    set_mlp_params,
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
     xavier_dense,
@@ -60,6 +56,8 @@ from .neuralcore import (
 
 INLIER_CLASS = 0
 OUTLIER_CLASS = 1
+# bundle name prefixes of the UEM's projection and head
+UEM_NAMES = ("uem.proj", "uem.head")
 
 
 def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
@@ -145,16 +143,6 @@ class LlrConfig:
             raise ValueError("alpha and beta must be non-negative")
 
 
-def uem_params(u: PixelModel) -> dict[str, np.ndarray]:
-    return {**mlp_params(u.net, "uem.proj"),
-            **prefixed("uem.head", u.head.tensors())}
-
-
-def set_uem_params(u: PixelModel, params: dict[str, np.ndarray]) -> None:
-    set_mlp_params(u.net, "uem.proj", params)
-    u.head = type(u.head).from_tensors(unprefixed("uem.head", params))
-
-
 def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
                     targets: np.ndarray, cfg: LlrConfig):
     """The LLR loss of the head over projected pixels.
@@ -217,11 +205,8 @@ def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
 
 def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
-    """LLR training loss and gradients over the phi tensors only.
-
-    The inlier model must be flagged frozen; no theta tensor ever appears
-    in the returned gradient record.
-    """
+    """LLR training loss and its gradients, keyed like `u.tensors()`: over
+    the phi tensors only. The inlier model must be flagged frozen."""
     if not inlier_model.frozen:
         raise FreezeViolation("stage-1 model must be frozen before UEM training")
     if (f.height, f.width) != (outliers.height, outliers.width):
@@ -231,8 +216,7 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
     loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
                                             outliers.labels.ravel(), cfg)
     proj_grads, _ = mlp_backward(u.net, tape, d_z)
-    return loss, {**prefixed("uem.head", head_grads),
-                  **mlp_grads_dict(proj_grads, "uem.proj")}
+    return loss, model_tensors(proj_grads, head_grads)
 
 
 # ---------------------------------------------------------------------------
@@ -288,9 +272,8 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         z0, _ = mlp_forward(u.net, x)
         u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
 
-    u.head, loss_history, counters = fit(
-        u.net, u.head, x, y,
-        lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
+    u, loss_history, counters = fit(
+        u, x, y, lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
         rng, cfg)
 
     final_digests = {name: tensor_digest(stage1.tensors[name])
@@ -311,7 +294,7 @@ def bundle_from_uem(u: PixelModel, inlier_model: PixelModel, stage1: ModelBundle
                     cfg: LlrConfig, frozen_digests: dict) -> ModelBundle:
     """UEM `u` with the tensors of `stage1`, whose model is `inlier_model`."""
     tensors = {**{name: stage1.tensors[name] for name in stage1_tensor_names(stage1)},
-               **uem_params(u)}
+               **u.tensors(UEM_NAMES)}
     head_kind, proj_activations = manifest_fields(u)
     inlier_head_kind, decoder_activations = manifest_fields(inlier_model)
     manifest = {
@@ -331,18 +314,10 @@ def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
     """The UEM of a stage-2 bundle: a 3-layer projection and a 2-class head.
     A malformed bundle raises BadBundle, or DimMismatch where its tensors do
     not fit each other or the head is not 2-class."""
-    man = bundle.manifest
-    if man.get("stage") != "uem":
+    if bundle.manifest.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
-    try:
-        projection = mlp_from_tensors(bundle.tensors, "uem.proj", man["proj_activations"])
-        head = HEAD_TYPES[man["head_kind"]].from_tensors(
-            unprefixed("uem.head", bundle.tensors))
-    except KeyError as exc:
-        raise BadBundle(f"stage-2 model: bundle entry {exc.args[0]!r} "
-                        "missing or unknown") from None
-    except (TypeError, ValueError) as exc:
-        raise BadBundle(f"stage-2 model: {exc}") from None
+    projection, head = model_parts(bundle, "stage-2", lambda head_kind: UEM_NAMES,
+                                   "head_kind", "proj_activations")
     if len(projection.layers) != 3:
         raise BadBundle("stage-2 model: the projection has "
                         f"{len(projection.layers)} layers, not 3")

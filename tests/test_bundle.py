@@ -153,6 +153,20 @@ class TestRoundTrip:
         assert manifest["inlier_head_kind"] == kind
         assert manifest["proj_activations"] == ["gelu", "gelu", "identity"]
 
+    @pytest.mark.parametrize("kind, head", [
+        (DISCRIMINATIVE, ["bias", "weight"]), (GENERATIVE, ["means", "vars"])])
+    def test_tensor_names(self, kind, head):
+        """The layout every saved bundle has: a rename must show here."""
+        stage1, stage2 = make_bundles(kind, 3, 2, 4)
+        decoder = ["decoder.0.bias", "decoder.0.weight",
+                   "decoder.1.bias", "decoder.1.weight"]
+        stage1_head = "gmm" if kind == GENERATIVE else "head"
+        want1 = decoder + [f"{stage1_head}.{name}" for name in head]
+        assert sorted(stage1.tensors) == want1
+        assert sorted(stage2.tensors) == want1 + [f"uem.head.{name}" for name in head] + [
+            "uem.proj.0.bias", "uem.proj.0.weight", "uem.proj.1.bias",
+            "uem.proj.1.weight", "uem.proj.2.bias", "uem.proj.2.weight"]
+
     @settings(max_examples=10, deadline=None)
     @given(**SHAPES)
     def test_gmm_heads_are_two_packed_tensors(self, k, c, d):

@@ -211,6 +211,34 @@ class TestPipeline:
         assert "window must be >= 1" in capsys.readouterr().err
         assert not list(out.glob("*.smap"))
 
+    @pytest.mark.parametrize("command, section, value", [
+        ("score", {"inference": {"window": "8"}}, "'8'"),
+        ("score", {"inference": {"window": [8]}}, "[8]"),
+        ("train-inlier", {"inlier": {"epochs": "2"}}, "'2'"),
+        ("train-uem", {"uem": {"epochs": 2.5}}, "2.5"),
+        ("synth", {"dataset": {"splits": [1, 1]}}, "[1, 1]"),
+    ])
+    def test_config_value_of_wrong_type_exits_1(self, pipeline_dirs, tmp_path, capsys,
+                                                command, section, value):
+        d = pipeline_dirs
+        (name, override), = section.items()
+        (key, _), = override.items()
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, name: {**SMALL_RUN[name], **override}}))
+        inputs = {"synth": [],
+                  "train-inlier": ["--dataset", str(d["data"])],
+                  "train-uem": ["--dataset", str(d["data"]),
+                                "--stage1", str(d["s1"] / "stage1")],
+                  "score": ["--stage2", str(d["s2"] / "stage2"),
+                            str(d["eval_scene"] / "features.fmap")]}
+        out = tmp_path / "o"
+        code = main([command, "--config", str(cfg), "--out", str(out), *inputs[command]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert f"error: LlrsegError: config key {name}.{key} must be" in err
+        assert err.rstrip().endswith(f"not {value}")
+        assert not out.exists()
+
     def test_score_rejects_resigned_stage1_tensor(self, pipeline_dirs, tmp_path, capsys):
         from llrseg.datamodel import ModelBundle
 

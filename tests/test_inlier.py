@@ -15,6 +15,7 @@ from llrseg.inlier import (
     InlierConfig,
     PixelModel,
     bundle_from_inlier,
+    fit,
     holdout_split,
     id_score,
     inlier_from_bundle,
@@ -28,7 +29,6 @@ from llrseg.neuralcore import (
     Mlp,
     make_mlp,
     mlp_forward,
-    mlp_params,
     softmax_cross_entropy,
     xavier_dense,
 )
@@ -44,8 +44,8 @@ class TestLogits:
     def test_zero_discriminative_head(self):
         rng = np.random.default_rng(0)
         m = make_disc_model(rng)
-        m.head.weight = np.zeros_like(m.head.weight)
-        m.head.bias = np.zeros_like(m.head.bias)
+        m.head = replace(m.head, weight=np.zeros_like(m.head.weight),
+                         bias=np.zeros_like(m.head.bias))
         f = FeatureMap(rng.normal(0, 1, (4, 5, 5)))
         assert np.all(inlier_logits(m, f) == 0.0)
 
@@ -119,7 +119,7 @@ class TestMaxLogitAndIdScore:
         m = make_disc_model(rng)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
         base = max_inlier_logit(m, f)
-        m.head.bias = m.head.bias + 2.5
+        m.head = replace(m.head, bias=m.head.bias + 2.5)
         assert np.allclose(max_inlier_logit(m, f), base + 2.5, atol=1e-12)
 
     def test_matches_scan_oracle(self):
@@ -139,6 +139,62 @@ class TestMaxLogitAndIdScore:
         mx = max_inlier_logit(m, f).ravel()
         sc = id_score(m, f).scores.ravel()
         assert np.array_equal(np.argsort(sc), np.argsort(-mx))
+
+
+def make_gen_model(rng, c_e=4, c_d=6, k=3, c=2):
+    decoder = make_mlp([c_e, 8, c_d], rng)
+    head = GmmHead(means=rng.normal(0, 1, (k, c, c_d)),
+                   variances=rng.uniform(0.5, 2.0, (k, c, c_d)))
+    return PixelModel(net=decoder, head=head)
+
+
+class TestTensors:
+    @pytest.mark.parametrize("make", [make_disc_model, make_gen_model])
+    def test_with_tensors_round_trip_is_bitwise(self, make):
+        rng = np.random.default_rng(30)
+        m = make(rng)
+        m.frozen = True
+        rebuilt = m.with_tensors(m.tensors())
+        assert type(rebuilt.head) is type(m.head) and rebuilt.frozen
+        assert rebuilt.net.activations == m.net.activations
+        f = FeatureMap(rng.normal(0, 1, (4, 5, 3)))
+        assert inlier_logits(rebuilt, f).tobytes() == inlier_logits(m, f).tobytes()
+
+    def test_names(self):
+        m = make_gen_model(np.random.default_rng(31))
+        assert list(m.tensors()) == ["net.0.weight", "net.0.bias", "net.1.weight",
+                                     "net.1.bias", "head.means", "head.vars"]
+        assert m.parameter_count() == sum(t.size for t in m.tensors().values())
+
+
+class TestFit:
+    CFG = InlierConfig(epochs=2, batch_size=16, lr=1e-2, gmm_components=2,
+                       gmm_max_pixels_per_class=64)
+
+    @staticmethod
+    def cross_entropy(y):
+        def loss(head, z, idx):
+            logits, head_backward = head.logits_with_grad(z)
+            value, d_logits = softmax_cross_entropy(logits, y[idx])
+            d_z, head_grads = head_backward(d_logits)
+            return value, d_z, head_grads
+        return loss
+
+    @pytest.mark.parametrize("make", [make_disc_model, make_gen_model])
+    def test_leaves_its_model_unchanged(self, make):
+        rng = np.random.default_rng(32)
+        m = make(rng)
+        net, head = m.net, m.head
+        before = {name: t.copy() for name, t in m.tensors().items()}
+        x = rng.normal(0, 1, (40, 4))
+        y = rng.integers(0, 3, 40)
+        trained, losses, _ = fit(m, x, y, self.cross_entropy(y), rng, self.CFG)
+        assert m.net is net and m.head is head
+        for name, t in m.tensors().items():
+            assert t.tobytes() == before[name].tobytes(), name
+        assert len(losses) == 2
+        assert all(not np.array_equal(t, before[name])
+                   for name, t in trained.tensors().items())
 
 
 def separable_dataset(seed=0, scenes=3):
@@ -229,14 +285,16 @@ class TestGenerativeStage1:
         return rng, make_mlp([feature_dim, cfg.decoder_hidden, cfg.decoder_dim], rng)
 
     @staticmethod
-    def stored(tensors: dict) -> dict:
-        return {name: np.float32(t).astype(np.float64) for name, t in tensors.items()}
+    def stored(tensors: dict, prefix: str) -> dict:
+        """`tensors` as a bundle stores them, each named `{prefix}.{name}`."""
+        return {f"{prefix}.{name}": np.float32(t).astype(np.float64)
+                for name, t in tensors.items()}
 
     def test_decoder_is_the_seeded_one(self):
         dataset = self.noisy_dataset()
         bundle = train_inlier(dataset, 3, self.CFG).bundle
         _, decoder = self.seeded_decoder(self.CFG, 5)
-        want = self.stored(mlp_params(decoder, "decoder"))
+        want = self.stored(decoder.tensors(), "decoder")
         for name, t in want.items():
             assert bundle.tensors[name].tobytes() == t.tobytes(), name
         for i in range(len(decoder.layers)):
@@ -279,7 +337,7 @@ class TestGenerativeStage1:
             losses.append(sum(batch_losses) / len(batch_losses))
             head = refresh(head, by_class, rng, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters,
                            cfg.gmm_momentum, cfg.gmm_max_pixels_per_class, {})
-        want = self.stored({"gmm.means": head.means, "gmm.vars": head.variances})
+        want = self.stored(head.tensors(), "gmm")
         for name, t in want.items():
             assert result.bundle.tensors[name].tobytes() == t.tobytes(), name
         assert result.loss_history == losses
@@ -289,7 +347,7 @@ class TestGenerativeStage1:
         cfg = replace(self.CFG, head_kind=DISCRIMINATIVE)
         bundle = train_inlier(self.noisy_dataset(), 3, cfg).bundle
         _, decoder = self.seeded_decoder(cfg, 5)
-        for name, t in self.stored(mlp_params(decoder, "decoder")).items():
+        for name, t in self.stored(decoder.tensors(), "decoder").items():
             assert not np.array_equal(bundle.tensors[name], t), name
 
 

@@ -1,4 +1,6 @@
 """Dense layers, losses, Adam, and the gradient checker."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -18,10 +20,7 @@ from llrseg.neuralcore import (
     make_mlp,
     mlp_backward,
     mlp_forward,
-    mlp_grads_dict,
-    mlp_params,
     optimizer_step,
-    set_mlp_params,
     sigmoid_bce_with_logits,
     softmax_cross_entropy,
     xavier_dense,
@@ -60,6 +59,35 @@ class TestForward:
         assert np.array_equal(a, b)
 
 
+class TestTensors:
+    def test_names_and_round_trip(self):
+        rng = np.random.default_rng(14)
+        m = make_mlp([4, 6, 5, 3], rng, final_activation="relu")
+        tensors = m.tensors()
+        assert list(tensors) == ["0.weight", "0.bias", "1.weight", "1.bias",
+                                 "2.weight", "2.bias"]
+        rebuilt = Mlp.from_tensors(tensors, m.activations)
+        assert rebuilt.activations == ["gelu", "gelu", "relu"]
+        x = rng.normal(0, 1, (7, 4))
+        assert mlp_forward(rebuilt, x)[0].tobytes() == mlp_forward(m, x)[0].tobytes()
+
+    def test_missing_tensor_is_a_key_error(self):
+        m = make_mlp([3, 4, 2], np.random.default_rng(15))
+        tensors = m.tensors()
+        del tensors["1.bias"]
+        with pytest.raises(KeyError, match="1.bias"):
+            Mlp.from_tensors(tensors, m.activations)
+
+    def test_fields_cannot_be_assigned(self):
+        m = make_mlp([3, 4, 2], np.random.default_rng(16))
+        layer = m.layers[0]
+        for field in ("weight", "bias", "activation"):
+            with pytest.raises(dataclasses.FrozenInstanceError):
+                setattr(layer, field, getattr(layer, field))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            m.layers = m.layers[:1]
+
+
 class TestBackward:
     def test_zero_upstream_gives_zero_grads(self):
         rng = np.random.default_rng(3)
@@ -68,8 +96,9 @@ class TestBackward:
         _, tape = mlp_forward(m, x)
         grads, dx = mlp_backward(m, tape, np.zeros((6, 2)))
         assert np.all(dx == 0)
-        for dw, db in grads:
-            assert np.all(dw == 0) and np.all(db == 0)
+        assert set(grads) == set(m.tensors())
+        for g in grads.values():
+            assert np.all(g == 0)
 
     def test_linear_sum_loss_closed_form(self):
         m = Mlp([DenseLayer(weight=np.ones((2, 3)), bias=np.zeros(2))])
@@ -77,7 +106,7 @@ class TestBackward:
         x = rng.normal(0, 1, (5, 3))
         _, tape = mlp_forward(m, x)
         grads, _ = mlp_backward(m, tape, np.ones((5, 2)))
-        dw, db = grads[0]
+        dw, db = grads["0.weight"], grads["0.bias"]
         assert np.allclose(dw, np.tile(x.sum(axis=0), (2, 1)), atol=1e-12)
         assert np.allclose(db, 5.0, atol=1e-12)
 
@@ -88,12 +117,12 @@ class TestBackward:
         coeff = rng.normal(0, 1, (8, 2))
 
         def fn(params):
-            set_mlp_params(m, "mlp", params)
-            y, tape = mlp_forward(m, x)
-            grads, _ = mlp_backward(m, tape, coeff)
-            return float((y * coeff).sum()), mlp_grads_dict(grads, "mlp")
+            net = Mlp.from_tensors(params, m.activations)
+            y, tape = mlp_forward(net, x)
+            grads, _ = mlp_backward(net, tape, coeff)
+            return float((y * coeff).sum()), grads
 
-        params = {k: v.copy() for k, v in mlp_params(m, "mlp").items()}
+        params = {k: v.copy() for k, v in m.tensors().items()}
         assert grad_check(fn, params, seed=0) < 1e-6
 
     def test_stale_tape_rejected(self):
@@ -151,9 +180,9 @@ class TestGeluTape:
         rng = np.random.default_rng(12)
         m = make_mlp([3, 4, 2], rng)
         _, tape = mlp_forward(m, rng.normal(0, 1, (4, 3)))
-        m.layers[0].activation = "relu"
+        relu = Mlp.from_tensors(m.tensors(), ["relu", "identity"])
         with pytest.raises(StaleTape):
-            mlp_backward(m, tape, np.zeros((4, 2)))
+            mlp_backward(relu, tape, np.zeros((4, 2)))
 
 
 class TestSoftmaxCrossEntropy:
@@ -283,11 +312,11 @@ class TestGradCheck:
         t = rng.integers(0, 2, 12)
 
         def fn(params):
-            set_mlp_params(m, "mlp", params)
-            out, tape = mlp_forward(m, x)
+            net = Mlp.from_tensors(params, m.activations)
+            out, tape = mlp_forward(net, x)
             loss, dz = sigmoid_bce_with_logits(out[:, 0], t)
-            grads, _ = mlp_backward(m, tape, dz[:, None])
-            return loss, mlp_grads_dict(grads, "mlp")
+            grads, _ = mlp_backward(net, tape, dz[:, None])
+            return loss, grads
 
-        params = {k: v.copy() for k, v in mlp_params(m, "mlp").items()}
+        params = {k: v.copy() for k, v in m.tensors().items()}
         assert grad_check(fn, params, seed=1) < 1e-4

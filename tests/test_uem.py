@@ -1,4 +1,6 @@
 """UEM forward, the three-term ratio score, its loss, and stage-2 training."""
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -31,7 +33,6 @@ from llrseg.uem import (
     train_uem,
     uem_forward,
     uem_from_bundle,
-    uem_params,
     verify_freeze,
 )
 from llrseg.selfcheck import llr_grad_error
@@ -43,8 +44,8 @@ class TestUemForward:
     def test_zero_discriminative_head(self):
         rng = np.random.default_rng(2)
         u = build_uem(4, 6, 5, DISCRIMINATIVE, 2, rng)
-        u.head.weight = np.zeros_like(u.head.weight)
-        u.head.bias = np.zeros_like(u.head.bias)
+        u.head = replace(u.head, weight=np.zeros_like(u.head.weight),
+                         bias=np.zeros_like(u.head.bias))
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
         log_in, log_out = uem_forward(u, f)
         assert np.all(log_in == 0.0) and np.all(log_out == 0.0)
@@ -147,11 +148,11 @@ class TestLlrLoss:
         rng = np.random.default_rng(10)
         inlier = frozen_inlier(rng)
         # zero head and zero inlier parameters make the ratio identically 0
-        inlier.head.weight = np.zeros_like(inlier.head.weight)
-        inlier.head.bias = np.zeros_like(inlier.head.bias)
+        inlier.head = replace(inlier.head, weight=np.zeros_like(inlier.head.weight),
+                              bias=np.zeros_like(inlier.head.bias))
         u = build_uem(5, 6, 5, DISCRIMINATIVE, 2, rng)
-        u.head.weight = np.zeros_like(u.head.weight)
-        u.head.bias = np.zeros_like(u.head.bias)
+        u.head = replace(u.head, weight=np.zeros_like(u.head.weight),
+                         bias=np.zeros_like(u.head.bias))
         f = FeatureMap(rng.normal(0, 1, (5, 4, 4)))
         targets = np.zeros((4, 4), dtype=np.uint8)
         targets[:2] = 1
@@ -181,8 +182,7 @@ class TestLlrLoss:
         omap = BinaryOutlierMap(rng.integers(0, 2, (4, 4)).astype(np.uint8))
         _, grads = llr_loss(u, inlier, f, omap,
                             LlrConfig(head_kind=DISCRIMINATIVE))
-        assert set(grads) == set(uem_params(u))
-        assert all(name.startswith("uem.") for name in grads)
+        assert set(grads) == set(u.tensors())
 
     def test_config_rejects_negative_weights(self):
         with pytest.raises(ValueError):
