@@ -127,7 +127,7 @@ class PixelModel:
     is a DenseLayer (discriminative) or a GmmHead (generative); its out_dim
     is the class count. The stage-1 model of a stage-2 bundle is frozen.
     `with_tensors` rebuilds the model, activations, head type and `frozen`
-    flag kept, over tensors named as `tensors()` names them."""
+    flag kept, over tensors named as `tensors(names)` names them."""
     net: Mlp
     head: DenseLayer | GmmHead
     frozen: bool = False
@@ -143,9 +143,10 @@ class PixelModel:
     def tensors(self, names: tuple[str, str] = ("net", "head")) -> dict:
         return model_tensors(self.net.tensors(), self.head.tensors(), names)
 
-    def with_tensors(self, tensors: dict) -> "PixelModel":
-        net = Mlp.from_tensors(unprefixed("net", tensors), self.net.activations)
-        head = type(self.head).from_tensors(unprefixed("head", tensors))
+    def with_tensors(self, tensors: dict,
+                     names: tuple[str, str] = ("net", "head")) -> "PixelModel":
+        net = Mlp.from_tensors(unprefixed(names[0], tensors), self.net.activations)
+        head = type(self.head).from_tensors(unprefixed(names[1], tensors))
         return PixelModel(net=net, head=head, frozen=self.frozen)
 
     def parameter_count(self) -> int:
@@ -305,9 +306,8 @@ def manifest_fields(model: PixelModel) -> tuple[str, list[str]]:
     return head_kind, model.net.activations
 
 
-def stage1_names(head_kind: str) -> tuple[str, str]:
-    """The bundle name prefixes of a stage-1 model's decoder and head."""
-    return "decoder", {DISCRIMINATIVE: "head", GENERATIVE: "gmm"}[head_kind]
+# bundle name prefixes of a stage-1 model's decoder and head, by head kind
+STAGE1_NAMES = {DISCRIMINATIVE: ("decoder", "head"), GENERATIVE: ("decoder", "gmm")}
 
 
 def bundle_from_inlier(model: PixelModel, config: InlierConfig,
@@ -320,18 +320,19 @@ def bundle_from_inlier(model: PixelModel, config: InlierConfig,
         "config": asdict(config),
         "heldout_miou": miou_value,
     }
-    return ModelBundle(manifest=manifest, tensors=model.tensors(stage1_names(head_kind)))
+    return ModelBundle(manifest=manifest, tensors=model.tensors(STAGE1_NAMES[head_kind]))
 
 
-def model_parts(bundle: ModelBundle, what: str, names, head_kind_key: str,
+def model_parts(bundle: ModelBundle, what: str, names: dict, head_kind_key: str,
                 activations_key: str) -> tuple[Mlp, DenseLayer | GmmHead]:
     """The MLP and head of a bundle's model: head kind and activations under
-    the manifest keys given, tensors prefixed by `names(head kind)`. A bad
-    entry raises BadBundle; GMM tensors of unequal shapes raise DimMismatch."""
+    the manifest keys given, tensors prefixed by the (net, head) pair
+    `names[head kind]`. A bad entry raises BadBundle; GMM tensors of unequal
+    shapes raise DimMismatch."""
     man = bundle.manifest
     try:
         head_kind = man[head_kind_key]
-        net, head = names(head_kind)
+        net, head = names[head_kind]
         return (Mlp.from_tensors(unprefixed(net, bundle.tensors), man[activations_key]),
                 HEAD_TYPES[head_kind].from_tensors(unprefixed(head, bundle.tensors)))
     except KeyError as exc:
@@ -348,7 +349,7 @@ def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
     stage = bundle.manifest.get("stage")
     if stage not in ("inlier", "uem"):
         raise BadBundle(f"stage-1 model: unexpected bundle stage {stage!r}")
-    decoder, head = model_parts(bundle, "stage-1", stage1_names,
+    decoder, head = model_parts(bundle, "stage-1", STAGE1_NAMES,
                                 "inlier_head_kind" if stage == "uem" else "head_kind",
                                 "decoder_activations")
     return PixelModel(net=decoder, head=head, frozen=stage == "uem")
@@ -356,5 +357,5 @@ def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:
     """Names of every stage-1 (theta) tensor in a bundle."""
-    prefixes = tuple(f"{p}." for kind in HEAD_TYPES for p in stage1_names(kind))
+    prefixes = tuple(f"{p}." for pair in STAGE1_NAMES.values() for p in pair)
     return [n for n in bundle.tensors if n.startswith(prefixes)]

@@ -22,6 +22,7 @@ from .metrics import ScoredPixels, auroc, average_precision, fpr_at_tpr
 from .neuralcore import Mlp, grad_check, make_mlp, mlp_forward, mlp_backward, \
     sigmoid_bce_with_logits, xavier_dense
 from .uem import (
+    UEM_NAMES,
     LlrConfig,
     build_uem,
     llr_loss,
@@ -114,9 +115,9 @@ def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
     u, inlier_model, f, omap, cfg = _tiny_setup(uem_kind, seed)
 
     def fn(params):
-        return llr_loss(u.with_tensors(params), inlier_model, f, omap, cfg)
+        return llr_loss(u.with_tensors(params, UEM_NAMES), inlier_model, f, omap, cfg)
 
-    return grad_check(fn, {k: v.copy() for k, v in u.tensors().items()},
+    return grad_check(fn, {k: v.copy() for k, v in u.tensors(UEM_NAMES).items()},
                       h=h, max_coords=max_coords, seed=seed)
 
 

@@ -83,19 +83,12 @@ def uem_forward(u: PixelModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
 # scoring
 # ---------------------------------------------------------------------------
 
-def _three_term_llr(log_p_out, log_p_in, max_logit) -> np.ndarray:
-    if not (log_p_out.shape == log_p_in.shape == max_logit.shape):
-        raise DimMismatch(
-            f"score terms differ in shape: {log_p_out.shape}, "
-            f"{log_p_in.shape}, {max_logit.shape}")
-    return log_p_out - log_p_in - max_logit
-
-
 def llr_score(log_p_out, log_p_in, max_logit) -> ScoreMap:
     """LLR = log p_out - log p_in - max_k F_k, exact per-pixel subtraction."""
-    return ScoreMap(_three_term_llr(np.asarray(log_p_out, dtype=np.float64),
-                                    np.asarray(log_p_in, dtype=np.float64),
-                                    np.asarray(max_logit, dtype=np.float64)))
+    out, inl, mx = (np.asarray(t, dtype=np.float64) for t in (log_p_out, log_p_in, max_logit))
+    if not (out.shape == inl.shape == mx.shape):
+        raise DimMismatch(f"score terms differ in shape: {out.shape}, {inl.shape}, {mx.shape}")
+    return ScoreMap(out - inl - mx)
 
 
 def llr_score_generative(log_p_out, log_p_in, max_log_density) -> ScoreMap:
@@ -205,8 +198,9 @@ def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
 
 def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
-    """LLR training loss and its gradients, keyed like `u.tensors()`: over
-    the phi tensors only. The inlier model must be flagged frozen."""
+    """LLR training loss and gradients over the phi tensors only, keyed like
+    `u.tensors(UEM_NAMES)`. The inlier model must be flagged frozen; no theta
+    tensor ever appears in the returned gradient record."""
     if not inlier_model.frozen:
         raise FreezeViolation("stage-1 model must be frozen before UEM training")
     if (f.height, f.width) != (outliers.height, outliers.width):
@@ -216,7 +210,7 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
     loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
                                             outliers.labels.ravel(), cfg)
     proj_grads, _ = mlp_backward(u.net, tape, d_z)
-    return loss, model_tensors(proj_grads, head_grads)
+    return loss, model_tensors(proj_grads, head_grads, UEM_NAMES)
 
 
 # ---------------------------------------------------------------------------
@@ -316,7 +310,7 @@ def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
     not fit each other or the head is not 2-class."""
     if bundle.manifest.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
-    projection, head = model_parts(bundle, "stage-2", lambda head_kind: UEM_NAMES,
+    projection, head = model_parts(bundle, "stage-2", dict.fromkeys(HEAD_TYPES, UEM_NAMES),
                                    "head_kind", "proj_activations")
     if len(projection.layers) != 3:
         raise BadBundle("stage-2 model: the projection has "

@@ -164,6 +164,12 @@ class TestTensors:
         m = make_gen_model(np.random.default_rng(31))
         assert list(m.tensors()) == ["net.0.weight", "net.0.bias", "net.1.weight",
                                      "net.1.bias", "head.means", "head.vars"]
+        named = m.tensors(("decoder", "gmm"))
+        assert list(named) == ["decoder.0.weight", "decoder.0.bias", "decoder.1.weight",
+                               "decoder.1.bias", "gmm.means", "gmm.vars"]
+        rebuilt = m.with_tensors(named, ("decoder", "gmm"))
+        assert all(t.tobytes() == rebuilt.tensors()[name].tobytes()
+                   for name, t in m.tensors().items())
         assert m.parameter_count() == sum(t.size for t in m.tensors().values())
 
 

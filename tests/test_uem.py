@@ -17,12 +17,14 @@ from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
     InlierConfig,
+    STAGE1_NAMES,
     PixelModel,
     stage1_tensor_names,
     train_inlier,
 )
 from llrseg.neuralcore import make_mlp, mlp_forward, xavier_dense
 from llrseg.uem import (
+    UEM_NAMES,
     LlrConfig,
     build_uem,
     llr_loss,
@@ -182,7 +184,8 @@ class TestLlrLoss:
         omap = BinaryOutlierMap(rng.integers(0, 2, (4, 4)).astype(np.uint8))
         _, grads = llr_loss(u, inlier, f, omap,
                             LlrConfig(head_kind=DISCRIMINATIVE))
-        assert set(grads) == set(u.tensors())
+        assert set(grads) == set(u.tensors(UEM_NAMES))
+        assert not set(grads) & set(inlier.tensors(STAGE1_NAMES[DISCRIMINATIVE]))
 
     def test_config_rejects_negative_weights(self):
         with pytest.raises(ValueError):
