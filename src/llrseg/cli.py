@@ -107,7 +107,11 @@ class RunConfig:
 
     @classmethod
     def load(cls, path) -> "RunConfig":
-        return cls.from_dict(json.loads(Path(path).read_text(encoding="utf-8")))
+        try:
+            raw = json.loads(Path(path).read_text(encoding="utf-8"))
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+            raise LlrsegError(f"config file {path} is not valid JSON: {exc}") from None
+        return cls.from_dict(raw)
 
     def resolved(self) -> dict:
         """The configuration as `from_dict` accepts it: without the sub-seeds,

@@ -109,10 +109,13 @@ def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     d = x.shape[1]
     out = np.empty((x.shape[0], head.components))
+    scaled = np.empty_like(x)  # (x - μ)² / var, one component at a time
     for c in range(head.components):
         var = head.variances[k, c]
-        z = ((x - head.means[k, c]) ** 2 / var).sum(axis=1)
-        out[:, c] = -0.5 * (d * LOG_2PI + np.log(var).sum() + z)
+        np.subtract(x, head.means[k, c], out=scaled)
+        np.square(scaled, out=scaled)
+        scaled /= var
+        out[:, c] = -0.5 * (d * LOG_2PI + np.log(var).sum() + scaled.sum(axis=1))
     return out
 
 

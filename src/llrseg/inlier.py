@@ -98,7 +98,7 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
             losses.append(value)
         loss_history.append(sum(losses) / max(1, len(losses)))
         if isinstance(model.head, GmmHead):
-            z, _ = mlp_forward(model.net, x)
+            z, _ = mlp_forward(model.net, x, tape=False)
             model = replace(model, head=refresh_head(model.head, z, y, rng, cfg, counters))
             params = model.tensors()
     return model, loss_history, counters
@@ -157,8 +157,8 @@ class PixelModel:
         if f.channels != self.net.in_dim:
             raise DimMismatch(f"feature map has {f.channels} channels, "
                               f"model expects {self.net.in_dim}")
-        # the tape holds every layer's activations; free it before the head runs
-        z = mlp_forward(self.net, f.pixels())[0]
+        # forward only: no tape, so one hidden buffer is alive at a time
+        z, _ = mlp_forward(self.net, f.pixels(), tape=False)
         return self.head.logits(z)
 
 
@@ -257,7 +257,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
 
     decoder = make_mlp([feature_dim, config.decoder_hidden, config.decoder_dim], rng)
     if config.head_kind == GENERATIVE:
-        decoded = mlp_forward(decoder, x)[0]  # the tape is not kept
+        decoded, _ = mlp_forward(decoder, x, tape=False)
         head = init_head([decoded[y == k] for k in range(num_classes)],
                          config.gmm_components, rng)
         counters, loss_history = {}, []

@@ -263,7 +263,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         raise AllIgnored("every pixel in the dataset is ignored")
 
     if cfg.head_kind == GENERATIVE:
-        z0, _ = mlp_forward(u.net, x)
+        z0, _ = mlp_forward(u.net, x, tape=False)
         u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
 
     u, loss_history, counters = fit(

@@ -239,6 +239,16 @@ class TestPipeline:
         assert err.rstrip().endswith(f"not {value}")
         assert not out.exists()
 
+    def test_config_file_not_json_exits_1(self, tmp_path, capsys):
+        cfg = tmp_path / "run.json"
+        cfg.write_text('{"seed": 1,')
+        out = tmp_path / "o"
+        code = main(["synth", "--config", str(cfg), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: LlrsegError: config file {cfg} is not valid JSON")
+        assert not out.exists()
+
     def test_score_rejects_resigned_stage1_tensor(self, pipeline_dirs, tmp_path, capsys):
         from llrseg.datamodel import ModelBundle
 

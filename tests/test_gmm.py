@@ -98,6 +98,24 @@ class TestGmmLogDensity:
             want = naive_log_mixture(x, means[0], variances[0], np.full(3, 1 / 3))
             assert gmm_log_density(x, head, 0) == pytest.approx(want, abs=1e-10)
 
+    @pytest.mark.parametrize("rows", [1, 7, 300])
+    def test_component_log_densities_bitwise_equal_to_expression(self, rows):
+        rng = np.random.default_rng(rows)
+        head = GmmHead(means=rng.normal(0, 1, (2, 3, 16)),
+                       variances=rng.uniform(0.1, 3.0, (2, 3, 16)))
+        x = rng.normal(0, 2, (rows, 16))
+        for batch in (x, np.asfortranarray(x), x[:, ::-1]):
+            kept = batch.copy()
+            for k in range(2):
+                want = np.empty((rows, 3))
+                for c in range(3):
+                    var = head.variances[k, c]
+                    z = ((batch - head.means[k, c]) ** 2 / var).sum(axis=1)
+                    want[:, c] = -0.5 * (16 * np.log(2 * np.pi) + np.log(var).sum() + z)
+                got = component_log_densities(batch, head, k)
+                assert np.array_equal(got.view(np.int64), want.view(np.int64))
+            assert np.array_equal(batch, kept)
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         head = GmmHead(means=rng.normal(0, 1, (2, 3, 5)),

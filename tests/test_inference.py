@@ -189,9 +189,9 @@ class TestScoreImage:
             batches.append(tile.height * tile.width)
             return score_tile(inlier_model, uem_model, tile, scorer)
 
-        def counting_forward(mlp, x):
+        def counting_forward(mlp, x, **kwargs):
             rows.append(x.shape[0])
-            return mlp_forward(mlp, x)
+            return mlp_forward(mlp, x, **kwargs)
 
         monkeypatch.setattr(inference, "_score_tile", counting_score_tile)
         monkeypatch.setattr("llrseg.inlier.mlp_forward", counting_forward)

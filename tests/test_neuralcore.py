@@ -1,5 +1,6 @@
 """Dense layers, losses, Adam, and the gradient checker."""
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,11 +12,13 @@ from scipy.special import erf
 from llrseg.datamodel import IGNORE
 from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
+    ACTIVATIONS,
     DenseLayer,
     Mlp,
     OptimizerState,
     _activate,
     _d_pre,
+    _rows_per_block,
     grad_check,
     make_mlp,
     mlp_backward,
@@ -183,6 +186,107 @@ class TestGeluTape:
         relu = Mlp.from_tensors(m.tensors(), ["relu", "identity"])
         with pytest.raises(StaleTape):
             mlp_backward(relu, tape, np.zeros((4, 2)))
+
+
+def whole_array_activate(name, pre):
+    """The unblocked activation: (activation, GELU gate or None)."""
+    if name == "identity":
+        return pre, None
+    if name == "relu":
+        return np.maximum(pre, 0.0), None
+    gate = np.divide(pre, np.sqrt(2.0))
+    erf(gate, out=gate)
+    gate += 1.0
+    out = 0.5 * pre
+    out *= gate
+    return out, gate
+
+
+def whole_array_d_pre(name, pre, gate, d):
+    if name == "identity":
+        return d
+    if name == "relu":
+        return d * (pre > 0.0)
+    d_pre = np.square(pre)
+    d_pre *= -0.5
+    np.exp(d_pre, out=d_pre)
+    d_pre *= 1.0 / np.sqrt(2.0 * np.pi)
+    d_pre *= pre
+    d_pre += 0.5 * gate
+    d_pre *= d
+    return d_pre
+
+
+# rows per GELU block of the decoder's 1152-wide hidden layer
+B = _rows_per_block(1152)
+BLOCK_EDGE_ROWS = [1, 2, B - 1, B, B + 1, 3 * B + 1]
+
+
+class TestBlockedActivations:
+    """GELU and its derivative run in row blocks, and a forward without a
+    tape activates in place; every result must equal the whole-array one."""
+
+    @staticmethod
+    def net_and_input(activation, rows):
+        rng = np.random.default_rng(rows)
+        m = make_mlp([5, 1152, 1152, 4], rng, hidden_activation=activation,
+                     final_activation=activation)
+        return m, rng.normal(0, 2, (rows, 5)), rng.normal(0, 1, (rows, 4))
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_forward_without_tape_equals_taped(self, activation, rows):
+        m, x, _ = self.net_and_input(activation, rows)
+        kept = x.copy()
+        taped, tape = mlp_forward(m, x)
+        out, no_tape = mlp_forward(m, x, tape=False)
+        assert no_tape is None
+        assert bitwise_equal(out, taped)
+        assert bitwise_equal(x, kept)
+
+    def test_forward_without_tape_keeps_one_hidden_buffer(self):
+        rng = np.random.default_rng(0)
+        m = make_mlp([16, 1152, 64], rng)
+        x = rng.normal(0, 1, (16 * B, 16))
+        hidden_bytes = x.shape[0] * 1152 * 8
+        tracemalloc.start()
+        try:
+            mlp_forward(m, x, tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # one [N, 1152] buffer plus a block of gate and the [N, 64] output;
+        # a taped forward holds three [N, 1152] buffers
+        assert peak < 1.5 * hidden_bytes
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_tape_and_gradients_equal_whole_array_references(self, activation, rows):
+        m, x, d_out = self.net_and_input(activation, rows)
+        inputs, pres, gates = [], [], []
+        h = x
+        for layer in m.layers:
+            inputs.append(h)
+            pre = h @ layer.weight.T
+            pre += layer.bias
+            pres.append(pre)
+            h, gate = whole_array_activate(layer.activation, pre)
+            gates.append(gate)
+        want_grads, d = {}, d_out
+        for i in reversed(range(len(m.layers))):
+            d_pre = whole_array_d_pre(m.layers[i].activation, pres[i], gates[i], d)
+            want_grads[f"{i}.weight"] = d_pre.T @ inputs[i]
+            want_grads[f"{i}.bias"] = d_pre.sum(axis=0)
+            d = d_pre @ m.layers[i].weight
+
+        out, tape = mlp_forward(m, x)
+        assert bitwise_equal(out, h)
+        for got, want in zip(tape.pre_activations + tape.gates, pres + gates):
+            assert (got is None and want is None) or bitwise_equal(got, want)
+        grads, d_x = mlp_backward(m, tape, d_out)
+        assert grads.keys() == want_grads.keys()
+        assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
+        assert bitwise_equal(d_x, d)
 
 
 class TestSoftmaxCrossEntropy:
