@@ -5,6 +5,12 @@ densities and the stage-2 inlier/outlier densities. Mixture
 weights are uniform per class and never stored or re-estimated, so the
 log-weight is the constant log(1/C). Every density evaluation goes through
 a max-subtracted log-sum-exp so finite inputs never produce -inf.
+
+A row's class log densities depend on that row alone, so the class
+densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
+(`neuralcore._run_blocks`); each block makes the same calls on its rows
+whichever worker runs it, so no result depends on the worker count. No
+density involves a matmul.
 """
 from __future__ import annotations
 
@@ -13,9 +19,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateCovariance, DimMismatch, InvalidCost
+from .neuralcore import _row_blocks, _run_blocks
 
 VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
+# rows per block of the class densities: a block of a 64-wide x and its
+# scratch take 1 MB, inside L2. Blocks of 256 rows ran slower on two workers
+# than on one: each NumPy call was too short to pay for handing over the GIL.
+DENSITY_ROWS = 1024
 
 
 @dataclass(frozen=True)
@@ -104,12 +115,11 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
     return np.squeeze(out, axis=axis)
 
 
-def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
-    """[N, C] matrix of per-component log densities for class k (no weights)."""
-    x = np.asarray(x, dtype=np.float64)
+def _component_log_densities(x: np.ndarray, head: GmmHead, k: int,
+                             out: np.ndarray, scaled: np.ndarray) -> np.ndarray:
+    """Writes the [N, C] per-component log densities of x's rows for class k
+    (no weights) to out; scaled, shaped and laid out like x, is scratch."""
     d = x.shape[1]
-    out = np.empty((x.shape[0], head.components))
-    scaled = np.empty_like(x)  # (x - μ)² / var, one component at a time
     for c in range(head.components):
         var = head.variances[k, c]
         np.subtract(x, head.means[k, c], out=scaled)
@@ -119,12 +129,49 @@ def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
     return out
 
 
+def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
+    """[N, C] matrix of per-component log densities for class k (no weights)."""
+    x = np.asarray(x, dtype=np.float64)
+    out = np.empty((x.shape[0], head.components))
+    return _component_log_densities(x, head, k, out, np.empty_like(x))
+
+
+def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
+                     resp: np.ndarray | None = None) -> None:
+    """Writes the [N, K] class log densities of x's rows to logdens and, if
+    resp [K, C, N] is given, each component's responsibility in its class.
+    Runs in row blocks on the workers of `_run_blocks`."""
+    blocks = _row_blocks(len(x), DENSITY_ROWS)
+    if len(blocks) > 1 and len(x) % DENSITY_ROWS == 1:
+        # a one-row tail joins the block before it: NumPy sums the one row
+        # of a Fortran-order block pairwise, and the rows of a taller one
+        # term by term, as it does the rows of the whole of such an x
+        blocks[-2:] = [slice(blocks[-2].start, len(x))]
+    log_weight = head.log_weight
+
+    def block(rows):
+        xb = x[rows]
+        comp, scaled = np.empty((len(xb), head.components)), np.empty_like(xb)
+        for k in range(head.classes):
+            _component_log_densities(xb, head, k, comp, scaled)
+            comp += log_weight
+            if resp is None:
+                logdens[rows, k] = _logsumexp(comp, axis=1)
+                continue
+            m = comp.max(axis=1, keepdims=True)
+            e = np.exp(comp - m)
+            s = e.sum(axis=1, keepdims=True)
+            logdens[rows, k] = (m + np.log(s))[:, 0]
+            resp[k][:, rows] = (e / s).T
+
+    _run_blocks(block, blocks)
+
+
 def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:
     """[N, K] class log densities for a batch of feature vectors."""
+    x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], head.classes))
-    for k in range(head.classes):
-        comp = component_log_densities(x, head, k) + head.log_weight
-        out[:, k] = _logsumexp(comp, axis=1)
+    _class_densities(x, head, out)
     return out
 
 
@@ -135,17 +182,10 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead):
     (dx [N, d], dmeans [K, C, d], dvars [K, C, d]).
     """
     x = np.asarray(x, dtype=np.float64)
-    n = x.shape[0]
-    kk, cc = head.classes, head.components
-    logdens = np.empty((n, kk))
-    resp = np.empty((kk, cc, n))  # component-major: one contiguous row each
-    for k in range(kk):
-        comp = component_log_densities(x, head, k) + head.log_weight
-        m = comp.max(axis=1, keepdims=True)
-        e = np.exp(comp - m)
-        s = e.sum(axis=1, keepdims=True)
-        logdens[:, k] = (m + np.log(s))[:, 0]
-        resp[k] = (e / s).T
+    logdens = np.empty((x.shape[0], head.classes))
+    # component-major: one contiguous row each
+    resp = np.empty((head.classes, head.components, x.shape[0]))
+    _class_densities(x, head, logdens, resp)
 
     def backward(d_logdens: np.ndarray):
         d_comp = d_logdens.T[:, None, :] * resp

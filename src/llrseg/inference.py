@@ -80,6 +80,21 @@ def tile_plan(height: int, width: int, window, stride) -> TilePlan:
 
 SCORERS = ("llr", "id", "ood")
 
+# the models of the bundle scored last: a ModelBundle is immutable, so a run
+# that scores many frames with one bundle builds its models once
+_built: dict = {}
+
+
+def _models(stage2: ModelBundle, scorer: str):
+    """(inlier model, UEM model or None for the id scorer) of stage2."""
+    if _built.get("bundle") is not stage2:
+        _built.clear()
+        _built["inlier"] = inlier_from_bundle(stage2)
+        _built["bundle"] = stage2
+    if scorer != "id" and "uem" not in _built:
+        _built["uem"] = uem_from_bundle(stage2)
+    return _built["inlier"], _built.get("uem") if scorer != "id" else None
+
 
 def _score_tile(inlier_model, uem_model, tile: FeatureMap, scorer: str) -> np.ndarray:
     if scorer == "id":
@@ -101,8 +116,7 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
     if scorer not in SCORERS:
         raise LlrsegError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
     _check_covers(plan, f.height, f.width)
-    inlier_model = inlier_from_bundle(stage2)
-    uem_model = uem_from_bundle(stage2) if scorer != "id" else None
+    inlier_model, uem_model = _models(stage2, scorer)
     pixels = f.data.reshape(f.channels, -1)
     n = pixels.shape[1]
     batch = max(2, plan.window[0] * plan.window[1])

@@ -7,12 +7,18 @@ pass (`tape=False`) keeps no tape: it activates each layer's pre-activation
 in place, so one hidden buffer is alive at a time.
 
 GELU and its derivative run in row blocks of BLOCK_ENTRIES entries, so each
-pass over a block stays in L2 cache. Matmuls always run on every row at
-once: OpenBLAS picks its kernel by row count, and kernels round small
-products differently, so a blocked matmul would change result bits.
+pass over a block stays in L2 cache, and the blocks run on a worker per CPU
+in the process's affinity set (NumPy's ufuncs and scipy's erf release the
+GIL). Each block makes the same calls on the same rows whichever worker
+runs it, so no result depends on the worker count. Matmuls always run on
+every row at once, on the calling thread: OpenBLAS picks its kernel by row
+count, and kernels round small products differently, so a blocked matmul
+would change result bits.
 """
 from __future__ import annotations
 
+import os
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -33,9 +39,61 @@ def _rows_per_block(width: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, width))
 
 
-def _row_blocks(a: np.ndarray):
-    rows = _rows_per_block(a.shape[1])
-    return (slice(start, start + rows) for start in range(0, len(a), rows))
+def _row_blocks(n: int, rows: int) -> list[slice]:
+    return [slice(start, start + rows) for start in range(0, n, rows)]
+
+
+# one worker per CPU this process may run on
+_WORKERS = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _start_pool() -> None:
+    global _POOL
+    _POOL = ThreadPoolExecutor(_WORKERS, thread_name_prefix="llrseg-rows")
+
+
+_start_pool()
+if hasattr(os, "register_at_fork"):
+    # a forked child has none of its parent's threads
+    os.register_at_fork(after_in_child=_start_pool)
+
+
+def _run_blocks(fn, blocks: list) -> None:
+    """Calls fn(block) once for each block: inline when there is one worker
+    or one block, else on up to one task per worker, each taking the next
+    block until none is left. Every call has ended when this returns, and
+    an exception raised by fn then reaches the caller.
+
+    fn may run on a worker thread, so it may call only NumPy, SciPy and
+    private helpers: perfbench's tracer wraps every public function of the
+    package with one shared span stack, and must not see a call from a
+    worker. fn must not call `_run_blocks`.
+    """
+    tasks = min(_WORKERS, len(blocks))
+    if tasks <= 1:
+        for block in blocks:
+            fn(block)
+        return
+    queue = iter(blocks)  # next() on a list iterator holds the GIL throughout
+
+    def task():
+        for block in queue:
+            fn(block)
+
+    futures = [_POOL.submit(task) for _ in range(tasks)]
+    wait(futures)
+    for future in futures:
+        future.result()
+
+
+def _gelu_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray) -> None:
+    """GELU of the rows pre into out (which may be pre), with GELU's gate
+    1 + erf(pre/√2) written to gate."""
+    np.divide(pre, _SQRT2, out=gate)
+    erf(gate, out=gate)
+    gate += 1.0
+    np.multiply(0.5, pre, out=out)
+    out *= gate
 
 
 def _activate(name: str, pre: np.ndarray,
@@ -43,26 +101,32 @@ def _activate(name: str, pre: np.ndarray,
     """Returns (activation, gate) of the rows of pre. GELU's gate
     1 + erf(pre/√2) is what its reverse pass needs; the other activations
     return None for it. Without a tape the activation overwrites pre and
-    GELU's gate is one block of scratch, returned as None."""
+    GELU's gate is scratch, one block per row block, returned as None."""
     if name == "identity":
         return pre, None
     if name == "relu":
         return np.maximum(pre, 0.0, out=None if tape else pre), None
     if name == "gelu":
+        blocks = _row_blocks(len(pre), _rows_per_block(pre.shape[1]))
         if tape:
             out, gate = np.empty_like(pre), np.empty_like(pre)
-        else:
-            out, gate = pre, np.empty_like(pre[:_rows_per_block(pre.shape[1])])
-        for rows in _row_blocks(pre):
-            block, o = pre[rows], out[rows]
-            g = gate[rows] if tape else gate[:len(block)]
-            np.divide(block, _SQRT2, out=g)
-            erf(g, out=g)
-            g += 1.0
-            np.multiply(0.5, block, out=o)
-            o *= g
-        return out, gate if tape else None
+            _run_blocks(lambda r: _gelu_rows(pre[r], out[r], gate[r]), blocks)
+            return out, gate
+        _run_blocks(lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r])), blocks)
+        return pre, None
     raise ValueError(f"unknown activation {name!r}")
+
+
+def _gelu_grad_rows(pre: np.ndarray, gate: np.ndarray, d: np.ndarray,
+                    out: np.ndarray) -> None:
+    """d * (cdf + pre*pdf) into out, cdf = gate/2, pdf = exp(-pre²/2)/√(2π)."""
+    np.square(pre, out=out)
+    out *= -0.5
+    np.exp(out, out=out)
+    out *= _INV_SQRT_2PI
+    out *= pre
+    out += 0.5 * gate
+    out *= d
 
 
 def _d_pre(name: str, pre: np.ndarray, gate: np.ndarray | None,
@@ -73,17 +137,9 @@ def _d_pre(name: str, pre: np.ndarray, gate: np.ndarray | None,
     if name == "relu":
         return d * (pre > 0.0)
     if name == "gelu":
-        # d * (cdf + pre*pdf), cdf = gate/2, pdf = exp(-pre²/2)/√(2π)
         d_pre = np.empty_like(pre)
-        for rows in _row_blocks(pre):
-            block = d_pre[rows]
-            np.square(pre[rows], out=block)
-            block *= -0.5
-            np.exp(block, out=block)
-            block *= _INV_SQRT_2PI
-            block *= pre[rows]
-            block += 0.5 * gate[rows]
-            block *= d[rows]
+        _run_blocks(lambda r: _gelu_grad_rows(pre[r], gate[r], d[r], d_pre[r]),
+                    _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
         return d_pre
     raise ValueError(f"unknown activation {name!r}")
 

@@ -6,8 +6,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
+from llrseg import gmm, neuralcore
 from llrseg.errors import DegenerateCovariance, InvalidCost
 from llrseg.gmm import (
+    DENSITY_ROWS,
     VAR_FLOOR,
     GmmHead,
     em_update,
@@ -146,6 +148,83 @@ class TestGmmLogDensity:
                 xm = x.copy(); xm[i, j] -= h
                 numeric = (loss_at(xp) - loss_at(xm)) / (2 * h)
                 assert dx[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7)
+
+
+def bitwise_equal(a, b):
+    return a.shape == b.shape and np.array_equal(a.view(np.int64), b.view(np.int64))
+
+
+def layouts(x):
+    """x in C order, in Fortran order and as a strided view."""
+    wide = np.repeat(x, 2, axis=1)
+    return {"C": np.ascontiguousarray(x), "F": np.asfortranarray(x),
+            "strided": wide[:, ::2]}
+
+
+class TestDensityBlocksOnWorkers:
+    """The class densities run in row blocks on a worker per CPU; no result
+    may depend on how many workers run them."""
+
+    @staticmethod
+    def density_results(x, head):
+        logdens, backward = gmm_all_log_densities_with_grad(x, head)
+        d_logdens = np.linspace(-1.0, 1.0, logdens.size).reshape(logdens.shape)
+        # the responsibilities the backward closure holds
+        resp = backward.__closure__[backward.__code__.co_freevars.index("resp")]
+        return [gmm_all_log_densities(x, head), logdens, resp.cell_contents,
+                *backward(d_logdens)]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS - 1, DENSITY_ROWS,
+                                      DENSITY_ROWS + 1, 3 * DENSITY_ROWS + 1])
+    def test_inline_equals_pooled(self, monkeypatch, workers, rows):
+        rng = np.random.default_rng(rows)
+        head = GmmHead(means=rng.normal(0, 1, (3, 4, 16)),
+                       variances=rng.uniform(0.1, 3.0, (3, 4, 16)))
+        for name, x in layouts(rng.normal(0, 2, (rows, 16))).items():
+            kept = x.copy()
+            monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+            pooled = self.density_results(x, head)
+            monkeypatch.setattr(neuralcore, "_WORKERS", 1)
+            inline = self.density_results(x, head)
+            assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline)), name
+            assert bitwise_equal(x, kept), name
+
+    @pytest.mark.parametrize("rows", [DENSITY_ROWS + 1, 2 * DENSITY_ROWS + 1,
+                                      2 * DENSITY_ROWS + 2])
+    def test_blocks_equal_the_whole_batch(self, rows):
+        """Per class, the log-sum-exp of the whole batch's component
+        densities; with a one-row tail block, a Fortran-order batch would
+        sum that row's terms in another order."""
+        rng = np.random.default_rng(rows)
+        # NumPy sums fewer than 8 terms in order either way, and the
+        # orders give equal sums often, so a tail row holds many sums
+        head = GmmHead(means=rng.normal(0, 1, (6, 8, 64)),
+                       variances=rng.uniform(0.1, 3.0, (6, 8, 64)))
+        for name, x in layouts(rng.normal(0, 2, (rows, 64))).items():
+            want = np.stack([_logsumexp(component_log_densities(x, head, k)
+                                        + head.log_weight, axis=1)
+                             for k in range(6)], axis=1)
+            assert bitwise_equal(gmm_all_log_densities(x, head), want), name
+
+    def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
+        calls = []
+
+        def failing_logsumexp(a, axis=None):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("block 3")
+            return _logsumexp(a, axis)
+
+        rng = np.random.default_rng(5)
+        head = GmmHead(means=rng.normal(0, 1, (1, 2, 4)),
+                       variances=np.ones((1, 2, 4)))
+        x = rng.normal(0, 1, (4 * DENSITY_ROWS, 4))
+        kept = x.copy()
+        monkeypatch.setattr(gmm, "_logsumexp", failing_logsumexp)
+        with pytest.raises(FloatingPointError, match="block 3"):
+            gmm_all_log_densities(x, head)
+        assert bitwise_equal(x, kept)
 
 
 # finite values plus -inf; the few distinct magnitudes after rounding make

@@ -1,4 +1,6 @@
 """Tile planning and score-once batching, against a visit-averaging oracle."""
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -230,3 +232,29 @@ class TestScoreImage:
         a = score_image(small_stage2, f, plan)
         b = score_image(small_stage2, f, plan)
         assert np.array_equal(a.scores, b.scores)
+
+    def test_models_built_once_per_bundle(self, small_stage2, eval_scene, monkeypatch):
+        """Frames scored with one bundle share its models; the UEM is built
+        only for a scorer that reads it."""
+        f, _ = eval_scene
+        plan = tile_plan(f.height, f.width, 16, 8)
+        built = []
+
+        def counting(loader):
+            def load(bundle):
+                built.append((loader.__name__, bundle))
+                return loader(bundle)
+            return load
+
+        monkeypatch.setattr(inference, "_built", {})
+        monkeypatch.setattr(inference, "inlier_from_bundle", counting(inlier_from_bundle))
+        monkeypatch.setattr(inference, "uem_from_bundle", counting(uem_from_bundle))
+        first = [score_image(small_stage2, f, plan, scorer).scores
+                 for scorer in ("id", "id", "llr", "ood", "llr")]
+        assert built == [("inlier_from_bundle", small_stage2),
+                         ("uem_from_bundle", small_stage2)]
+        same = dataclasses.replace(small_stage2)
+        again = [score_image(same, f, plan, scorer).scores
+                 for scorer in ("id", "id", "llr", "ood", "llr")]
+        assert built[2:] == [("inlier_from_bundle", same), ("uem_from_bundle", same)]
+        assert all(np.array_equal(a, b) for a, b in zip(first, again))

@@ -1,6 +1,11 @@
 """Dense layers, losses, Adam, and the gradient checker."""
 import dataclasses
+import multiprocessing
+import os
+import sys
+import threading
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -9,6 +14,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
+from llrseg import neuralcore
 from llrseg.datamodel import IGNORE
 from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
@@ -287,6 +293,95 @@ class TestBlockedActivations:
         assert grads.keys() == want_grads.keys()
         assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
         assert bitwise_equal(d_x, d)
+
+
+class TestRowBlocksOnWorkers:
+    """GELU's row blocks run on a worker per CPU; no result may depend on
+    how many workers run them."""
+
+    @staticmethod
+    def gelu_results(m, x, d_out):
+        """Every array a forward and backward through m computes."""
+        out, tape = mlp_forward(m, x)
+        free, _ = mlp_forward(m, x, tape=False)
+        grads, d_x = mlp_backward(m, tape, d_out)
+        d_pres = [_d_pre("gelu", pre, gate, pre) for pre, gate
+                  in zip(tape.pre_activations, tape.gates)]
+        return [out, free, d_x, *tape.pre_activations, *tape.gates,
+                *grads.values(), *d_pres]
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
+    def test_inline_equals_pooled(self, monkeypatch, workers, rows):
+        m, x, d_out = TestBlockedActivations.net_and_input("gelu", rows)
+        kept = x.copy()
+        monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+        pooled = self.gelu_results(m, x, d_out)
+        monkeypatch.setattr(neuralcore, "_WORKERS", 1)
+        inline = self.gelu_results(m, x, d_out)
+        assert len(pooled) == len(inline) == 18  # three GELU layers
+        assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline))
+        assert bitwise_equal(x, kept)
+
+    def test_every_block_runs_once_with_more_workers_than_cpus(self, monkeypatch):
+        workers = 4 * len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 8
+        pool = ThreadPoolExecutor(workers)
+        monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+        monkeypatch.setattr(neuralcore, "_POOL", pool)
+        seen = []
+
+        def record(rows):
+            np.sqrt(np.arange(1000.0))  # gives the GIL up
+            seen.append(rows.start)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            runner = threading.Thread(target=neuralcore._run_blocks,
+                                      args=(record, neuralcore._row_blocks(5000, 7)))
+            runner.start()
+            runner.join(60)
+        finally:
+            sys.setswitchinterval(interval)
+            pool.shutdown(wait=False)
+        assert not runner.is_alive()
+        assert sorted(seen) == list(range(0, 5000, 7))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_a_forked_child_runs_blocks_on_workers_of_its_own(self, monkeypatch):
+        monkeypatch.setattr(neuralcore, "_WORKERS", 2)
+        m, x, _ = TestBlockedActivations.net_and_input("gelu", 3 * B + 1)
+        want, _ = mlp_forward(m, x, tape=False)  # the parent's workers are running
+
+        def child():
+            got, _ = mlp_forward(m, x, tape=False)
+            os._exit(0 if bitwise_equal(got, want) else 1)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(60)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+            pytest.fail("the forked child hung on the parent's worker pool")
+        assert proc.exitcode == 0
+
+    @pytest.mark.parametrize("tape", [True, False])
+    def test_exception_in_a_block_reaches_the_caller(self, monkeypatch, tape):
+        calls = []
+
+        def failing_erf(*args, **kwargs):
+            calls.append(1)
+            if len(calls) == 3:
+                raise FloatingPointError("block 3")
+            return erf(*args, **kwargs)
+
+        m, x, _ = TestBlockedActivations.net_and_input("gelu", 3 * B + 1)
+        kept = x.copy()
+        monkeypatch.setattr(neuralcore, "erf", failing_erf)
+        with pytest.raises(FloatingPointError, match="block 3"):
+            mlp_forward(m, x, tape=tape)
+        assert bitwise_equal(x, kept)
 
 
 class TestSoftmaxCrossEntropy:

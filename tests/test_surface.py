@@ -118,3 +118,26 @@ def test_tracer_installs_and_restores(load_perfbench, small_stage2):
     assert counts["inference.score_image"]["pixels"] == 30
     assert counts["neuralcore.mlp_backward"]["rows"] == 7
     assert counts["gmm.sinkhorn"]["residual_max"] >= 0.0
+
+
+def test_tracer_sees_no_call_from_a_worker(load_perfbench, small_stage2):
+    """A frame large enough to give every worker several GELU and density
+    blocks: the tracer keeps one span stack, so a traced function called
+    from a worker would break its span tree or its call counts."""
+    spans = load_perfbench("spans")
+    rng = np.random.default_rng(2)
+    channels = inlier_from_bundle(small_stage2).net.in_dim
+    f = FeatureMap(rng.normal(0, 1, (channels, 128, 128)))
+    tracer = spans.Tracer(llrseg)
+    tracer.install()
+    try:
+        llrseg.inference.score_image(small_stage2, f, tile_plan(128, 128, 128, 128))
+    finally:
+        tracer.uninstall()
+    assert tracer.partition_error() < 1e-6
+    counts = tracer.aggregate()
+    # one batch: the decoder and the UEM projection, each with its GMM head
+    assert counts["neuralcore.mlp_forward"]["calls"] == 2
+    assert counts["neuralcore.mlp_forward"]["rows"] == 2 * 128 * 128
+    assert counts["gmm.density"]["calls"] == 2
+    assert sum(span.name == "gmm.density" for span in tracer.spans) == 2
