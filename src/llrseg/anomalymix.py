@@ -227,6 +227,16 @@ class DatasetConfig:
     splits: tuple = (4, 4, 3)    # (train_inlier, train_uem, eval) scene counts
     seed: int = 0
 
+    def __post_init__(self):
+        # train_uem scenes draw outliers from the training bank members,
+        # eval scenes from the rest
+        if self.splits[1] > 0 and self.train_bank < 1:
+            raise ValueError(f"train_bank must be >= 1 for train_uem scenes, "
+                             f"got {self.train_bank}")
+        if self.splits[2] > 0 and self.bank_size - self.train_bank < 1:
+            raise ValueError(f"train_bank must be below bank_size ({self.bank_size}) "
+                             f"for eval scenes, got {self.train_bank}")
+
 
 def _scene_rng(root_seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence([root_seed, index]))
@@ -289,7 +299,8 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict:
 
 
 def load_split(dataset_dir, split: str):
-    """Yield (FeatureMap, LabelMap, BinaryOutlierMap) triples for a split."""
+    """The (FeatureMap, LabelMap, BinaryOutlierMap) triples of a split, in
+    scene order."""
     from .datamodel import load_feature_map, load_label_map, load_outlier_map
 
     dataset_dir = Path(dataset_dir)

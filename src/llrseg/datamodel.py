@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
+import re
 import struct
 from collections.abc import Mapping
 from dataclasses import dataclass
@@ -39,6 +40,9 @@ DTYPE_F32 = 0
 # Version 3 drops the model dimensions from the manifest; 2 and 3 pack a GMM
 # head as two [K, C, d] tensors, unversioned bundles one file per component.
 BUNDLE_FORMAT_VERSION = 3
+# a tensor's file is `{name}.fmap` in the bundle directory, so a name is one
+# path component that does not start with a dot
+TENSOR_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
 
 # Sanity bound on header dimensions; anything larger is a corrupt header.
 MAX_DIM = 1 << 24
@@ -364,6 +368,9 @@ class ModelBundle:
         if not isinstance(entries, dict):
             raise BadBundle(f"bundle {dirpath}: manifest has no 'tensors' object")
         for name, meta in entries.items():
+            if not TENSOR_NAME.fullmatch(name):
+                raise BadBundle(f"bundle {dirpath}: tensor name {name!r} does not "
+                                f"match {TENSOR_NAME.pattern}")
             if not (isinstance(meta, dict) and isinstance(meta.get("digest"), str)
                     and isinstance(meta.get("shape"), list)
                     and all(type(n) is int for n in meta["shape"])):

@@ -2,7 +2,7 @@
 
 Every head is pixel-wise, so `score_image` scores each pixel exactly once,
 in row-major batches of one window's area; the tile plan sets the batch
-size (and with it the peak memory) and must cover the frame.
+size (and with it the peak memory) and must be the plan of the frame.
 
 A pixel's score can still depend on its batch in the last bits: NumPy
 multiplies a one-row batch on its matrix-vector path, which rounds
@@ -13,6 +13,7 @@ joins the batch before it.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -26,56 +27,47 @@ from .inlier import id_score as inlier_id_score
 
 @dataclass(frozen=True)
 class TilePlan:
+    """The tiling of one frame, each field a (rows, columns) pair: tiles of
+    the window start every stride along an axis, the last one clamped to the
+    border. It must fit and cover the frame, checked per axis at
+    construction: a stride no larger than the window leaves no gap, nor does
+    a frame at most twice the window, which the first tile and the clamped
+    last one span. `score_image` reads the window area, its batch size."""
+    frame: tuple    # (h, w)
     window: tuple   # (h, w)
     stride: tuple   # (sh, sw)
-    origins: list   # [(y, x)] row-major sorted
+
+    def __post_init__(self):
+        h, w = self.frame
+        for dim, win, stride in zip(self.frame, self.window, self.stride):
+            if win < 1:
+                raise LlrsegError(f"window must be >= 1, got {win}")
+            if stride < 1:
+                raise LlrsegError("stride must be >= 1")
+            if win > dim:
+                raise LlrsegError(f"window {self.window} does not fit the {h}x{w} frame")
+        gaps = [stride > win and dim > 2 * win
+                for dim, win, stride in zip(self.frame, self.window, self.stride)]
+        if any(gaps):
+            # the first gap of an axis starts where its first tile ends
+            y, x = (0, self.window[1]) if gaps[1] else (self.window[0], 0)
+            raise LlrsegError(f"tile plan (window {self.window}, stride {self.stride}) "
+                              f"leaves pixel ({y}, {x}) of the {h}x{w} image "
+                              "uncovered; use a stride no larger than the window")
 
     def tile_count(self) -> int:
-        return len(self.origins)
-
-
-def _axis_origins(dim: int, win: int, stride: int) -> list[int]:
-    if win < 1:
-        raise LlrsegError(f"window must be >= 1, got {win}")
-    if stride < 1:
-        raise LlrsegError("stride must be >= 1")
-    if win >= dim:
-        return [0]
-    starts = list(range(0, dim - win + 1, stride))
-    if starts[-1] != dim - win:
-        starts.append(dim - win)  # clamp last tile to the border
-    return starts
-
-
-def _check_covers(plan: TilePlan, height: int, width: int) -> None:
-    """Every tile lies inside the frame and together they cover every pixel."""
-    wh, ww = plan.window
-    covered = np.zeros((height, width), dtype=bool)
-    for y, x in plan.origins:
-        if y < 0 or x < 0 or y + wh > height or x + ww > width:
-            raise DimMismatch(f"{wh}x{ww} tile at ({y}, {x}) is not inside "
-                              f"the {height}x{width} image")
-        covered[y:y + wh, x:x + ww] = True
-    if not covered.all():
-        y, x = np.argwhere(~covered)[0]
-        raise LlrsegError(f"tile plan (window {plan.window}, stride {plan.stride}) "
-                          f"leaves pixel ({y}, {x}) of the {height}x{width} image "
-                          "uncovered; use a stride no larger than the window")
+        return math.prod(-(-(dim - win) // stride) + 1
+                         for dim, win, stride in zip(self.frame, self.window, self.stride))
 
 
 def tile_plan(height: int, width: int, window, stride) -> TilePlan:
-    """Row-major tile origins covering every pixel; windows larger than the
-    image clamp to it. A window below 1 or a stride that leaves a gap
-    between tiles is an LlrsegError."""
+    """The plan of a height x width frame; windows larger than the frame
+    clamp to it. A window below 1 or a stride that leaves a gap between
+    tiles is an LlrsegError."""
     wh, ww = (window, window) if np.isscalar(window) else window
     sh, sw = (stride, stride) if np.isscalar(stride) else stride
-    wh, ww = min(wh, height), min(ww, width)
-    ys = _axis_origins(height, wh, sh)
-    xs = _axis_origins(width, ww, sw)
-    origins = [(y, x) for y in ys for x in xs]
-    plan = TilePlan(window=(wh, ww), stride=(sh, sw), origins=origins)
-    _check_covers(plan, height, width)
-    return plan
+    return TilePlan(frame=(height, width), window=(min(wh, height), min(ww, width)),
+                    stride=(sh, sw))
 
 
 SCORERS = ("llr", "id", "ood")
@@ -111,11 +103,14 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
     """Score each pixel once, in row-major batches of the plan's window
     area (at least two rows; a one-row tail joins the batch before it).
 
-    The plan must cover the frame; that is checked before any scoring.
+    The plan must be the plan of this frame; that is checked before any
+    scoring.
     """
     if scorer not in SCORERS:
         raise LlrsegError(f"unknown scorer {scorer!r}, expected one of {SCORERS}")
-    _check_covers(plan, f.height, f.width)
+    if plan.frame != (f.height, f.width):
+        raise DimMismatch(f"tile plan of a {plan.frame[0]}x{plan.frame[1]} frame, "
+                          f"given a {f.height}x{f.width} frame")
     inlier_model, uem_model = _models(stage2, scorer)
     pixels = f.data.reshape(f.channels, -1)
     n = pixels.shape[1]

@@ -125,12 +125,10 @@ class PixelModel:
     """A per-pixel MLP and a head over its output: the stage-1 decoder and
     class head, or the stage-2 projection and inlier/outlier head. The head
     is a DenseLayer (discriminative) or a GmmHead (generative); its out_dim
-    is the class count. The stage-1 model of a stage-2 bundle is frozen.
-    `with_tensors` rebuilds the model, activations, head type and `frozen`
-    flag kept, over tensors named as `tensors(names)` names them."""
+    is the class count. `with_tensors` rebuilds the model, activations and
+    head type kept, over tensors named as `tensors(names)` names them."""
     net: Mlp
     head: DenseLayer | GmmHead
-    frozen: bool = False
 
     def __post_init__(self):
         if not isinstance(self.head, (DenseLayer, GmmHead)):
@@ -147,7 +145,7 @@ class PixelModel:
                      names: tuple[str, str] = ("net", "head")) -> "PixelModel":
         net = Mlp.from_tensors(unprefixed(names[0], tensors), self.net.activations)
         head = type(self.head).from_tensors(unprefixed(names[1], tensors))
-        return PixelModel(net=net, head=head, frozen=self.frozen)
+        return PixelModel(net=net, head=head)
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors().values())
@@ -343,16 +341,16 @@ def model_parts(bundle: ModelBundle, what: str, names: dict, head_kind_key: str,
 
 
 def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
-    """The stage-1 model of a stage-1 or stage-2 bundle (frozen in the
-    latter). A malformed bundle raises BadBundle, or DimMismatch where its
-    tensors do not fit each other."""
+    """The stage-1 model of a stage-1 or stage-2 bundle (the latter embeds
+    its tensors byte for byte). A malformed bundle raises BadBundle, or
+    DimMismatch where its tensors do not fit each other."""
     stage = bundle.manifest.get("stage")
     if stage not in ("inlier", "uem"):
         raise BadBundle(f"stage-1 model: unexpected bundle stage {stage!r}")
     decoder, head = model_parts(bundle, "stage-1", STAGE1_NAMES,
                                 "inlier_head_kind" if stage == "uem" else "head_kind",
                                 "decoder_activations")
-    return PixelModel(net=decoder, head=head, frozen=stage == "uem")
+    return PixelModel(net=decoder, head=head)
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:

@@ -103,7 +103,7 @@ def _tiny_setup(uem_kind: str, seed: int):
     omap = BinaryOutlierMap(y)
     decoder = make_mlp([c_e, 8, 6], rng)
     head = xavier_dense(6, 3, "identity", rng)
-    inlier_model = PixelModel(net=decoder, head=head, frozen=True)
+    inlier_model = PixelModel(net=decoder, head=head)
     u = build_uem(c_e, 6, 5, uem_kind, 2, rng)
     cfg = LlrConfig(alpha=1.0, beta=0.01, head_kind=uem_kind,
                     gmm_components=2, projection_dim=6, proj_hidden=5)

@@ -11,7 +11,7 @@ before and after.
 from __future__ import annotations
 
 from collections.abc import Mapping
-from dataclasses import dataclass, asdict
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -199,10 +199,8 @@ def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
 def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
     """LLR training loss and gradients over the phi tensors only, keyed like
-    `u.tensors(UEM_NAMES)`. The inlier model must be flagged frozen; no theta
-    tensor ever appears in the returned gradient record."""
-    if not inlier_model.frozen:
-        raise FreezeViolation("stage-1 model must be frozen before UEM training")
+    `u.tensors(UEM_NAMES)`. The inlier model only supplies the max_k F_k
+    term: no theta tensor ever appears in the returned gradient record."""
     if (f.height, f.width) != (outliers.height, outliers.width):
         raise DimMismatch("feature map and outlier map dims differ")
     max_logit = max_inlier_logit(inlier_model, f).ravel()
@@ -232,7 +230,6 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         raise LlrsegError("empty dataset")
     if cfg.head_kind not in HEAD_TYPES:
         raise LlrsegError(f"unknown head kind {cfg.head_kind!r}")
-    inlier_model.frozen = True
 
     initial_digests = {name: tensor_digest(stage1.tensors[name])
                        for name in stage1_tensor_names(stage1)}
@@ -264,7 +261,8 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
 
     if cfg.head_kind == GENERATIVE:
         z0, _ = mlp_forward(u.net, x, tape=False)
-        u.head = init_head([z0[y == k] for k in range(2)], cfg.gmm_components, rng)
+        u = replace(u, head=init_head([z0[y == k] for k in range(2)],
+                                      cfg.gmm_components, rng))
 
     u, loss_history, counters = fit(
         u, x, y, lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),

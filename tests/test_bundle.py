@@ -360,3 +360,21 @@ class TestCorruption:
             edit_manifest(path, lambda m: m["tensors"].update({"decoder.0.weight": entry}))
             with pytest.raises(BadBundle, match="'decoder.0.weight'"):
                 ModelBundle.load(path, verify=False)
+
+    @pytest.mark.parametrize("name", ["../escape", ".escape", "sub/escape", ""])
+    @pytest.mark.parametrize("verify", [True, False])
+    def test_tensor_name_is_one_file_of_the_bundle(self, name, verify, tmp_path):
+        """A manifest name is a file name in the bundle directory: one that
+        would reach another directory, or a hidden file, is rejected before
+        any file is read, even where that file holds a valid tensor."""
+        bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)
+        path = tmp_path / "bundle"
+        bundle.save(path)
+        source = path / "decoder.0.weight.fmap"
+        target = path / f"{name}.fmap"
+        target.parent.mkdir(parents=True, exist_ok=True)
+        target.write_bytes(source.read_bytes())
+        edit_manifest(path, lambda m: m["tensors"].update(
+            {name: m["tensors"]["decoder.0.weight"]}))
+        with pytest.raises(BadBundle, match=f"tensor name {name!r}"):
+            ModelBundle.load(path, verify=verify)

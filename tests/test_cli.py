@@ -62,6 +62,20 @@ class TestRunConfig:
         assert f"{section}.seed" in err and "root seed" in err
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("train_bank", [0, 8])
+    def test_train_bank_that_leaves_a_split_no_bank_exits_1(self, train_bank, tmp_path,
+                                                          capsys):
+        """Of the default 8 bank members, train_uem scenes draw outliers from
+        the first train_bank and eval scenes from the rest."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "dataset": {"train_bank": train_bank}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: LlrsegError: config section dataset: train_bank")
+        assert "Traceback" not in err
+        assert not out.exists()
+
     def test_resolved_has_no_section_seeds(self):
         resolved = RunConfig.from_dict(SMALL_RUN).resolved()
         assert resolved["seed"] == 3

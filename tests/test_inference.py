@@ -1,5 +1,7 @@
 """Tile planning and score-once batching, against a visit-averaging oracle."""
 import dataclasses
+import itertools
+import re
 
 import numpy as np
 import pytest
@@ -16,55 +18,84 @@ from llrseg.neuralcore import mlp_forward
 from llrseg.uem import uem_from_bundle
 
 
+def tile_origins(frame, window, stride):
+    """Row-major origins of the tiles of a geometry, enumerated: each axis
+    starts a tile every stride from 0 and one more at the border if the last
+    start leaves it. Windows are clamped to the frame as `tile_plan` clamps
+    them; the geometry need not cover the frame."""
+    def axis(dim, win, step):
+        win = min(win, dim)
+        starts = list(range(0, dim - win + 1, step))
+        if starts[-1] != dim - win:
+            starts.append(dim - win)
+        return starts
+
+    ys, xs = (axis(*args) for args in zip(frame, window, stride))
+    return [(y, x) for y in ys for x in xs]
+
+
+def plan_origins(plan):
+    return tile_origins(plan.frame, plan.window, plan.stride)
+
+
+def coverage(frame, window, origins) -> np.ndarray:
+    """Which pixels tiles of the window at the origins cover."""
+    wh, ww = (min(w, dim) for w, dim in zip(window, frame))
+    covered = np.zeros(frame, dtype=bool)
+    for y, x in origins:
+        assert 0 <= y and y + wh <= frame[0] and 0 <= x and x + ww <= frame[1]
+        covered[y:y + wh, x:x + ww] = True
+    return covered
+
+
 class TestTilePlan:
     def test_single_exact_tile(self):
         plan = tile_plan(10, 10, 10, 10)
-        assert plan.origins == [(0, 0)]
-        assert plan.window == (10, 10)
+        assert plan_origins(plan) == [(0, 0)] and plan.tile_count() == 1
+        assert plan.frame == (10, 10) and plan.window == (10, 10)
 
     def test_border_clamp(self):
         plan = tile_plan(10, 18, 10, 8)
-        xs = sorted({x for _, x in plan.origins})
-        assert xs == [0, 8]
-        covered = np.zeros(18, dtype=bool)
-        for x in xs:
-            covered[x:x + 10] = True
-        assert covered.all()
+        assert plan_origins(plan) == [(0, 0), (0, 8)]
+        assert plan.tile_count() == 2
 
     def test_stride_one_covers_everything(self):
         plan = tile_plan(12, 12, 4, 1)
-        assert len({y for y, _ in plan.origins}) == 9
-        covered = np.zeros((12, 12), dtype=bool)
-        for y, x in plan.origins:
-            covered[y:y + 4, x:x + 4] = True
-        assert covered.all()
+        assert plan.tile_count() == 81
+        assert coverage((12, 12), (4, 4), plan_origins(plan)).all()
 
     def test_oversized_window_clamps_to_image(self):
         plan = tile_plan(6, 6, 10, 3)
         assert plan.window == (6, 6)
-        assert plan.origins == [(0, 0)]
+        assert plan_origins(plan) == [(0, 0)] and plan.tile_count() == 1
 
     def test_zero_stride_rejected(self):
         with pytest.raises(LlrsegError):
             tile_plan(10, 10, 4, 0)
 
-    def test_coverage_over_many_geometries(self):
-        rng = np.random.default_rng(0)
-        for _ in range(50):
-            h, w = rng.integers(3, 30, 2)
-            win = int(rng.integers(1, 12))
-            stride = int(rng.integers(1, win + 1))  # coverage needs stride <= window
-            plan = tile_plan(h, w, win, stride)
-            wh, ww = plan.window
-            covered = np.zeros((h, w), dtype=bool)
-            for y, x in plan.origins:
-                assert y + wh <= h and x + ww <= w
-                covered[y:y + wh, x:x + ww] = True
-            assert covered.all()
+    def test_rule_matches_enumerated_tiles_on_small_frames(self):
+        """Every frame up to 12x12 with every window and stride up to 14:
+        a plan is legal exactly when its enumerated tiles cover the frame,
+        then it counts them; otherwise the error names the first pixel
+        (row-major) they leave uncovered."""
+        accepted = 0
+        for h, w, window, stride in itertools.product(range(1, 13), range(1, 13),
+                                                      range(1, 15), range(1, 15)):
+            origins = tile_origins((h, w), (window, window), (stride, stride))
+            covered = coverage((h, w), (window, window), origins)
+            if covered.all():
+                assert tile_plan(h, w, window, stride).tile_count() == len(origins)
+                accepted += 1
+            else:
+                y, x = np.argwhere(~covered)[0]
+                with pytest.raises(LlrsegError,
+                                   match=re.escape(f"leaves pixel ({y}, {x}) of")):
+                    tile_plan(h, w, window, stride)
+        assert 0 < accepted < 12 * 12 * 14 * 14
 
-    def test_origins_row_major(self):
-        plan = tile_plan(20, 20, 8, 4)
-        assert plan.origins == sorted(plan.origins)
+    def test_tile_count_is_the_product_of_the_axis_counts(self):
+        # ceil((20 - 8) / 5) + 1 = 4 rows, ceil((20 - 6) / 4) + 1 = 5 columns
+        assert tile_plan(20, 20, (8, 6), (5, 4)).tile_count() == 20
 
     @pytest.mark.parametrize("window", [0, -3, (4, 0), (0, 4)])
     def test_window_below_one_rejected(self, window):
@@ -81,19 +112,19 @@ class TestTilePlan:
     def test_stride_past_window_that_still_covers_is_legal(self):
         # origins 0 and the clamped border tile 2 overlap
         plan = tile_plan(6, 6, 4, 5)
-        assert plan.origins == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert plan_origins(plan) == [(0, 0), (0, 2), (2, 0), (2, 2)]
+        assert plan.tile_count() == 4
 
 
 def stitched_oracle(stage2, f, plan, scorer="llr"):
     """The reference: score every tile of the plan and average each pixel
     over the tiles that visit it. Returns (scores, most visits of a pixel)."""
     inlier_model = inlier_from_bundle(stage2)
-    inlier_model.frozen = True
     uem_model = uem_from_bundle(stage2)
     wh, ww = plan.window
     total = np.zeros((f.height, f.width))
     visits = np.zeros((f.height, f.width))
-    for y, x in plan.origins:
+    for y, x in plan_origins(plan):
         tile = FeatureMap(f.data[:, y:y + wh, x:x + ww])
         total[y:y + wh, x:x + ww] += inference._score_tile(
             inlier_model, uem_model, tile, scorer)
@@ -209,13 +240,20 @@ class TestScoreImage:
         # the decoder and the UEM projection each see every pixel once
         assert sum(rows) == 2 * f.height * f.width
 
-    @pytest.mark.parametrize("origins, error", [
-        ([(0, 0), (0, 16), (16, 0)], LlrsegError),            # quadrant missing
-        ([(0, 0), (0, 16), (16, 0), (16, 17)], DimMismatch),  # past the border
-        ([(-1, 0), (0, 16), (16, 0), (16, 16)], DimMismatch),  # before the border
-    ])
+    @pytest.mark.parametrize("plan, error, message", [
+        (lambda: TilePlan((32, 32), (10, 10), (10, 11)), LlrsegError, "uncovered"),
+        (lambda: TilePlan((32, 32), (16, 16), (16, 0)), LlrsegError, "stride must be >= 1"),
+        (lambda: TilePlan((32, 32), (0, 16), (16, 16)), LlrsegError, "window must be >= 1"),
+        (lambda: TilePlan((32, 32), (16, 33), (16, 16)), LlrsegError,
+         "does not fit the 32x32 frame"),
+        (lambda: tile_plan(32, 31, 16, 16), DimMismatch, "tile plan of a 32x31 frame"),
+        (lambda: tile_plan(16, 32, 16, 16), DimMismatch, "tile plan of a 16x32 frame"),
+    ], ids=["gap", "stride-0", "window-0", "window-past-frame", "narrower-frame",
+            "shorter-frame"])
     def test_bad_plan_rejected_before_scoring(self, small_stage2, eval_scene,
-                                              monkeypatch, origins, error):
+                                              monkeypatch, plan, error, message):
+        """A plan with a bad window or stride cannot be built, and a plan of
+        another frame size is rejected before any tile is scored."""
         f, _ = eval_scene
         assert (f.height, f.width) == (32, 32)
 
@@ -223,8 +261,8 @@ class TestScoreImage:
             raise AssertionError("scored a tile of a plan that cannot be scored")
 
         monkeypatch.setattr(inference, "_score_tile", no_scoring)
-        with pytest.raises(error):
-            score_image(small_stage2, f, TilePlan((16, 16), (16, 16), origins))
+        with pytest.raises(error, match=message):
+            score_image(small_stage2, f, plan())
 
     def test_deterministic(self, small_stage2, eval_scene):
         f, _ = eval_scene
