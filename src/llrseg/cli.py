@@ -172,7 +172,6 @@ def cmd_train_uem(args) -> int:
     triples = load_split(args.dataset, "train_uem")
     dataset = [(f, o) for f, _, o in triples]
     result = train_uem(stage1, dataset, cfg.uem)
-    verify_freeze(result.bundle)
     result.bundle.save(out / "stage2")
     report = {"loss_history": result.loss_history, "em_counters": result.em_counters}
     (out / "uem_report.json").write_text(json.dumps(report, indent=2),

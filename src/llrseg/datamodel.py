@@ -312,13 +312,17 @@ class ModelBundle:
     stage-1 tensor byte-identically and lists their digests under
     "frozen_digests". On disk it is one FMAP file per tensor plus
     manifest.json, to which `save` adds the format version and each tensor's
-    shape and digest.
+    shape and digest; every tensor name matches TENSOR_NAME, so each file
+    lies in the bundle's directory.
     """
 
     manifest: dict
     tensors: dict[str, np.ndarray]
 
     def __post_init__(self):
+        for name in self.tensors:
+            if not (isinstance(name, str) and TENSOR_NAME.fullmatch(name)):
+                raise BadBundle(f"tensor name {name!r} does not match {TENSOR_NAME.pattern}")
         object.__setattr__(self, "manifest", _read_only(self.manifest))
         tensors = {}
         for name, t in self.tensors.items():

@@ -8,9 +8,9 @@ a max-subtracted log-sum-exp so finite inputs never produce -inf.
 
 A row's class log densities depend on that row alone, so the class
 densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
-(`neuralcore._run_blocks`); each block makes the same calls on its rows
-whichever worker runs it, so no result depends on the worker count. No
-density involves a matmul.
+(`neuralcore._row_blocks` and `_run_blocks`, the first with its one-row-tail
+rule); each block makes the same calls on its rows whichever worker runs it,
+so no result depends on the worker count. No density involves a matmul.
 """
 from __future__ import annotations
 
@@ -140,13 +140,7 @@ def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
                      resp: np.ndarray | None = None) -> None:
     """Writes the [N, K] class log densities of x's rows to logdens and, if
     resp [K, C, N] is given, each component's responsibility in its class.
-    Runs in row blocks on the workers of `_run_blocks`."""
-    blocks = _row_blocks(len(x), DENSITY_ROWS)
-    if len(blocks) > 1 and len(x) % DENSITY_ROWS == 1:
-        # a one-row tail joins the block before it: NumPy sums the one row
-        # of a Fortran-order block pairwise, and the rows of a taller one
-        # term by term, as it does the rows of the whole of such an x
-        blocks[-2:] = [slice(blocks[-2].start, len(x))]
+    Runs in the row blocks of `_row_blocks` on the workers of `_run_blocks`."""
     log_weight = head.log_weight
 
     def block(rows):
@@ -164,7 +158,7 @@ def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
             logdens[rows, k] = (m + np.log(s))[:, 0]
             resp[k][:, rows] = (e / s).T
 
-    _run_blocks(block, blocks)
+    _run_blocks(block, _row_blocks(len(x), DENSITY_ROWS))
 
 
 def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:

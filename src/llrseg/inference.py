@@ -4,12 +4,12 @@ Every head is pixel-wise, so `score_image` scores each pixel exactly once,
 in row-major batches of one window's area; the tile plan sets the batch
 size (and with it the peak memory) and must be the plan of the frame.
 
-A pixel's score can still depend on its batch in the last bits: NumPy
-multiplies a one-row batch on its matrix-vector path, which rounds
-differently from the matrix-matrix path of every larger batch (by a few
-1e-12 on scores of a few 1e3). So no batch has a single row unless the frame
-is a single pixel: a window of one pixel scores pairs, and a one-row tail
-joins the batch before it.
+A pixel's score can still depend on its batch in the last bits (by a few
+1e-12 on scores of a few 1e3), so the batches are the row blocks of
+`neuralcore._row_blocks`, whose one-row-tail rule keeps every batch of a
+frame of more than one pixel at two rows or more; a window of one pixel
+scores pairs. `score_image` keeps no state: it builds the models of its
+bundle on every call.
 """
 from __future__ import annotations
 
@@ -21,6 +21,7 @@ import numpy as np
 from .datamodel import FeatureMap, ModelBundle, ScoreMap
 from .errors import DimMismatch, LlrsegError
 from .inlier import inlier_from_bundle, max_inlier_logit
+from .neuralcore import _row_blocks
 from .uem import llr_score, ood_score, uem_forward, uem_from_bundle
 from .inlier import id_score as inlier_id_score
 
@@ -72,21 +73,6 @@ def tile_plan(height: int, width: int, window, stride) -> TilePlan:
 
 SCORERS = ("llr", "id", "ood")
 
-# the models of the bundle scored last: a ModelBundle is immutable, so a run
-# that scores many frames with one bundle builds its models once
-_built: dict = {}
-
-
-def _models(stage2: ModelBundle, scorer: str):
-    """(inlier model, UEM model or None for the id scorer) of stage2."""
-    if _built.get("bundle") is not stage2:
-        _built.clear()
-        _built["inlier"] = inlier_from_bundle(stage2)
-        _built["bundle"] = stage2
-    if scorer != "id" and "uem" not in _built:
-        _built["uem"] = uem_from_bundle(stage2)
-    return _built["inlier"], _built.get("uem") if scorer != "id" else None
-
 
 def _score_tile(inlier_model, uem_model, tile: FeatureMap, scorer: str) -> np.ndarray:
     if scorer == "id":
@@ -100,8 +86,8 @@ def _score_tile(inlier_model, uem_model, tile: FeatureMap, scorer: str) -> np.nd
 
 def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
                 scorer: str = "llr") -> ScoreMap:
-    """Score each pixel once, in row-major batches of the plan's window
-    area (at least two rows; a one-row tail joins the batch before it).
+    """Score each pixel once, in the row-major `_row_blocks` of the plan's
+    window area (two rows or more unless the frame is one pixel).
 
     The plan must be the plan of this frame; that is checked before any
     scoring.
@@ -111,15 +97,12 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
     if plan.frame != (f.height, f.width):
         raise DimMismatch(f"tile plan of a {plan.frame[0]}x{plan.frame[1]} frame, "
                           f"given a {f.height}x{f.width} frame")
-    inlier_model, uem_model = _models(stage2, scorer)
+    inlier_model = inlier_from_bundle(stage2)
+    uem_model = uem_from_bundle(stage2) if scorer != "id" else None
     pixels = f.data.reshape(f.channels, -1)
     n = pixels.shape[1]
-    batch = max(2, plan.window[0] * plan.window[1])
-    starts = list(range(0, n, batch))
-    if n % batch == 1 and n > 1:
-        starts.pop()  # the one-row tail joins the batch before it
     scores = np.empty(n)
-    for start, end in zip(starts, starts[1:] + [n]):
-        rows = FeatureMap(pixels[:, None, start:end])
-        scores[start:end] = _score_tile(inlier_model, uem_model, rows, scorer)[0]
+    for rows in _row_blocks(n, max(2, plan.window[0] * plan.window[1])):
+        batch = FeatureMap(pixels[:, None, rows])
+        scores[rows] = _score_tile(inlier_model, uem_model, batch, scorer)[0]
     return ScoreMap(scores.reshape(f.height, f.width))

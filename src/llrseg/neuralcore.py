@@ -6,14 +6,14 @@ needed for the exact reverse pass, which evaluates no erf. A forward-only
 pass (`tape=False`) keeps no tape: it activates each layer's pre-activation
 in place, so one hidden buffer is alive at a time.
 
-GELU and its derivative run in row blocks of BLOCK_ENTRIES entries, so each
-pass over a block stays in L2 cache, and the blocks run on a worker per CPU
-in the process's affinity set (NumPy's ufuncs and scipy's erf release the
-GIL). Each block makes the same calls on the same rows whichever worker
-runs it, so no result depends on the worker count. Matmuls always run on
-every row at once, on the calling thread: OpenBLAS picks its kernel by row
-count, and kernels round small products differently, so a blocked matmul
-would change result bits.
+GELU and its derivative run in row blocks of BLOCK_ENTRIES entries
+(`_row_blocks`), so each pass over a block stays in L2 cache, and the blocks
+run on a worker per CPU in the process's affinity set (NumPy's ufuncs and
+scipy's erf release the GIL). Each block makes the same calls on the same
+rows whichever worker runs it, so no result depends on the worker count.
+Matmuls always run on every row at once, on the calling thread: OpenBLAS
+picks its kernel by row count, and kernels round small products
+differently, so a blocked matmul would change result bits.
 """
 from __future__ import annotations
 
@@ -40,7 +40,16 @@ def _rows_per_block(width: int) -> int:
 
 
 def _row_blocks(n: int, rows: int) -> list[slice]:
-    return [slice(start, start + rows) for start in range(0, n, rows)]
+    """The slices that split n rows, in order, into blocks of `rows` rows.
+    No block has a single row unless n or rows is 1: a one-row tail joins
+    the block before it. A one-row matmul takes NumPy's matrix-vector path,
+    which rounds differently from the matrix-matrix path of a taller block,
+    and NumPy sums the lone row of a Fortran-order block pairwise, the rows
+    of a taller one term by term."""
+    starts = list(range(0, n, rows))
+    if n % rows == 1 and n > 1:
+        starts.pop()
+    return [slice(start, end) for start, end in zip(starts, starts[1:] + [n])]
 
 
 # one worker per CPU this process may run on
@@ -59,10 +68,11 @@ if hasattr(os, "register_at_fork"):
 
 
 def _run_blocks(fn, blocks: list) -> None:
-    """Calls fn(block) once for each block: inline when there is one worker
-    or one block, else on up to one task per worker, each taking the next
-    block until none is left. Every call has ended when this returns, and
-    an exception raised by fn then reaches the caller.
+    """Calls fn(block) once for each block, such as the row slices of
+    `_row_blocks`: inline when there is one worker or one block, else on up
+    to one task per worker, each taking the next block until none is left.
+    Every call has ended when this returns, and an exception raised by fn
+    then reaches the caller.
 
     fn may run on a worker thread, so it may call only NumPy, SciPy and
     private helpers: perfbench's tracer wraps every public function of the

@@ -268,14 +268,11 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         u, x, y, lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
         rng, cfg)
 
-    final_digests = {name: tensor_digest(stage1.tensors[name])
-                     for name in stage1_tensor_names(stage1)}
-    if final_digests != initial_digests:
-        raise FreezeViolation("stage-1 tensors changed during UEM training")
-
-    return TrainResult(
-        bundle=bundle_from_uem(u, inlier_model, stage1, cfg, initial_digests),
-        loss_history=loss_history, em_counters=counters, warnings=[])
+    # the bundle embeds the stage-1 tensors as they are now
+    bundle = bundle_from_uem(u, inlier_model, stage1, cfg, initial_digests)
+    verify_freeze(bundle)
+    return TrainResult(bundle=bundle, loss_history=loss_history,
+                       em_counters=counters, warnings=[])
 
 
 # ---------------------------------------------------------------------------

@@ -378,3 +378,13 @@ class TestCorruption:
             {name: m["tensors"]["decoder.0.weight"]}))
         with pytest.raises(BadBundle, match=f"tensor name {name!r}"):
             ModelBundle.load(path, verify=verify)
+
+    @pytest.mark.parametrize("name", ["../escape", ".escape", "sub/escape", ""])
+    def test_in_memory_tensor_name_is_one_file_of_the_bundle(self, name, tmp_path):
+        """A bundle built in memory takes only the names `load` takes, so
+        `save` cannot write outside its directory: a bad name raises before
+        any file is written."""
+        tensor = make_stage2(DISCRIMINATIVE, 3, 2, 4).tensors["decoder.0.weight"]
+        with pytest.raises(BadBundle, match=f"tensor name {name!r}"):
+            ModelBundle(manifest={}, tensors={name: tensor}).save(tmp_path / "bundle")
+        assert list(tmp_path.rglob("*")) == []

@@ -168,6 +168,31 @@ class TestPipeline:
         pgm = (out / "features.llr.pgm").read_bytes()
         assert pgm.startswith(b"P5\n24 24\n255\n")
 
+    def test_frames_scored_in_one_call_equal_frames_scored_alone(self, pipeline_dirs,
+                                                                  tmp_path):
+        """`score` keeps nothing from one frame to the next: three eval
+        frames scored by one call write the bytes that one call each writes."""
+        d = pipeline_dirs
+        run = {**SMALL_RUN, "dataset": {**SMALL_RUN["dataset"], "splits": [2, 2, 3]}}
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(run))
+        assert main(["synth", "--config", str(cfg), "--out", str(tmp_path / "data")]) == 0
+        manifest = json.loads((tmp_path / "data" / "manifest.json").read_text())
+        frames = []
+        for i, scene in enumerate(s for s in manifest["scenes"] if s["split"] == "eval"):
+            frames.append(tmp_path / f"frame{i}.fmap")
+            frames[-1].write_bytes(
+                (tmp_path / "data" / scene["path"] / "features.fmap").read_bytes())
+        assert len(frames) == 3
+        score = ["score", "--config", str(d["cfg"]), "--stage2", str(d["s2"] / "stage2")]
+        assert main([*score, "--out", str(tmp_path / "together"), *map(str, frames)]) == 0
+        for frame in frames:
+            assert main([*score, "--out", str(tmp_path / "alone"), str(frame)]) == 0
+        for frame in frames:
+            name = f"{frame.stem}.llr.smap"
+            assert ((tmp_path / "together" / name).read_bytes()
+                    == (tmp_path / "alone" / name).read_bytes())
+
     def test_tampered_stage1_exits_nonzero(self, pipeline_dirs, tmp_path):
         d = pipeline_dirs
         import shutil

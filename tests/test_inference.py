@@ -271,11 +271,13 @@ class TestScoreImage:
         b = score_image(small_stage2, f, plan)
         assert np.array_equal(a.scores, b.scores)
 
-    def test_models_built_once_per_bundle(self, small_stage2, eval_scene, monkeypatch):
-        """Frames scored with one bundle share its models; the UEM is built
-        only for a scorer that reads it."""
+    def test_scoring_keeps_no_state(self, small_stage2, eval_scene, monkeypatch):
+        """Every call builds the models of its bundle, the UEM only for a
+        scorer that reads it, and a copy of the bundle gives the same maps
+        bit for bit."""
         f, _ = eval_scene
         plan = tile_plan(f.height, f.width, 16, 8)
+        scorers = ("id", "id", "llr", "ood", "llr")
         built = []
 
         def counting(loader):
@@ -284,15 +286,11 @@ class TestScoreImage:
                 return loader(bundle)
             return load
 
-        monkeypatch.setattr(inference, "_built", {})
         monkeypatch.setattr(inference, "inlier_from_bundle", counting(inlier_from_bundle))
         monkeypatch.setattr(inference, "uem_from_bundle", counting(uem_from_bundle))
-        first = [score_image(small_stage2, f, plan, scorer).scores
-                 for scorer in ("id", "id", "llr", "ood", "llr")]
-        assert built == [("inlier_from_bundle", small_stage2),
-                         ("uem_from_bundle", small_stage2)]
+        first = [score_image(small_stage2, f, plan, scorer).scores for scorer in scorers]
+        inlier, uem = ("inlier_from_bundle", small_stage2), ("uem_from_bundle", small_stage2)
+        assert built == [inlier, inlier, inlier, uem, inlier, uem, inlier, uem]
         same = dataclasses.replace(small_stage2)
-        again = [score_image(same, f, plan, scorer).scores
-                 for scorer in ("id", "id", "llr", "ood", "llr")]
-        assert built[2:] == [("inlier_from_bundle", same), ("uem_from_bundle", same)]
-        assert all(np.array_equal(a, b) for a, b in zip(first, again))
+        again = [score_image(same, f, plan, scorer).scores for scorer in scorers]
+        assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))

@@ -24,6 +24,7 @@ from llrseg.neuralcore import (
     OptimizerState,
     _activate,
     _d_pre,
+    _row_blocks,
     _rows_per_block,
     grad_check,
     make_mlp,
@@ -293,6 +294,32 @@ class TestBlockedActivations:
         assert grads.keys() == want_grads.keys()
         assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
         assert bitwise_equal(d_x, d)
+
+
+def brute_force_blocks(n, rows):
+    """(start, stop) of each block: the full blocks of `rows`, then the rest
+    of n, which joins the block before it if it is a single row."""
+    full, rest = divmod(n, rows)
+    sizes = [rows] * full + [rest] * (rest > 0)
+    if rest == 1 and full:
+        sizes[-2:] = [rows + 1]
+    stops = np.cumsum(sizes, dtype=int).tolist()
+    return list(zip([0] + stops[:-1], stops))
+
+
+class TestRowBlocks:
+    @pytest.mark.parametrize("rows", range(1, 10))
+    def test_blocks_cover_the_rows_once_and_leave_no_row_alone(self, rows):
+        for n in range(41):
+            blocks = _row_blocks(n, rows)
+            spans = [(block.start, block.stop) for block in blocks]
+            assert all(block.step is None and stop > start
+                       for block, (start, stop) in zip(blocks, spans))
+            assert [i for start, stop in spans for i in range(start, stop)] == list(range(n))
+            assert all(stop - start == rows for start, stop in spans[:-1])
+            if n != 1 and rows != 1:
+                assert all(stop - start > 1 for start, stop in spans)
+            assert spans == brute_force_blocks(n, rows)
 
 
 class TestRowBlocksOnWorkers:
