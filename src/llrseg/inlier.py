@@ -155,7 +155,7 @@ class PixelModel:
         if f.channels != self.net.in_dim:
             raise DimMismatch(f"feature map has {f.channels} channels, "
                               f"model expects {self.net.in_dim}")
-        # forward only: no tape, so one hidden buffer is alive at a time
+        # forward only: no tape, and the hidden layer is held one chunk at a time
         z, _ = mlp_forward(self.net, f.pixels(), tape=False)
         return self.head.logits(z)
 

@@ -3,17 +3,23 @@
 Everything runs in float64. Forward passes are pure; a tape produced by
 mlp_forward carries the per-layer inputs, pre-activations and GELU gates
 needed for the exact reverse pass, which evaluates no erf. A forward-only
-pass (`tape=False`) keeps no tape: it activates each layer's pre-activation
-in place, so one hidden buffer is alive at a time.
+pass (`tape=False`) keeps no tape: it takes the rows in chunks of about
+CHUNK_ENTRIES entries of the widest layer (1024 rows of the 1152-wide
+decoder), runs each chunk through every layer in chunk-sized buffers,
+activating in place, and writes it into one output array, so no hidden
+layer is ever held for all rows.
 
 GELU and its derivative run in row blocks of BLOCK_ENTRIES entries
 (`_row_blocks`), so each pass over a block stays in L2 cache, and the blocks
 run on a worker per CPU in the process's affinity set (NumPy's ufuncs and
 scipy's erf release the GIL). Each block makes the same calls on the same
 rows whichever worker runs it, so no result depends on the worker count.
-Matmuls always run on every row at once, on the calling thread: OpenBLAS
-picks its kernel by row count, and kernels round small products
-differently, so a blocked matmul would change result bits.
+Matmuls always run on the calling thread, and the taped pass and the
+reverse pass multiply every row at once: OpenBLAS picks its kernel by the
+product's shape, and kernels round small products differently, so a
+matmul of a few rows would change result bits. The forward-only chunks are
+kept tall enough for their narrowest layer that they do not
+(`_forward_chunks`).
 """
 from __future__ import annotations
 
@@ -33,23 +39,52 @@ ACTIVATIONS = ("identity", "relu", "gelu")
 # entries per GELU block, 64 rows of the 1152-wide decoder layer: a block of
 # pre-activations, gates and outputs takes 1.8 MB, inside a 2 MB L2 cache
 BLOCK_ENTRIES = 64 * 1152
+# entries per chunk of a tape-free forward, 1024 rows of the decoder's
+# 1152-wide layer: a 9.4 MB buffer in place of the 37.7 MB of a 4096-row
+# scoring batch. `score` of three 128x128 frames on a 2-core x86-64 machine
+# (median of 5, three rounds) read, unchunked / 512 / 1024 / 2048 rows:
+# one BLAS thread 0.82-0.86 / 0.84-0.90 / 0.82-0.83 / 0.79-0.84 s; BLAS
+# threads unpinned 1.03-1.10 / 1.10-1.14 / 1.09-1.11 / 1.00-1.06 s, as
+# OpenBLAS's idle worker spins and stalls a GELU worker about once per
+# chunk. 2048 rows would hold half the batch's hidden layer.
+CHUNK_ENTRIES = 1024 * 1152
 
 
 def _rows_per_block(width: int) -> int:
     return max(1, BLOCK_ENTRIES // max(1, width))
 
 
-def _row_blocks(n: int, rows: int) -> list[slice]:
+def _row_blocks(n: int, rows: int, least: int = 2) -> list[slice]:
     """The slices that split n rows, in order, into blocks of `rows` rows.
-    No block has a single row unless n or rows is 1: a one-row tail joins
-    the block before it. A one-row matmul takes NumPy's matrix-vector path,
-    which rounds differently from the matrix-matrix path of a taller block,
-    and NumPy sums the lone row of a Fortran-order block pairwise, the rows
-    of a taller one term by term."""
+    A tail shorter than `least` rows (least <= rows) joins the block before
+    it, so by default no block has a single row unless n or rows is 1. A
+    one-row matmul takes NumPy's matrix-vector path, which rounds
+    differently from the matrix-matrix path of a taller block, and NumPy
+    sums the lone row of a Fortran-order block pairwise, the rows of a
+    taller one term by term."""
     starts = list(range(0, n, rows))
-    if n % rows == 1 and n > 1:
+    if 0 < n % rows < least and n > rows:
         starts.pop()
     return [slice(start, end) for start, end in zip(starts, starts[1:] + [n])]
+
+
+def _forward_chunks(n: int, widths: list[int]) -> list[slice]:
+    """The row chunks of a tape-free forward through layers of these output
+    widths: CHUNK_ENTRIES entries of the widest layer each, and none, the
+    tail included, shorter than max(64, ceil(4096 / narrowest width)) rows.
+
+    OpenBLAS picks its GEMM kernel by the product's shape, and the kernels
+    round differently, so a chunk's rows come out with the bits of the
+    whole-array product only when the chunk is tall enough for its width N.
+    Measured with OpenBLAS 0.3.31 (SkylakeX kernels) against a 4096-row
+    product, for M rows of inner dimension K: any M >= 2 for K <= 24; only
+    M x N > 1200 for K = 64 and M x N > 868 for K = 1152; for N = 1 no M
+    up to 2199 reliably, so a net with a one-wide layer runs as one
+    chunk."""
+    if min(widths) == 1:
+        return [slice(0, n)] if n else []
+    least = max(64, -(-4096 // min(widths)))
+    return _row_blocks(n, max(least, CHUNK_ENTRIES // max(widths)), least)
 
 
 # one worker per CPU this process may run on
@@ -262,25 +297,37 @@ class Tape:
 
 def mlp_forward(m: Mlp, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, Tape | None]:
     """Runs m on the rows of x. Returns (output, tape), the tape being what
-    mlp_backward needs; with tape=False it is None, and each layer's
-    activation overwrites its pre-activation. x itself is never written."""
+    mlp_backward needs. With tape=False it is None, and the rows go through
+    every layer one `_forward_chunks` chunk at a time, each layer's
+    activation overwriting its pre-activation in a chunk-sized buffer that
+    the next chunk reuses, so no hidden layer is ever alive for all rows.
+    x itself is never written."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
+    if not tape:
+        chunks = _forward_chunks(len(x), [layer.out_dim for layer in m.layers])
+        longest = max((rows.stop - rows.start for rows in chunks), default=0)
+        hidden = [np.empty((longest, layer.out_dim)) for layer in m.layers[:-1]]
+        out = np.empty((len(x), m.out_dim))
+        for rows in chunks:
+            h = x[rows]
+            for layer, buf in zip(m.layers, hidden + [out[rows]]):
+                pre = np.matmul(h, layer.weight.T, out=buf[:len(h)])
+                pre += layer.bias
+                h, _ = _activate(layer.activation, pre, tape=False)
+        return out, None
     inputs, pres, gates = [], [], []
     h = x
     for layer in m.layers:
         pre = h @ layer.weight.T
         pre += layer.bias
-        if tape:
-            inputs.append(h)
-            pres.append(pre)
-        h, gate = _activate(layer.activation, pre, tape)
+        inputs.append(h)
+        pres.append(pre)
+        h, gate = _activate(layer.activation, pre)
         gates.append(gate)
-    if not tape:
-        return h, None
     return h, Tape(inputs=inputs, pre_activations=pres, gates=gates)
 
 

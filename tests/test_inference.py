@@ -2,6 +2,7 @@
 import dataclasses
 import itertools
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,13 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import llrseg.inference as inference
-from llrseg.anomalymix import load_split
+from llrseg.anomalymix import DatasetConfig, load_split, make_dataset
 from llrseg.datamodel import FeatureMap
 from llrseg.errors import DimMismatch, LlrsegError
 from llrseg.inference import SCORERS, TilePlan, score_image, tile_plan
-from llrseg.inlier import inlier_from_bundle
+from llrseg.inlier import InlierConfig, inlier_from_bundle, train_inlier
 from llrseg.neuralcore import mlp_forward
-from llrseg.uem import uem_from_bundle
+from llrseg.uem import LlrConfig, train_uem, uem_from_bundle
 
 
 def tile_origins(frame, window, stride):
@@ -294,3 +295,24 @@ class TestScoreImage:
         same = dataclasses.replace(small_stage2)
         again = [score_image(same, f, plan, scorer).scores for scorer in scorers]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
+
+    def test_default_size_frame_holds_no_hidden_layer_of_a_batch(self, tmp_path):
+        """A default-size bundle scores a 128x128 frame in 4096-pixel
+        batches, at a peak below one [4096, 1152] hidden layer of its
+        decoder: the decoder runs in chunks of fewer rows."""
+        make_dataset(DatasetConfig(height=16, width=16, splits=(2, 2, 1)), tmp_path)
+        stage1 = train_inlier([(f, l) for f, l, _ in load_split(tmp_path, "train_inlier")],
+                              5, InlierConfig(epochs=1))
+        stage2 = train_uem(stage1.bundle,
+                           [(f, o) for f, _, o in load_split(tmp_path, "train_uem")],
+                           LlrConfig(epochs=1)).bundle
+        assert [l.out_dim for l in inlier_from_bundle(stage2).net.layers] == [1152, 64]
+        f = FeatureMap(np.random.default_rng(0).normal(0, 1, (16, 128, 128)))
+        plan = tile_plan(128, 128, 64, 32)
+        tracemalloc.start()
+        try:
+            score_image(stage2, f, plan)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 4096 * 1152 * 8

@@ -251,21 +251,6 @@ class TestBlockedActivations:
         assert bitwise_equal(out, taped)
         assert bitwise_equal(x, kept)
 
-    def test_forward_without_tape_keeps_one_hidden_buffer(self):
-        rng = np.random.default_rng(0)
-        m = make_mlp([16, 1152, 64], rng)
-        x = rng.normal(0, 1, (16 * B, 16))
-        hidden_bytes = x.shape[0] * 1152 * 8
-        tracemalloc.start()
-        try:
-            mlp_forward(m, x, tape=False)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        # one [N, 1152] buffer plus a block of gate and the [N, 64] output;
-        # a taped forward holds three [N, 1152] buffers
-        assert peak < 1.5 * hidden_bytes
-
     @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_tape_and_gradients_equal_whole_array_references(self, activation, rows):
@@ -296,13 +281,68 @@ class TestBlockedActivations:
         assert bitwise_equal(d_x, d)
 
 
-def brute_force_blocks(n, rows):
+# the inlier decoder and the UEM projection at their default sizes, and the
+# rows of every chunk edge of the decoder and of a 4096-row scoring batch
+PACKAGE_NETS = [[16, 1152, 64], [16, 24, 24, 64]]
+PACKAGE_ROWS = [0, 1, 2, 63, 64, 65, 1023, 1024, 1025, 1087, 1088, 2048,
+                4095, 4096, 4097, 4160]
+# nets with narrow layers, whose rows keep the bits of a whole-array product
+# only in tall chunks, at rows whose 64-row tail such a layer would round
+# differently
+NARROW_NETS = [[5, 1152, 1152, 4], [16, 1152, 64, 5], [64, 64, 2], [16, 1152, 1]]
+NARROW_ROWS = [1024, 1088, 1100, 1300, 4096, 4160]
+
+
+class TestForwardChunks:
+    """A forward without a tape runs in row chunks; its output must equal the
+    taped forward's, whose matmuls take all rows at once, bit for bit."""
+
+    @pytest.mark.parametrize("dims", PACKAGE_NETS)
+    @pytest.mark.parametrize("rows", PACKAGE_ROWS)
+    def test_package_nets_equal_taped(self, monkeypatch, dims, rows):
+        rng = np.random.default_rng(rows)
+        m = make_mlp(dims, rng)
+        data = rng.normal(0, 1, (dims[0], rows))
+        # C order, and the Fortran-order view FeatureMap.pixels() returns
+        for x in (np.ascontiguousarray(data.T), data.T):
+            kept = x.copy()
+            want, _ = mlp_forward(m, x)
+            for workers in (1, 2):
+                monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+                assert bitwise_equal(mlp_forward(m, x, tape=False)[0], want)
+            assert bitwise_equal(x, kept)
+
+    @pytest.mark.parametrize("dims", NARROW_NETS)
+    @pytest.mark.parametrize("rows", NARROW_ROWS)
+    def test_narrow_nets_equal_taped(self, dims, rows):
+        rng = np.random.default_rng(rows)
+        m = make_mlp(dims, rng)
+        x = rng.normal(0, 1, (rows, dims[0]))
+        assert bitwise_equal(mlp_forward(m, x, tape=False)[0], mlp_forward(m, x)[0])
+
+    def test_forward_without_tape_keeps_no_hidden_buffer(self):
+        rng = np.random.default_rng(0)
+        m = make_mlp([16, 1152, 64], rng)
+        x = rng.normal(0, 1, (4096, 16))
+        hidden_bytes = x.shape[0] * 1152 * 8
+        tracemalloc.start()
+        try:
+            mlp_forward(m, x, tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # a 1024-row chunk of the hidden layer, a block of gate per worker and
+        # the [N, 64] output; all N rows of the hidden layer take 1.0x
+        assert peak < 0.5 * hidden_bytes
+
+
+def brute_force_blocks(n, rows, least=2):
     """(start, stop) of each block: the full blocks of `rows`, then the rest
-    of n, which joins the block before it if it is a single row."""
+    of n, which joins the block before it if it is shorter than least."""
     full, rest = divmod(n, rows)
     sizes = [rows] * full + [rest] * (rest > 0)
-    if rest == 1 and full:
-        sizes[-2:] = [rows + 1]
+    if 0 < rest < least and full:
+        sizes[-2:] = [rows + rest]
     stops = np.cumsum(sizes, dtype=int).tolist()
     return list(zip([0] + stops[:-1], stops))
 
@@ -320,6 +360,14 @@ class TestRowBlocks:
             if n != 1 and rows != 1:
                 assert all(stop - start > 1 for start, stop in spans)
             assert spans == brute_force_blocks(n, rows)
+
+    @pytest.mark.parametrize("rows", range(2, 10))
+    def test_a_tail_shorter_than_least_joins_the_block_before_it(self, rows):
+        for least in range(2, rows + 1):
+            for n in range(rows, 41):
+                spans = [(block.start, block.stop) for block in _row_blocks(n, rows, least)]
+                assert all(stop - start >= least for start, stop in spans)
+                assert spans == brute_force_blocks(n, rows, least)
 
 
 class TestRowBlocksOnWorkers:
