@@ -76,20 +76,21 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
     after every step, and one `refresh_head` of a GMM head per epoch on net(x).
     `loss(head, z, idx)` returns (loss, d_z, head gradients) for the net
     output z of rows idx; a head tensor without a gradient keeps its value.
-    The `model` passed in is left unchanged.
+    Each step's forward refills the tape the previous step's backward spent,
+    so the net's hidden layers are allocated once per fit, for the first
+    (largest) batch. The `model` passed in is left unchanged.
 
     Returns (trained model, mean batch loss of each epoch, EM counters).
     """
     params = model.tensors()
     opt = OptimizerState(lr=cfg.lr)
     counters, loss_history = {}, []
+    tape = True
     for _ in range(cfg.epochs):
         order = rng.permutation(x.shape[0])
         losses = []
         for idx in _batches(order, cfg.batch_size):
-            # z and tape stay bound until the next forward: freed before it, malloc
-            # trims the heap and each step page-faults anew (stage 1 ~20% slower)
-            z, tape = mlp_forward(model.net, x[idx])
+            z, tape = mlp_forward(model.net, x[idx], tape=tape)
             value, d_z, head_grads = loss(model.head, z, idx)
             net_grads, _ = mlp_backward(model.net, tape, d_z)
             grads = model_tensors(net_grads, head_grads)
@@ -199,6 +200,21 @@ class InlierConfig:
     gmm_sinkhorn_iters: int = 10
     gmm_momentum: float = 0.8
     gmm_max_pixels_per_class: int = 4096
+
+    def __post_init__(self):
+        _check_training_config(self, ("decoder_dim", "decoder_hidden"))
+
+
+def _check_training_config(cfg, widths: tuple[str, ...]) -> None:
+    """Raises ValueError for a value a training loop cannot run: a batch
+    size, GMM component count or layer width (the fields named `widths`)
+    below 1, or a negative epoch or Sinkhorn iteration count."""
+    least = {"batch_size": 1, "epochs": 0, "gmm_components": 1,
+             "gmm_sinkhorn_iters": 0, **dict.fromkeys(widths, 1)}
+    for name, low in least.items():
+        value = getattr(cfg, name)
+        if value < low:
+            raise ValueError(f"{name} must be >= {low}, got {value}")
 
 
 def holdout_split(n: int) -> tuple[list[int], list[int]]:

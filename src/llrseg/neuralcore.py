@@ -1,8 +1,12 @@
 """Minimal dense layers with analytic gradients, losses, and Adam.
 
 Everything runs in float64. Forward passes are pure; a tape produced by
-mlp_forward carries the per-layer inputs, pre-activations and GELU gates
-needed for the exact reverse pass, which evaluates no erf. A forward-only
+mlp_forward carries each layer's input and its activation's slope at the
+pre-activation, all the exact reverse pass needs, so that pass evaluates no
+erf. mlp_backward spends the tape: it writes its gradients over the tape's
+own buffers, so a taped GELU layer holds two arrays of its width, and a
+later mlp_forward refills a spent tape's buffers instead of allocating new
+ones. A forward-only
 pass (`tape=False`) keeps no tape: it takes the rows in chunks of about
 CHUNK_ENTRIES entries of the widest layer (1024 rows of the 1152-wide
 decoder), runs each chunk through every layer in chunk-sized buffers,
@@ -38,6 +42,7 @@ _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
 ACTIVATIONS = ("identity", "relu", "gelu")
 # entries per GELU block, 64 rows of the 1152-wide decoder layer: a block of
 # pre-activations, gates and outputs takes 1.8 MB, inside a 2 MB L2 cache
+# (the taped pass's slope takes a fourth 0.6 MB block of scratch)
 BLOCK_ENTRIES = 64 * 1152
 # entries per chunk of a tape-free forward, 1024 rows of the decoder's
 # 1152-wide layer: a 9.4 MB buffer in place of the 37.7 MB of a 4096-row
@@ -141,52 +146,37 @@ def _gelu_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray) -> None:
     out *= gate
 
 
-def _activate(name: str, pre: np.ndarray,
-              tape: bool = True) -> tuple[np.ndarray, np.ndarray | None]:
-    """Returns (activation, gate) of the rows of pre. GELU's gate
-    1 + erf(pre/√2) is what its reverse pass needs; the other activations
-    return None for it. Without a tape the activation overwrites pre and
-    GELU's gate is scratch, one block per row block, returned as None."""
-    if name == "identity":
-        return pre, None
+def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray) -> None:
+    """GELU of the rows pre into out, and its slope cdf + pre*pdf at pre
+    over pre, cdf = gate/2, pdf = exp(-pre²/2)/√(2π); the gate is scratch."""
+    gate, pdf = np.empty_like(pre), np.empty_like(pre)
+    _gelu_rows(pre, out, gate)
+    np.square(pre, out=pdf)
+    pdf *= -0.5
+    np.exp(pdf, out=pdf)
+    pdf *= _INV_SQRT_2PI
+    pdf *= pre
+    gate *= 0.5
+    np.add(pdf, gate, out=pre)
+
+
+def _activate(name: str, pre: np.ndarray, out: np.ndarray | None = None) -> None:
+    """Activates the rows of pre: in place, or into out, the activation's
+    slope at pre then overwriting pre (GELU: cdf + pre*pdf; ReLU: pre > 0).
+    GELU runs in row blocks, each with block-sized scratch for its gate.
+    Identity does nothing and takes no out."""
     if name == "relu":
-        return np.maximum(pre, 0.0, out=None if tape else pre), None
-    if name == "gelu":
-        blocks = _row_blocks(len(pre), _rows_per_block(pre.shape[1]))
-        if tape:
-            out, gate = np.empty_like(pre), np.empty_like(pre)
-            _run_blocks(lambda r: _gelu_rows(pre[r], out[r], gate[r]), blocks)
-            return out, gate
-        _run_blocks(lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r])), blocks)
-        return pre, None
-    raise ValueError(f"unknown activation {name!r}")
-
-
-def _gelu_grad_rows(pre: np.ndarray, gate: np.ndarray, d: np.ndarray,
-                    out: np.ndarray) -> None:
-    """d * (cdf + pre*pdf) into out, cdf = gate/2, pdf = exp(-pre²/2)/√(2π)."""
-    np.square(pre, out=out)
-    out *= -0.5
-    np.exp(out, out=out)
-    out *= _INV_SQRT_2PI
-    out *= pre
-    out += 0.5 * gate
-    out *= d
-
-
-def _d_pre(name: str, pre: np.ndarray, gate: np.ndarray | None,
-           d: np.ndarray) -> np.ndarray:
-    """The upstream gradient d times the activation's derivative at pre."""
-    if name == "identity":
-        return d
-    if name == "relu":
-        return d * (pre > 0.0)
-    if name == "gelu":
-        d_pre = np.empty_like(pre)
-        _run_blocks(lambda r: _gelu_grad_rows(pre[r], gate[r], d[r], d_pre[r]),
-                    _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
-        return d_pre
-    raise ValueError(f"unknown activation {name!r}")
+        if out is None:
+            np.maximum(pre, 0.0, out=pre)
+        else:
+            np.maximum(pre, 0.0, out=out)
+            np.greater(pre, 0.0, out=pre)
+    elif name == "gelu":
+        if out is None:
+            rows = lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r]))  # noqa: E731
+        else:
+            rows = lambda r: _gelu_slope_rows(pre[r], out[r])  # noqa: E731
+        _run_blocks(rows, _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -290,18 +280,42 @@ def make_mlp(dims: list[int], rng: np.random.Generator,
 
 @dataclass
 class Tape:
-    inputs: list[np.ndarray]       # per-layer input
-    pre_activations: list[np.ndarray]
-    gates: list[np.ndarray | None]  # per-layer GELU gate, None for other layers
+    """What mlp_backward needs of a taped forward through an MLP whose layers
+    have these (weight shape, activation) pairs: each layer's input, the
+    first being the caller's x, and each layer's activation slope at its
+    pre-activation (None for identity). Every other input and every slope
+    is the first rows of one of the tape's `buffers`, keyed (layer, "pre" or
+    "out"), which mlp_backward overwrites with gradients: a tape serves one
+    backward and is then spent."""
+    layers: list[tuple[tuple[int, int], str]] = field(default_factory=list)
+    inputs: list[np.ndarray] = field(default_factory=list)
+    slopes: list[np.ndarray | None] = field(default_factory=list)
+    buffers: dict = field(default_factory=dict)
+    spent: bool = True
 
 
-def mlp_forward(m: Mlp, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, Tape | None]:
+def _buffer_rows(old: dict, new: dict, key, rows: int, width: int) -> np.ndarray:
+    """The first `rows` rows of old[key], or of a new array when old has no
+    such buffer of this width and at least that many rows; stored in new."""
+    buf = old.pop(key, None)
+    if buf is None or buf.shape[1] != width or len(buf) < rows:
+        buf = np.empty((rows, width))
+    new[key] = buf
+    return buf[:rows]
+
+
+def mlp_forward(m: Mlp, x: np.ndarray,
+                tape: bool | Tape = True) -> tuple[np.ndarray, Tape | None]:
     """Runs m on the rows of x. Returns (output, tape), the tape being what
-    mlp_backward needs. With tape=False it is None, and the rows go through
-    every layer one `_forward_chunks` chunk at a time, each layer's
-    activation overwriting its pre-activation in a chunk-sized buffer that
-    the next chunk reuses, so no hidden layer is ever alive for all rows.
-    x itself is never written."""
+    mlp_backward needs. Given a Tape (spent, say, by mlp_backward), the
+    forward refills it and returns it: its buffers take this forward's rows
+    wherever they are wide and tall enough, so the steps of a training loop
+    allocate the tape once. The output is a new array either way, which no
+    later forward overwrites. With tape=False the tape is None, and the rows
+    go through every layer one `_forward_chunks` chunk at a time, each
+    layer's activation overwriting its pre-activation in a chunk-sized
+    buffer that the next chunk reuses, so no hidden layer is ever alive for
+    all rows. x itself is never written."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
@@ -315,41 +329,63 @@ def mlp_forward(m: Mlp, x: np.ndarray, tape: bool = True) -> tuple[np.ndarray, T
         for rows in chunks:
             h = x[rows]
             for layer, buf in zip(m.layers, hidden + [out[rows]]):
-                pre = np.matmul(h, layer.weight.T, out=buf[:len(h)])
-                pre += layer.bias
-                h, _ = _activate(layer.activation, pre, tape=False)
+                h = np.matmul(h, layer.weight.T, out=buf[:len(h)])
+                h += layer.bias
+                _activate(layer.activation, h)
         return out, None
-    inputs, pres, gates = [], [], []
+    if not isinstance(tape, Tape):
+        tape = Tape()
+    tape.spent = True  # until it is filled
+    old, tape.buffers = tape.buffers, {}
+    tape.layers = [(layer.weight.shape, layer.activation) for layer in m.layers]
+    tape.inputs, tape.slopes = [], []
+    n, last = len(x), len(m.layers) - 1
     h = x
-    for layer in m.layers:
-        pre = h @ layer.weight.T
+    for i, layer in enumerate(m.layers):
+        tape.inputs.append(h)
+        identity = layer.activation == "identity"
+        # the net's output is a new array, a hidden layer's a tape buffer; an
+        # identity layer's pre-activation is its output
+        out = (np.empty((n, layer.out_dim)) if i == last
+               else _buffer_rows(old, tape.buffers, (i, "out"), n, layer.out_dim))
+        pre = out if identity else _buffer_rows(old, tape.buffers, (i, "pre"), n,
+                                                layer.out_dim)
+        np.matmul(h, layer.weight.T, out=pre)
         pre += layer.bias
-        inputs.append(h)
-        pres.append(pre)
-        h, gate = _activate(layer.activation, pre)
-        gates.append(gate)
-    return h, Tape(inputs=inputs, pre_activations=pres, gates=gates)
+        if not identity:
+            _activate(layer.activation, pre, out)
+        tape.slopes.append(None if identity else pre)
+        h = out
+    tape.spent = False
+    return h, tape
 
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     """Exact reverse pass. Returns (grads, d_x) with grads keyed like
-    `m.tensors()`."""
-    if ([(p.shape[1], x.shape[1]) for p, x in zip(tape.pre_activations, tape.inputs)]
-            != [l.weight.shape for l in m.layers]
-            or [g is not None for g in tape.gates]
-            != [l.activation == "gelu" for l in m.layers]):
+    `m.tensors()`. It spends the tape: each layer's slope is overwritten by
+    the upstream gradient times it (in row blocks on the workers), and
+    the gradient with respect to a layer's input by the buffer that held
+    that input, so a second backward on the tape raises StaleTape. x and
+    d_out are never written."""
+    if tape.spent:
+        raise StaleTape("tape is spent: a backward pass has used it")
+    if tape.layers != [(layer.weight.shape, layer.activation) for layer in m.layers]:
         raise StaleTape("tape does not match this MLP")
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (tape.inputs[0].shape[0], m.out_dim):
         raise StaleTape(f"upstream gradient shape {d_out.shape} mismatch")
+    tape.spent = True
     grads = {}
     d = d_out
     for i in reversed(range(len(m.layers))):
-        layer = m.layers[i]
-        d_pre = _d_pre(layer.activation, tape.pre_activations[i], tape.gates[i], d)
-        grads[f"{i}.weight"] = d_pre.T @ tape.inputs[i]
-        grads[f"{i}.bias"] = d_pre.sum(axis=0)
-        d = d_pre @ layer.weight
+        layer, slope = m.layers[i], tape.slopes[i]
+        if slope is not None:
+            _run_blocks(lambda r: np.multiply(d[r], slope[r], out=slope[r]),
+                        _row_blocks(len(slope), _rows_per_block(slope.shape[1])))
+            d = slope
+        grads[f"{i}.weight"] = d.T @ tape.inputs[i]
+        grads[f"{i}.bias"] = d.sum(axis=0)
+        d = np.matmul(d, layer.weight, out=tape.inputs[i] if i else None)
     return grads, d
 
 

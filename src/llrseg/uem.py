@@ -37,6 +37,7 @@ from .inlier import (
     HEAD_TYPES,
     PixelModel,
     TrainResult,
+    _check_training_config,
     fit,
     inlier_from_bundle,
     manifest_fields,
@@ -134,6 +135,7 @@ class LlrConfig:
     def __post_init__(self):
         if self.alpha < 0 or self.beta < 0:
             raise ValueError("alpha and beta must be non-negative")
+        _check_training_config(self, ("projection_dim", "proj_hidden"))
 
 
 def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,

@@ -278,6 +278,39 @@ class TestPipeline:
         assert err.rstrip().endswith(f"not {value}")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, key, value, least", [
+        ("inlier", "batch_size", 0, 1),
+        ("inlier", "batch_size", -5, 1),
+        ("uem", "batch_size", 0, 1),
+        ("inlier", "epochs", -1, 0),
+        ("uem", "epochs", -2, 0),
+        ("inlier", "gmm_components", 0, 1),
+        ("uem", "gmm_components", 0, 1),
+        ("inlier", "gmm_sinkhorn_iters", -1, 0),
+        ("uem", "gmm_sinkhorn_iters", -3, 0),
+        ("inlier", "decoder_hidden", 0, 1),
+        ("inlier", "decoder_dim", 0, 1),
+        ("uem", "proj_hidden", 0, 1),
+        ("uem", "projection_dim", -1, 1),
+    ])
+    def test_training_value_no_loop_can_run_exits_1(self, pipeline_dirs, tmp_path, capsys,
+                                                    section, key, value, least):
+        d = pipeline_dirs
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps({**SMALL_RUN, section: {**SMALL_RUN[section], key: value}}))
+        out = tmp_path / "o"
+        if section == "inlier":
+            command = ["train-inlier", "--dataset", str(d["data"])]
+        else:
+            command = ["train-uem", "--dataset", str(d["data"]),
+                       "--stage1", str(d["s1"] / "stage1")]
+        code = main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err == (f"error: LlrsegError: config section {section}: "
+                       f"{key} must be >= {least}, got {value}\n")
+        assert not out.exists()
+
     def test_config_file_not_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"seed": 1,')

@@ -22,8 +22,8 @@ from llrseg.neuralcore import (
     DenseLayer,
     Mlp,
     OptimizerState,
+    Tape,
     _activate,
-    _d_pre,
     _row_blocks,
     _rows_per_block,
     grad_check,
@@ -167,9 +167,10 @@ class TestGeluTape:
         d = data.draw(arrays(np.float64, shape, elements=GELU_VALUES))
         cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x**2)
-        out, gate = _activate("gelu", x)
+        slope, out = x.copy(), np.empty_like(x)
+        _activate("gelu", slope, out)
         assert bitwise_equal(out, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
-        assert bitwise_equal(_d_pre("gelu", x, gate, d), d * (cdf + x * pdf))
+        assert bitwise_equal(d * slope, d * (cdf + x * pdf))
 
     def test_erf_runs_once_per_gelu_layer_and_never_backward(self, monkeypatch):
         calls = []
@@ -264,17 +265,22 @@ class TestBlockedActivations:
             pres.append(pre)
             h, gate = whole_array_activate(layer.activation, pre)
             gates.append(gate)
-        want_grads, d = {}, d_out
-        for i in reversed(range(len(m.layers))):
-            d_pre = whole_array_d_pre(m.layers[i].activation, pres[i], gates[i], d)
-            want_grads[f"{i}.weight"] = d_pre.T @ inputs[i]
-            want_grads[f"{i}.bias"] = d_pre.sum(axis=0)
-            d = d_pre @ m.layers[i].weight
+        layers = len(m.layers)
+        want_grads, d_pres, upstream, d = {}, [None] * layers, [None] * layers, d_out
+        for i in reversed(range(layers)):
+            upstream[i] = d
+            d_pres[i] = whole_array_d_pre(m.layers[i].activation, pres[i], gates[i], d)
+            want_grads[f"{i}.weight"] = d_pres[i].T @ inputs[i]
+            want_grads[f"{i}.bias"] = d_pres[i].sum(axis=0)
+            d = d_pres[i] @ m.layers[i].weight
 
         out, tape = mlp_forward(m, x)
         assert bitwise_equal(out, h)
-        for got, want in zip(tape.pre_activations + tape.gates, pres + gates):
-            assert (got is None and want is None) or bitwise_equal(got, want)
+        assert all(bitwise_equal(got, want) for got, want in zip(tape.inputs, inputs))
+        for slope, d_up, want in zip(tape.slopes, upstream, d_pres):
+            # the slope times the layer's upstream gradient is that layer's d_pre
+            assert (slope is None) == (activation == "identity")
+            assert bitwise_equal(d_up if slope is None else d_up * slope, want)
         grads, d_x = mlp_backward(m, tape, d_out)
         assert grads.keys() == want_grads.keys()
         assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
@@ -336,6 +342,73 @@ class TestForwardChunks:
         assert peak < 0.5 * hidden_bytes
 
 
+class TestTapeReuse:
+    """mlp_backward spends its tape, writing gradients over the tape's
+    buffers, and a later forward refills them; nothing may differ from a
+    forward and backward on a fresh tape."""
+
+    @pytest.mark.parametrize("activation", ACTIVATIONS)
+    def test_reused_tape_equals_fresh_tapes(self, activation):
+        rng = np.random.default_rng(17)
+        m = make_mlp([16, 1152, 24, 5], rng, hidden_activation=activation,
+                     final_activation=activation)
+        tape, outputs, buffers = True, [], None
+        for rows in (1024, 700, 1024):  # a full batch, a shorter tail, a full one
+            x = rng.normal(0, 2, (rows, 16))
+            d_out = rng.normal(0, 1, (rows, 5))
+            kept = x.copy(), d_out.copy()
+            want, fresh = mlp_forward(m, x)
+            want_grads, want_d_x = mlp_backward(m, fresh, d_out)
+            out, tape = mlp_forward(m, x, tape=tape)
+            grads, d_x = mlp_backward(m, tape, d_out)
+            assert bitwise_equal(out, want) and bitwise_equal(d_x, want_d_x)
+            assert grads.keys() == want_grads.keys()
+            assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
+            assert bitwise_equal(x, kept[0]) and bitwise_equal(d_out, kept[1])
+            outputs.append((out, out.copy()))
+            buffers = buffers or dict(tape.buffers)
+        # every step wrote the first step's buffers, and none an earlier output
+        assert tape.buffers.keys() == buffers.keys()
+        assert all(tape.buffers[key] is buf for key, buf in buffers.items())
+        assert all(bitwise_equal(out, kept) for out, kept in outputs)
+
+    def test_a_second_backward_on_a_spent_tape_raises(self):
+        rng = np.random.default_rng(18)
+        m = make_mlp([3, 4, 2], rng)
+        _, tape = mlp_forward(m, rng.normal(0, 1, (5, 3)))
+        mlp_backward(m, tape, np.ones((5, 2)))
+        with pytest.raises(StaleTape, match="spent"):
+            mlp_backward(m, tape, np.ones((5, 2)))
+        with pytest.raises(StaleTape, match="spent"):
+            mlp_backward(m, Tape(), np.ones((5, 2)))
+        _, tape = mlp_forward(m, rng.normal(0, 1, (5, 3)), tape=tape)
+        mlp_backward(m, tape, np.ones((5, 2)))  # refilled, it serves again
+
+    def test_four_reused_decoder_steps_hold_under_three_hidden_buffers(self, monkeypatch):
+        # each worker holds two blocks of GELU scratch while it runs, so the
+        # peak depends on the worker count; two workers run the blocks here
+        monkeypatch.setattr(neuralcore, "_WORKERS", 2)
+        rng = np.random.default_rng(19)
+        m = make_mlp([16, 1152, 64], rng)
+        xs = [rng.normal(0, 1, (1024, 16)) for _ in range(4)]
+        d_out = rng.normal(0, 1, (1024, 64))
+        hidden_bytes = 1024 * 1152 * 8
+        tape = True
+        tracemalloc.start()
+        try:
+            for x in xs:
+                _, tape = mlp_forward(m, x, tape=tape)
+                mlp_backward(m, tape, d_out)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        # the tape's slope and output buffers, 2 x 2 blocks of scratch and the
+        # gradients; a tape of pre-activations, gates and outputs, taken
+        # while the last step's is still alive, and a backward that allocates
+        # its d_pre and d, hold 6.1 buffers
+        assert peak < 3 * hidden_bytes
+
+
 def brute_force_blocks(n, rows, least=2):
     """(start, stop) of each block: the full blocks of `rows`, then the rest
     of n, which joins the block before it if it is shorter than least."""
@@ -376,14 +449,14 @@ class TestRowBlocksOnWorkers:
 
     @staticmethod
     def gelu_results(m, x, d_out):
-        """Every array a forward and backward through m computes."""
+        """Every array a forward and backward through m computes: the tape's
+        hidden inputs and slopes, and what the backward writes over them."""
         out, tape = mlp_forward(m, x)
         free, _ = mlp_forward(m, x, tape=False)
+        taped = [a.copy() for a in tape.inputs[1:] + tape.slopes]
         grads, d_x = mlp_backward(m, tape, d_out)
-        d_pres = [_d_pre("gelu", pre, gate, pre) for pre, gate
-                  in zip(tape.pre_activations, tape.gates)]
-        return [out, free, d_x, *tape.pre_activations, *tape.gates,
-                *grads.values(), *d_pres]
+        return [out, free, d_x, *taped, *tape.inputs[1:], *tape.slopes,
+                *grads.values()]
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
@@ -394,7 +467,7 @@ class TestRowBlocksOnWorkers:
         pooled = self.gelu_results(m, x, d_out)
         monkeypatch.setattr(neuralcore, "_WORKERS", 1)
         inline = self.gelu_results(m, x, d_out)
-        assert len(pooled) == len(inline) == 18  # three GELU layers
+        assert len(pooled) == len(inline) == 19  # three GELU layers
         assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline))
         assert bitwise_equal(x, kept)
 
