@@ -78,11 +78,8 @@ class GmmHead:
     def logits_with_grad(self, x: np.ndarray):
         logdens, backward = gmm_all_log_densities_with_grad(x, self)
 
-        def head_backward(d_logdens):
-            dx, dmeans, dvars = backward(d_logdens)
-            return dx, {"means": dmeans, "vars": dvars}
-
-        return logdens, head_backward
+        # EM alone fits the mixture: no head tensor gets a gradient
+        return logdens, lambda d_logdens: (backward(d_logdens), {})
 
     def tensors(self) -> dict[str, np.ndarray]:
         return {"means": self.means, "vars": self.variances}
@@ -90,7 +87,7 @@ class GmmHead:
     @classmethod
     def from_tensors(cls, tensors: dict) -> "GmmHead":
         """Clamps variances to VAR_FLOOR: float32 storage rounds the floor
-        itself to just below it, and Adam steps ignore it."""
+        itself to just below it."""
         return cls(means=tensors["means"],
                    variances=np.maximum(tensors["vars"], VAR_FLOOR))
 
@@ -173,7 +170,7 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead):
     """Class log densities plus a closure for reverse-mode gradients.
 
     Returns (logdens [N, K], backward) where backward(d_logdens) yields
-    (dx [N, d], dmeans [K, C, d], dvars [K, C, d]).
+    dx [N, d].
     """
     x = np.asarray(x, dtype=np.float64)
     logdens = np.empty((x.shape[0], head.classes))
@@ -189,14 +186,12 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead):
 
 
 def component_backward(head: GmmHead, x: np.ndarray, d_comp: np.ndarray):
-    """Backward of every component log density wrt x and the parameters.
+    """Backward of every component log density wrt x.
 
     d_comp [N, K, C] is the upstream gradient of log N(x; mu_kc, var_kc).
-    Returns (dx [N, d], dmeans [K, C, d], dvars [K, C, d]).
+    Returns dx [N, d].
     """
     dx = np.zeros_like(x)
-    dmeans = np.zeros_like(head.means)
-    dvars = np.zeros_like(head.variances)
     for k in range(head.classes):
         for c in range(head.components):
             coeff = d_comp[:, k, c]  # [N]
@@ -204,9 +199,7 @@ def component_backward(head: GmmHead, x: np.ndarray, d_comp: np.ndarray):
             inv = 1.0 / head.variances[k, c]
             g = diff * inv  # d logN / d mu per-coordinate, sign-flipped for x
             dx += coeff[:, None] * (-g)
-            dmeans[k, c] = coeff @ g
-            dvars[k, c] = coeff @ (0.5 * (diff**2 * inv**2 - inv))
-    return dx, dmeans, dvars
+    return dx
 
 
 # ---------------------------------------------------------------------------

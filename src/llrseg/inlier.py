@@ -73,9 +73,10 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
     """The training loop of every net that trains (a discriminative stage 1
     and both stage-2 kinds): seeded shuffles, minibatch Adam (cfg.lr, .epochs,
     .batch_size) on one dict of `model.tensors()`, the model rebuilt from it
-    after every step, and one `refresh_head` of a GMM head per epoch on net(x).
-    `loss(head, z, idx)` returns (loss, d_z, head gradients) for the net
-    output z of rows idx; a head tensor without a gradient keeps its value.
+    after every step. `loss(head, z, idx)` returns (loss, d_z, head
+    gradients) for the net output z of rows idx; a head tensor without a
+    gradient keeps its value, so Adam trains the net and a linear head, and
+    EM alone fits a GMM head: one `refresh_head` per epoch on net(x).
     Each step's forward refills the tape the previous step's backward spent,
     so the net's hidden layers are allocated once per fit, for the first
     (largest) batch. The `model` passed in is left unchanged.

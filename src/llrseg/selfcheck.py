@@ -4,6 +4,7 @@ stitching equivalence. Shared by the `selfcheck` CLI command and tests."""
 from __future__ import annotations
 
 import numpy as np
+from scipy.special import logsumexp
 
 from .anomalymix import inject_outliers, random_bank, random_spec, synth_scene
 from .datamodel import BinaryOutlierMap, FeatureMap
@@ -27,8 +28,6 @@ from .uem import (
     build_uem,
     llr_loss,
     llr_score,
-    llr_score_discriminative,
-    llr_score_generative,
     ood_score,
     train_uem,
     uem_forward,
@@ -82,15 +81,27 @@ def check_sinkhorn_marginals(seed: int = 0, tol: float = 1e-4) -> tuple[bool, st
 
 
 def check_llr_identity(n: int = 1000, seed: int = 0) -> tuple[bool, str]:
+    """Both derivations of the LLR, each against `llr_score` bit for bit.
+    Generative: the inlier evidence is p_in times the best class density,
+    so LLR = log p_out - (log p_in + max_k log p(x|k)). Discriminative: the
+    logits are log-softmax posteriors plus a normaliser Z, added back:
+    LLR = log p_out - log p_in - (max_k log p(k|x) + Z). Inputs are dyadic
+    (a 2^-6 grid, |v| <= 2^9), so every operation is exact. Z is the logits'
+    log-sum-exp rounded to that grid: softmax ignores any per-pixel shift, so
+    it proves the same cancellation. A derivation with Z dropped must differ.
+    """
     rng = np.random.default_rng(seed)
-    shape = (n, 1)
-    out = rng.normal(0, 10, shape)
-    inl = rng.normal(0, 10, shape)
-    mx = rng.normal(0, 10, shape)
-    a = llr_score_generative(out, inl, mx).scores
-    b = llr_score_discriminative(out, inl, mx).scores
-    same = np.array_equal(a, b)
-    return same, f"bitwise equal on {n} inputs: {same}"
+    out, inl, logits = (rng.integers(-2**15, 2**15, shape) / 64.0
+                        for shape in ((n, 1), (n, 1), (n, 1, 5)))
+    best = logits.max(axis=-1)
+    want = llr_score(out, inl, best).scores
+    z = np.round(logsumexp(logits, axis=-1) * 64.0) / 64.0
+    log_posteriors = logits - z[..., None]
+    same = (np.array_equal(out - (inl + best), want)
+            and np.array_equal(out - inl - (log_posteriors.max(axis=-1) + z), want))
+    caught = not np.array_equal(out - inl - log_posteriors.max(axis=-1), want)
+    return same and caught, (f"both derivations bitwise equal on {n} inputs: {same}; "
+                             f"normaliser-dropped derivation caught: {caught}")
 
 
 def _tiny_setup(uem_kind: str, seed: int):
@@ -112,13 +123,18 @@ def _tiny_setup(uem_kind: str, seed: int):
 
 def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
                    max_coords: int = 200) -> float:
+    """Worst relative error of the LLR loss gradient over the tensors it
+    trains: a GMM head, which EM alone fits, is held fixed and not sampled."""
     u, inlier_model, f, omap, cfg = _tiny_setup(uem_kind, seed)
+    fixed = u.tensors(UEM_NAMES)
+    trained = {k: v.copy() for k, v in fixed.items()
+               if uem_kind == DISCRIMINATIVE or k.startswith(f"{UEM_NAMES[0]}.")}
 
     def fn(params):
-        return llr_loss(u.with_tensors(params, UEM_NAMES), inlier_model, f, omap, cfg)
+        return llr_loss(u.with_tensors({**fixed, **params}, UEM_NAMES),
+                        inlier_model, f, omap, cfg)
 
-    return grad_check(fn, {k: v.copy() for k, v in u.tensors(UEM_NAMES).items()},
-                      h=h, max_coords=max_coords, seed=seed)
+    return grad_check(fn, trained, h=h, max_coords=max_coords, seed=seed)
 
 
 def check_llr_gradients(seed: int = 0, tol: float = 1e-4) -> tuple[bool, str]:

@@ -6,7 +6,8 @@ freeze of every stage-1 parameter.
 The score is the same three-term expression for both head kinds:
 log p_out - log p_in - max_k F_k. Stage-2 training only ever touches the
 phi tensors (projection + UEM head); the theta tensors are digest-checked
-before and after.
+before and after. Adam trains the projection and a linear head; EM alone
+fits a GMM head, through which the loss's gradient reaches the projection.
 """
 from __future__ import annotations
 
@@ -92,20 +93,6 @@ def llr_score(log_p_out, log_p_in, max_logit) -> ScoreMap:
     return ScoreMap(out - inl - mx)
 
 
-def llr_score_generative(log_p_out, log_p_in, max_log_density) -> ScoreMap:
-    """Generative derivation: the inlier evidence is the product of the UEM
-    inlier density and the best class density, so its log splits into the
-    same three-term subtraction."""
-    return llr_score(log_p_out, log_p_in, max_log_density)
-
-
-def llr_score_discriminative(log_p_out, log_p_in, max_logit) -> ScoreMap:
-    """Discriminative derivation: the softmax normalizer shifts every class
-    logit equally, so it drops from the max and the same three-term
-    subtraction remains."""
-    return llr_score(log_p_out, log_p_in, max_logit)
-
-
 def ood_score(log_p_out) -> ScoreMap:
     """Outlier-density-only baseline: identity passthrough."""
     return ScoreMap(np.asarray(log_p_out, dtype=np.float64))
@@ -167,10 +154,7 @@ def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
         c_loss, d_comp = _contrast_loss(head, z, targets, cfg)
         loss += cfg.alpha * cfg.beta * c_loss
         d_comp = (cfg.alpha * cfg.beta * d_comp).reshape(z.shape[0], 2, -1)
-        dz_c, dmeans_c, dvars_c = component_backward(head, z, d_comp)
-        d_z += dz_c
-        head_grads["means"] = head_grads["means"] + dmeans_c
-        head_grads["vars"] = head_grads["vars"] + dvars_c
+        d_z += component_backward(head, z, d_comp)
     return float(loss), d_z, head_grads
 
 
@@ -201,7 +185,8 @@ def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
 def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
     """LLR training loss and gradients over the phi tensors only, keyed like
-    `u.tensors(UEM_NAMES)`. The inlier model only supplies the max_k F_k
+    `u.tensors(UEM_NAMES)`: the projection's, and a linear head's (EM fits a
+    GMM head, which gets none). The inlier model only supplies the max_k F_k
     term: no theta tensor ever appears in the returned gradient record."""
     if (f.height, f.width) != (outliers.height, outliers.width):
         raise DimMismatch("feature map and outlier map dims differ")
@@ -220,10 +205,11 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
 def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs.
 
-    `fit` runs Adam on the LLR loss for every phi tensor and refreshes a GMM
-    head by Sinkhorn EM. The result's bundle embeds every stage-1 tensor
-    byte-identically; a digest mismatch at entry or exit raises
-    FreezeViolation.
+    `fit` runs Adam on the LLR loss for the projection and a linear head. A
+    GMM head is fitted by Sinkhorn EM alone, once per epoch; the loss's
+    gradient passes through it to the projection. The result's bundle embeds
+    every stage-1 tensor byte-identically; a digest mismatch at entry or exit
+    raises FreezeViolation.
     """
     inlier_model = inlier_from_bundle(stage1)
     if stage1.manifest["stage"] != "inlier":

@@ -135,7 +135,7 @@ class TestGmmLogDensity:
         x = rng.normal(0, 1, (5, 3))
         d_out = rng.normal(0, 1, (5, 2))
         _, backward = gmm_all_log_densities_with_grad(x, head)
-        dx, dmeans, dvars = backward(d_out)
+        dx = backward(d_out)
         h = 1e-6
 
         def loss_at(xp):
@@ -172,7 +172,7 @@ class TestDensityBlocksOnWorkers:
         # the responsibilities the backward closure holds
         resp = backward.__closure__[backward.__code__.co_freevars.index("resp")]
         return [gmm_all_log_densities(x, head), logdens, resp.cell_contents,
-                *backward(d_logdens)]
+                backward(d_logdens)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS - 1, DENSITY_ROWS,

@@ -29,8 +29,6 @@ from llrseg.uem import (
     build_uem,
     llr_loss,
     llr_score,
-    llr_score_discriminative,
-    llr_score_generative,
     ood_score,
     train_uem,
     uem_forward,
@@ -98,15 +96,6 @@ class TestLlrScore:
                       np.full((1, 1), -2.0))
         assert s.scores[0, 0] == 5.0
 
-    def test_both_derivations_bitwise_identical(self):
-        rng = np.random.default_rng(6)
-        out = rng.normal(0, 10, (50, 3))
-        inl = rng.normal(0, 10, (50, 3))
-        mx = rng.normal(0, 10, (50, 3))
-        a = llr_score_generative(out, inl, mx).scores
-        b = llr_score_discriminative(out, inl, mx).scores
-        assert np.array_equal(a, b)
-
     def test_monotone_in_outlier_evidence(self):
         rng = np.random.default_rng(7)
         out = rng.normal(0, 1, (4, 4))
@@ -167,15 +156,21 @@ class TestLlrLoss:
     def test_gradients_match_finite_differences(self, kind):
         assert llr_grad_error(kind, seed=0) < 1e-4
 
-    def test_no_gradient_for_frozen_tensors(self):
+    @pytest.mark.parametrize("kind", [DISCRIMINATIVE, GENERATIVE])
+    def test_no_gradient_for_frozen_tensors(self, kind):
+        """The gradient record names the projection's tensors and a linear
+        head's; EM alone fits a GMM head, so it gets none."""
         rng = np.random.default_rng(12)
         inlier = frozen_inlier(rng)
-        u = build_uem(5, 6, 5, DISCRIMINATIVE, 2, rng)
+        u = build_uem(5, 6, 5, kind, 2, rng)
         f = FeatureMap(rng.normal(0, 1, (5, 4, 4)))
         omap = BinaryOutlierMap(rng.integers(0, 2, (4, 4)).astype(np.uint8))
         _, grads = llr_loss(u, inlier, f, omap,
-                            LlrConfig(head_kind=DISCRIMINATIVE))
-        assert set(grads) == set(u.tensors(UEM_NAMES))
+                            LlrConfig(head_kind=kind, gmm_components=2))
+        names = set(u.tensors(UEM_NAMES))
+        if kind == GENERATIVE:
+            names = {n for n in names if n.startswith("uem.proj.")}
+        assert set(grads) == names
         assert not set(grads) & set(inlier.tensors(STAGE1_NAMES[DISCRIMINATIVE]))
 
     def test_config_rejects_negative_weights(self):
