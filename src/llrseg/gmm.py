@@ -11,6 +11,16 @@ densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
 (`neuralcore._row_blocks` and `_run_blocks`, the first with its one-row-tail
 rule); each block makes the same calls on its rows whichever worker runs it,
 so no result depends on the worker count. No density involves a matmul.
+
+Sinkhorn works on a component-major [C, N] copy of its costs, so each of its
+reductions runs over the long pixel axis, yet it returns the bits of the
+pixel-major [N, C] formula. NumPy's summation order follows the layout, so
+each sum is taken in the order the [N, C] array's sum used (numpy 2.x): per
+pixel, fewer than 8 components are summed in order (a [C, N] axis-0 sum) and
+8 or more in NumPy's 8-way unrolled loop (an axis-1 sum of an [N, C] copy);
+per component, the N pixels are summed in order (a cumulative sum), except
+for C = 1, whose [N, 1] column NumPy sums pairwise. The plan's total mass is
+normalised on the [N, C] array itself.
 """
 from __future__ import annotations
 
@@ -134,17 +144,25 @@ def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
 
 
 def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
-                     resp: np.ndarray | None = None) -> None:
-    """Writes the [N, K] class log densities of x's rows to logdens and, if
-    resp [K, C, N] is given, each component's responsibility in its class.
-    Runs in the row blocks of `_row_blocks` on the workers of `_run_blocks`."""
+                     resp: np.ndarray | None = None,
+                     comp_ll: np.ndarray | None = None) -> None:
+    """Writes the [N, K] class log densities of x's rows to logdens; if
+    resp [K, C, N] is given, each component's responsibility in its class;
+    if comp_ll [N, K*C] is given, the component log densities (no weights),
+    class-major. Runs in the row blocks of `_row_blocks` on the workers of
+    `_run_blocks`."""
     log_weight = head.log_weight
+    cc = head.components
 
     def block(rows):
         xb = x[rows]
-        comp, scaled = np.empty((len(xb), head.components)), np.empty_like(xb)
+        comp, scaled = np.empty((len(xb), cc)), np.empty_like(xb)
         for k in range(head.classes):
             _component_log_densities(xb, head, k, comp, scaled)
+            if comp_ll is not None:
+                # copied before the weight: adding it and taking it off
+                # again would change the bits
+                comp_ll[rows, k * cc:(k + 1) * cc] = comp
             comp += log_weight
             if resp is None:
                 logdens[rows, k] = _logsumexp(comp, axis=1)
@@ -166,39 +184,55 @@ def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:
     return out
 
 
-def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead):
+def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead,
+                                    comp_ll: np.ndarray | None = None):
     """Class log densities plus a closure for reverse-mode gradients.
 
-    Returns (logdens [N, K], backward) where backward(d_logdens) yields
-    dx [N, d].
+    Returns (logdens [N, K], backward). If comp_ll [N, K*C] is given, it
+    receives every component's log density log N(x; mu_kc, var_kc),
+    class-major. backward(d_logdens, d_comp=None) yields dx [N, d]; d_comp
+    [N, K*C] is an upstream gradient of those component densities, taken in
+    the same pass over the components.
     """
     x = np.asarray(x, dtype=np.float64)
     logdens = np.empty((x.shape[0], head.classes))
     # component-major: one contiguous row each
     resp = np.empty((head.classes, head.components, x.shape[0]))
-    _class_densities(x, head, logdens, resp)
+    _class_densities(x, head, logdens, resp, comp_ll)
 
-    def backward(d_logdens: np.ndarray):
-        d_comp = d_logdens.T[:, None, :] * resp
-        return component_backward(head, x, d_comp.transpose(2, 0, 1))
+    def backward(d_logdens: np.ndarray, d_comp: np.ndarray | None = None):
+        return _component_backward(head, x, d_logdens, resp, d_comp)
 
     return logdens, backward
 
 
-def component_backward(head: GmmHead, x: np.ndarray, d_comp: np.ndarray):
-    """Backward of every component log density wrt x.
+def _component_backward(head: GmmHead, x: np.ndarray, d_logdens: np.ndarray,
+                        resp: np.ndarray, d_comp: np.ndarray | None) -> np.ndarray:
+    """dx [N, d] of the class log densities, whose upstream gradient
+    d_logdens [N, K] reaches component c of class k as d_logdens[:, k] *
+    resp[k, c], plus, if d_comp [N, K*C] is given, of the component log
+    densities.
 
-    d_comp [N, K, C] is the upstream gradient of log N(x; mu_kc, var_kc).
-    Returns dx [N, d].
+    Each upstream gradient has its own accumulator, summed at the end, so dx
+    has the bits of one pass per gradient: c * -g = -(c * g) and
+    dx + -t = dx - t exactly.
     """
+    cc = head.components
     dx = np.zeros_like(x)
+    dx_comp = None if d_comp is None else np.zeros_like(x)
+    g, t = np.empty_like(x), np.empty_like(x)
     for k in range(head.classes):
-        for c in range(head.components):
-            coeff = d_comp[:, k, c]  # [N]
-            diff = x - head.means[k, c]
-            inv = 1.0 / head.variances[k, c]
-            g = diff * inv  # d logN / d mu per-coordinate, sign-flipped for x
-            dx += coeff[:, None] * (-g)
+        for c in range(cc):
+            # d logN / d mu per coordinate, the negated gradient wrt x
+            np.subtract(x, head.means[k, c], out=g)
+            g *= 1.0 / head.variances[k, c]
+            np.multiply((d_logdens[:, k] * resp[k, c])[:, None], g, out=t)
+            dx -= t
+            if d_comp is not None:
+                np.multiply(d_comp[:, k * cc + c, None], g, out=t)
+                dx_comp -= t
+    if d_comp is not None:
+        dx += dx_comp
     return dx
 
 
@@ -220,12 +254,34 @@ class SinkhornPlan:
         return float(row + col)
 
 
+def _finite_logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
+    """`_logsumexp(a, axis)` of a finite, C-contiguous a, which it
+    overwrites; `sum_(e)` sums the shifted exponentials e along `axis` in
+    the order that call would have used.
+
+    For finite a, a - max == 0 is the same test as a == max. The entries at
+    the maximum leave the sum as 0, as there; so do those below -746, whose
+    exp NumPy rounds to 0 along a path ~20x slower than its normal one.
+    """
+    a_max = a.max(axis=axis, keepdims=True)
+    a -= a_max
+    at_max = a == 0
+    m = at_max.sum(axis=axis, dtype=a.dtype)
+    flat = a.reshape(-1)
+    live = np.flatnonzero((flat > -746.0) ^ at_max.reshape(-1))
+    e = np.exp(flat[live])
+    flat.fill(0.0)
+    flat[live] = e
+    return np.log1p(sum_(a) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
+
+
 def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -> SinkhornPlan:
     """Entropic balanced assignment from exp(logliks / epsilon).
 
     Alternating row/column scalings (in the log domain) toward uniform
     marginals 1/N per row and 1/C per column. iters=0 only normalizes the
-    total mass.
+    total mass. The scalings run on a component-major copy of the costs,
+    summed in the pixel-major orders (module docstring).
     """
     ll = np.asarray(component_logliks, dtype=np.float64)
     if ll.ndim != 2:
@@ -235,19 +291,32 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
     n, c = ll.shape
     if n < c or c < 1:
         raise InvalidCost(f"need N >= C >= 1, got N={n}, C={c}")
-    if epsilon <= 0:
-        raise InvalidCost(f"epsilon must be positive, got {epsilon}")
+    if not (np.isfinite(epsilon) and epsilon > 0):
+        raise InvalidCost(f"epsilon must be finite and positive, got {epsilon}")
+    if iters < 0:
+        raise InvalidCost(f"iters must be >= 0, got {iters}")
+
+    if c < 8:
+        pixel_sum = lambda e: e.sum(axis=0)
+    else:
+        pixel_sum = lambda e: np.ascontiguousarray(e.T).sum(axis=1)
+    if c > 1:
+        component_sum = lambda e: np.cumsum(e, axis=1)[:, -1]
+    else:
+        component_sum = lambda e: e.sum(axis=1)
 
     log_k = ll / epsilon
+    log_kt = np.ascontiguousarray(log_k.T)  # [C, N]
     log_a = -np.log(n)  # row marginal
     log_b = -np.log(c)  # column marginal
     u = np.zeros(n)
     v = np.zeros(c)
     for _ in range(iters):
-        u = log_a - _logsumexp(log_k + v[None, :], axis=1)
-        v = log_b - _logsumexp(log_k + u[:, None], axis=0)
+        u = log_a - _finite_logsumexp(log_kt + v[:, None], 0, pixel_sum)
+        v = log_b - _finite_logsumexp(log_kt + u, 1, component_sum)
     log_p = log_k + u[:, None] + v[None, :]
-    log_p -= _logsumexp(log_p)  # exact unit total mass
+    # exact unit total mass; the flattened sum's order depends on the layout
+    log_p -= _finite_logsumexp(log_p.copy(), (0, 1), lambda e: e.sum(axis=(0, 1)))
     return SinkhornPlan(matrix=np.exp(log_p))
 
 

@@ -209,13 +209,19 @@ class InlierConfig:
 def _check_training_config(cfg, widths: tuple[str, ...]) -> None:
     """Raises ValueError for a value a training loop cannot run: a batch
     size, GMM component count or layer width (the fields named `widths`)
-    below 1, or a negative epoch or Sinkhorn iteration count."""
+    below 1, a negative epoch or Sinkhorn iteration count, a Sinkhorn
+    epsilon that is not finite and positive, or an EM momentum outside
+    [0, 1]."""
     least = {"batch_size": 1, "epochs": 0, "gmm_components": 1,
              "gmm_sinkhorn_iters": 0, **dict.fromkeys(widths, 1)}
     for name, low in least.items():
         value = getattr(cfg, name)
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
+    if not (np.isfinite(cfg.gmm_epsilon) and cfg.gmm_epsilon > 0):
+        raise ValueError(f"gmm_epsilon must be finite and > 0, got {cfg.gmm_epsilon}")
+    if not 0 <= cfg.gmm_momentum <= 1:
+        raise ValueError(f"gmm_momentum must be in [0, 1], got {cfg.gmm_momentum}")
 
 
 def holdout_split(n: int) -> tuple[list[int], list[int]]:

@@ -25,13 +25,7 @@ from .datamodel import (
     tensor_digest,
 )
 from .errors import AllIgnored, BadBundle, DimMismatch, FreezeViolation, LlrsegError
-from .gmm import (
-    GmmHead,
-    component_backward,
-    component_log_densities,
-    init_head,
-    sinkhorn_assign,
-)
+from .gmm import GmmHead, gmm_all_log_densities_with_grad, init_head, sinkhorn_assign
 from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
@@ -136,7 +130,13 @@ def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
     if not valid.any():
         raise AllIgnored("every pixel is ignored")
 
-    logits2, head_backward = head.logits_with_grad(z)
+    contrast = cfg.alpha > 0 and cfg.beta > 0 and isinstance(head, GmmHead)
+    if contrast:
+        # the contrast loss reads the forward's component log densities
+        comp_ll = np.empty((z.shape[0], head.classes * head.components))
+        logits2, gmm_backward = gmm_all_log_densities_with_grad(z, head, comp_ll)
+    else:
+        logits2, head_backward = head.logits_with_grad(z)
     d_logits2 = np.zeros_like(logits2)
 
     llr = logits2[:, OUTLIER_CLASS] - logits2[:, INLIER_CLASS] - max_logit
@@ -149,36 +149,35 @@ def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
         loss += cfg.alpha * ce
         d_logits2 += cfg.alpha * d_ce
 
-    d_z, head_grads = head_backward(d_logits2)
-    if cfg.alpha > 0 and cfg.beta > 0 and isinstance(head, GmmHead):
-        c_loss, d_comp = _contrast_loss(head, z, targets, cfg)
-        loss += cfg.alpha * cfg.beta * c_loss
-        d_comp = (cfg.alpha * cfg.beta * d_comp).reshape(z.shape[0], 2, -1)
-        d_z += component_backward(head, z, d_comp)
-    return float(loss), d_z, head_grads
+    if not contrast:
+        d_z, head_grads = head_backward(d_logits2)
+        return float(loss), d_z, head_grads
+    c_loss, d_comp = _contrast_loss(comp_ll, head.components, targets, cfg)
+    loss += cfg.alpha * cfg.beta * c_loss
+    # one pass over the components for both gradients; EM alone fits the head
+    d_z = gmm_backward(d_logits2, cfg.alpha * cfg.beta * d_comp)
+    return float(loss), d_z, {}
 
 
-def _contrast_loss(head: GmmHead, z: np.ndarray, targets: np.ndarray,
+def _contrast_loss(comp_ll: np.ndarray, components: int, targets: np.ndarray,
                    cfg: LlrConfig):
-    """Cross-entropy over all 2C component logits against the
-    Sinkhorn-assigned component inside each pixel's own class GMM.
+    """Cross-entropy over all 2C component log densities comp_ll [N, 2C]
+    (class-major columns) against the Sinkhorn-assigned component inside
+    each pixel's own class GMM.
 
-    Returns (loss, d_comp [N, 2C]) with class-major columns.
+    Returns (loss, d_comp [N, 2C]).
     """
-    comp = head.components
-    comp_ll = np.concatenate([component_log_densities(z, head, k)
-                              for k in range(head.classes)], axis=1)
-    assigned = np.full(z.shape[0], IGNORE, dtype=np.int64)
+    assigned = np.full(comp_ll.shape[0], IGNORE, dtype=np.int64)
     for k in range(2):
         rows = np.nonzero(targets == k)[0]
         if rows.size == 0:
             continue
-        class_ll = comp_ll[rows, k * comp:(k + 1) * comp]
-        if rows.size < comp:
-            assigned[rows] = k * comp + np.argmax(class_ll, axis=1)
+        class_ll = comp_ll[rows, k * components:(k + 1) * components]
+        if rows.size < components:
+            assigned[rows] = k * components + np.argmax(class_ll, axis=1)
             continue
         plan = sinkhorn_assign(class_ll, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters)
-        assigned[rows] = k * comp + np.argmax(plan.matrix, axis=1)
+        assigned[rows] = k * components + np.argmax(plan.matrix, axis=1)
     return softmax_cross_entropy(comp_ll, assigned)
 
 

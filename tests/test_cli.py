@@ -132,6 +132,25 @@ def pipeline_dirs(tmp_path_factory):
             "s2": s2, "scored": scored, "eval_scene": eval_scene}
 
 
+def assert_training_config_exits_1(d, tmp_path, capsys, section, key, value, rule):
+    """The training command of `section` exits 1 on `key: value`, before
+    writing anything, with `{key} {rule}, got {value}`."""
+    cfg = tmp_path / "run.json"
+    cfg.write_text(json.dumps({**SMALL_RUN, section: {**SMALL_RUN[section], key: value}}))
+    out = tmp_path / "o"
+    if section == "inlier":
+        command = ["train-inlier", "--dataset", str(d["data"])]
+    else:
+        command = ["train-uem", "--dataset", str(d["data"]),
+                   "--stage1", str(d["s1"] / "stage1")]
+    code = main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]])
+    err = capsys.readouterr().err
+    assert code == 1
+    assert err == (f"error: LlrsegError: config section {section}: "
+                   f"{key} {rule}, got {value}\n")
+    assert not out.exists()
+
+
 class TestPipeline:
     def test_artifacts_exist(self, pipeline_dirs):
         d = pipeline_dirs
@@ -295,21 +314,25 @@ class TestPipeline:
     ])
     def test_training_value_no_loop_can_run_exits_1(self, pipeline_dirs, tmp_path, capsys,
                                                     section, key, value, least):
-        d = pipeline_dirs
-        cfg = tmp_path / "run.json"
-        cfg.write_text(json.dumps({**SMALL_RUN, section: {**SMALL_RUN[section], key: value}}))
-        out = tmp_path / "o"
-        if section == "inlier":
-            command = ["train-inlier", "--dataset", str(d["data"])]
-        else:
-            command = ["train-uem", "--dataset", str(d["data"]),
-                       "--stage1", str(d["s1"] / "stage1")]
-        code = main([command[0], "--config", str(cfg), "--out", str(out), *command[1:]])
-        err = capsys.readouterr().err
-        assert code == 1
-        assert err == (f"error: LlrsegError: config section {section}: "
-                       f"{key} must be >= {least}, got {value}\n")
-        assert not out.exists()
+        assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section, key,
+                                       value, f"must be >= {least}")
+
+    @pytest.mark.parametrize("section, key, value, rule", [
+        ("inlier", "gmm_epsilon", float("nan"), "must be finite and > 0"),
+        ("uem", "gmm_epsilon", float("nan"), "must be finite and > 0"),
+        ("uem", "gmm_epsilon", float("inf"), "must be finite and > 0"),
+        ("uem", "gmm_epsilon", 0.0, "must be finite and > 0"),
+        ("inlier", "gmm_epsilon", -0.1, "must be finite and > 0"),
+        ("uem", "gmm_momentum", 3.0, "must be in [0, 1]"),
+        ("inlier", "gmm_momentum", -0.5, "must be in [0, 1]"),
+        ("uem", "gmm_momentum", float("nan"), "must be in [0, 1]"),
+    ])
+    def test_em_value_no_fit_can_use_exits_1(self, pipeline_dirs, tmp_path, capsys,
+                                             section, key, value, rule):
+        """Caught before training: a NaN epsilon used to train and then fail
+        mid-fit, and a momentum above 1 extrapolated EM without notice."""
+        assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section, key,
+                                       value, rule)
 
     def test_config_file_not_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"

@@ -20,7 +20,7 @@ from llrseg.gmm import (
     refresh,
     sinkhorn_assign,
 )
-from llrseg.gmm import _logsumexp
+from llrseg.gmm import _finite_logsumexp, _logsumexp
 
 
 def gaussian_log_density(x, mu, var) -> float:
@@ -167,12 +167,14 @@ class TestDensityBlocksOnWorkers:
 
     @staticmethod
     def density_results(x, head):
-        logdens, backward = gmm_all_log_densities_with_grad(x, head)
+        comp_ll = np.empty((len(x), head.classes * head.components))
+        logdens, backward = gmm_all_log_densities_with_grad(x, head, comp_ll)
         d_logdens = np.linspace(-1.0, 1.0, logdens.size).reshape(logdens.shape)
+        d_comp = np.linspace(1.0, -1.0, comp_ll.size).reshape(comp_ll.shape)
         # the responsibilities the backward closure holds
         resp = backward.__closure__[backward.__code__.co_freevars.index("resp")]
         return [gmm_all_log_densities(x, head), logdens, resp.cell_contents,
-                backward(d_logdens)]
+                comp_ll, backward(d_logdens), backward(d_logdens, d_comp)]
 
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS - 1, DENSITY_ROWS,
@@ -202,10 +204,13 @@ class TestDensityBlocksOnWorkers:
         head = GmmHead(means=rng.normal(0, 1, (6, 8, 64)),
                        variances=rng.uniform(0.1, 3.0, (6, 8, 64)))
         for name, x in layouts(rng.normal(0, 2, (rows, 64))).items():
-            want = np.stack([_logsumexp(component_log_densities(x, head, k)
-                                        + head.log_weight, axis=1)
-                             for k in range(6)], axis=1)
+            comps = [component_log_densities(x, head, k) for k in range(6)]
+            want = np.stack([_logsumexp(comp + head.log_weight, axis=1)
+                             for comp in comps], axis=1)
             assert bitwise_equal(gmm_all_log_densities(x, head), want), name
+            comp_ll = np.empty((rows, 6 * 8))
+            gmm_all_log_densities_with_grad(x, head, comp_ll)
+            assert bitwise_equal(comp_ll, np.concatenate(comps, axis=1)), name
 
     def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
         calls = []
@@ -290,9 +295,64 @@ class TestSinkhorn:
         with pytest.raises(InvalidCost):
             sinkhorn_assign(ll, epsilon=0.5, iters=5)
 
-    def test_bad_epsilon_rejected(self):
-        with pytest.raises(InvalidCost):
-            sinkhorn_assign(np.zeros((4, 2)), epsilon=0.0, iters=5)
+    @pytest.mark.parametrize("epsilon", [0.0, -0.5, np.nan, np.inf])
+    def test_bad_epsilon_rejected(self, epsilon):
+        with pytest.raises(InvalidCost, match="epsilon"):
+            sinkhorn_assign(np.zeros((4, 2)), epsilon=epsilon, iters=5)
+
+    def test_negative_iterations_rejected(self):
+        with pytest.raises(InvalidCost, match="iters"):
+            sinkhorn_assign(np.zeros((4, 2)), epsilon=0.5, iters=-1)
+
+
+def reference_sinkhorn(ll, epsilon, iters):
+    """The plan of the pixel-major [N, C] formula, with scipy's log-sum-exp."""
+    n, c = ll.shape
+    log_k = ll / epsilon
+    u, v = np.zeros(n), np.zeros(c)
+    for _ in range(iters):
+        u = -np.log(n) - logsumexp(log_k + v[None, :], axis=1)
+        v = -np.log(c) - logsumexp(log_k + u[:, None], axis=0)
+    log_p = log_k + u[:, None] + v[None, :]
+    log_p -= logsumexp(log_p)
+    return np.exp(log_p)
+
+
+class TestSinkhornBits:
+    """sinkhorn_assign runs on a component-major copy of the costs and sums
+    each axis in the order NumPy sums the pixel-major array: in order over
+    fewer than 8 components, 8 ways at once over 8 or more, in order over
+    the pixels except for C = 1 (pairwise). Any other order changes bits."""
+
+    def test_terms_down_to_exps_underflow_count(self):
+        """Next to a maximum of 0 the log-sum-exp is the other term's exp, so
+        a term whose exp is subnormal changes the result; only those whose
+        exp NumPy rounds to 0 may be left out."""
+        t = np.linspace(-760.0, -700.0, 6001)
+        a = np.stack([np.zeros_like(t), t])
+        want = _logsumexp(a, axis=0)
+        got = _finite_logsumexp(a.copy(), 0, lambda e: e.sum(axis=0))
+        assert bitwise_equal(got, want)
+        assert (want[t > -745.0] > 0).all() and (want[t < -746.0] == 0).all()
+
+    @pytest.mark.parametrize("c", [1, 2, 5, 7, 8, 16])
+    def test_bitwise_equal_to_the_pixel_major_formula(self, c):
+        rng = np.random.default_rng(c)
+        for n in sorted({c, c + 1, 7, 8, 9, 127, 128, 129, 1000, 3001}):
+            if n < c:
+                continue
+            costs = {
+                "normal": rng.normal(0, 30, (n, c)),
+                # few distinct values: ties at every maximum
+                "ties": np.round(rng.normal(0, 3, (n, c))),
+                # shifted exponents around -746, where exp reaches 0
+                "underflow": rng.uniform(-80.0, 0.0, (n, c)),
+            }
+            for name, ll in costs.items():
+                for epsilon, iters in ((0.1, 10), (1.0, 1), (0.5, 0)):
+                    got = sinkhorn_assign(ll, epsilon, iters).matrix
+                    want = reference_sinkhorn(ll, epsilon, iters)
+                    assert bitwise_equal(got, want), (n, name, epsilon, iters)
 
 
 class TestEmUpdate:

@@ -12,7 +12,7 @@ from llrseg.datamodel import (
     tensor_digest,
 )
 from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, LlrsegError
-from llrseg.gmm import GmmHead
+from llrseg.gmm import GmmHead, component_log_densities, gmm_all_log_densities_with_grad
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
@@ -22,10 +22,20 @@ from llrseg.inlier import (
     stage1_tensor_names,
     train_inlier,
 )
-from llrseg.neuralcore import make_mlp, mlp_forward, xavier_dense
+from llrseg.neuralcore import (
+    make_mlp,
+    mlp_forward,
+    sigmoid_bce_with_logits,
+    softmax_cross_entropy,
+    xavier_dense,
+)
 from llrseg.uem import (
+    INLIER_CLASS,
+    OUTLIER_CLASS,
     UEM_NAMES,
     LlrConfig,
+    _contrast_loss,
+    _loss_and_grads,
     build_uem,
     llr_loss,
     llr_score,
@@ -178,6 +188,80 @@ class TestLlrLoss:
             LlrConfig(alpha=-0.1)
         with pytest.raises(ValueError):
             LlrConfig(beta=-1.0)
+
+    @pytest.mark.parametrize("field, value", [
+        ("gmm_epsilon", float("nan")), ("gmm_epsilon", float("inf")),
+        ("gmm_epsilon", 0.0), ("gmm_momentum", 1.5), ("gmm_momentum", -0.1),
+        ("gmm_momentum", float("nan"))])
+    def test_config_rejects_em_values_no_fit_can_use(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            LlrConfig(**{field: value})
+
+    def test_config_accepts_momentum_bounds(self):
+        for momentum in (0.0, 1.0):
+            assert LlrConfig(gmm_momentum=momentum).gmm_momentum == momentum
+
+
+def loop_component_backward(head, x, d_comp):
+    """dx of the component log densities, one pass over the components for
+    the upstream gradient d_comp [N, K, C]."""
+    dx = np.zeros_like(x)
+    for k in range(head.classes):
+        for c in range(head.components):
+            g = (x - head.means[k, c]) * (1.0 / head.variances[k, c])
+            dx += d_comp[:, k, c][:, None] * (-g)
+    return dx
+
+
+def separate_loss_and_grads(head, z, max_logit, targets, cfg):
+    """The GMM head's LLR loss with one backward pass per upstream gradient
+    and a contrast loss that recomputes the component log densities."""
+    logits2, backward = gmm_all_log_densities_with_grad(z, head)
+    resp = backward.__closure__[backward.__code__.co_freevars.index("resp")].cell_contents
+    llr = logits2[:, OUTLIER_CLASS] - logits2[:, INLIER_CLASS] - max_logit
+    loss, d_llr = sigmoid_bce_with_logits(llr, targets)
+    d_logits2 = np.zeros_like(logits2)
+    d_logits2[:, OUTLIER_CLASS] += d_llr
+    d_logits2[:, INLIER_CLASS] -= d_llr
+    ce, d_ce = softmax_cross_entropy(logits2, targets)
+    loss += cfg.alpha * ce
+    d_logits2 += cfg.alpha * d_ce
+    d_z = loop_component_backward(
+        head, z, (d_logits2.T[:, None, :] * resp).transpose(2, 0, 1))
+    comp_ll = np.concatenate([component_log_densities(z, head, k)
+                              for k in range(head.classes)], axis=1)
+    c_loss, d_comp = _contrast_loss(comp_ll, head.components, targets, cfg)
+    loss += cfg.alpha * cfg.beta * c_loss
+    d_z += loop_component_backward(
+        head, z, (cfg.alpha * cfg.beta * d_comp).reshape(z.shape[0], 2, -1))
+    return float(loss), d_z
+
+
+class TestFusedGmmBackward:
+    """The GMM head's loss takes one pass over the components for both
+    upstream gradients, and its contrast loss reads the forward's component
+    log densities; neither may change a bit."""
+
+    @pytest.mark.parametrize("components", [1, 5, 8])
+    def test_bitwise_equal_to_separate_passes(self, components):
+        rng = np.random.default_rng(components)
+        d, n = 6, 300
+        head = GmmHead(means=rng.normal(0, 1, (2, components, d)),
+                       variances=rng.uniform(0.3, 2.0, (2, components, d)))
+        cfg = LlrConfig(gmm_components=components, beta=0.3)
+        for trial in range(3):
+            z = rng.normal(0, 1.5, (n, d))
+            max_logit = rng.normal(0, 1, n)
+            targets = rng.integers(0, 2, n).astype(np.int64)
+            targets[rng.random(n) < 0.1] = IGNORE
+            if trial == 2:  # fewer outlier rows than components: argmax assignment
+                targets[np.nonzero(targets == 1)[0][components - 1:]] = 0
+            loss, d_z, head_grads = _loss_and_grads(head, z, max_logit, targets, cfg)
+            want_loss, want_d_z = separate_loss_and_grads(head, z, max_logit, targets, cfg)
+            assert head_grads == {}
+            assert loss == want_loss
+            assert d_z.shape == want_d_z.shape
+            assert np.array_equal(d_z.view(np.int64), want_d_z.view(np.int64))
 
 
 def mixed_pairs(dataset, seed=0):
