@@ -110,12 +110,12 @@ def random_bank(spec: SceneSpec, size: int, rng: np.random.Generator,
                        min_area=min_area, max_area=max_area)
 
 
-def synth_scene(spec: SceneSpec, rng: np.random.Generator,
-                max_retries: int = 20) -> tuple[FeatureMap, LabelMap]:
-    """Voronoi-labelled scene with per-class Gaussian features."""
+def synth_scene(spec: SceneSpec, rng: np.random.Generator) -> tuple[FeatureMap, LabelMap]:
+    """Voronoi-labelled scene with per-class Gaussian features; up to 20
+    layouts are drawn until every class has a cell."""
     h, w, k = spec.height, spec.width, spec.num_classes
     yy, xx = np.meshgrid(np.arange(h), np.arange(w), indexing="ij")
-    for _ in range(max_retries):
+    for _ in range(20):
         sites = np.stack([rng.uniform(0, h, size=k), rng.uniform(0, w, size=k)], axis=1)
         d2 = (yy[..., None] - sites[:, 0]) ** 2 + (xx[..., None] - sites[:, 1]) ** 2
         labels = d2.argmin(axis=2).astype(np.uint8)
@@ -228,6 +228,19 @@ class DatasetConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("feature_dim", "height", "width", "bank_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        # labels are uint8, and IGNORE (255) is none of classes 0 to 254
+        if not 1 <= self.num_classes <= IGNORE:
+            raise ValueError(f"num_classes must be in [1, {IGNORE}], got {self.num_classes}")
+        low, high = self.count_range
+        if not 0 <= low <= high:
+            raise ValueError(f"count_range must be (low, high) with 0 <= low <= high, "
+                             f"got {tuple(self.count_range)}")
+        if not 0 < self.min_area <= self.max_area <= 1:
+            raise ValueError(f"min_area and max_area must satisfy 0 < min_area <= "
+                             f"max_area <= 1, got {self.min_area} and {self.max_area}")
         # train_uem scenes draw outliers from the training bank members,
         # eval scenes from the rest
         if self.splits[1] > 0 and self.train_bank < 1:

@@ -37,9 +37,11 @@ SMAP_MAGIC = b"SMAP"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 # Model bundle layout version, written to manifest["format_version"].
-# Version 3 drops the model dimensions from the manifest; 2 and 3 pack a GMM
-# head as two [K, C, d] tensors, unversioned bundles one file per component.
-BUNDLE_FORMAT_VERSION = 3
+# Version 4 drops the head kinds and activation lists from the manifest and
+# names the stage-1 head `head.*` for both kinds; 3 drops the model
+# dimensions; 2 to 4 pack a GMM head as two [K, C, d] tensors, unversioned
+# bundles one file per component.
+BUNDLE_FORMAT_VERSION = 4
 # a tensor's file is `{name}.fmap` in the bundle directory, so a name is one
 # path component that does not start with a dot
 TENSOR_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
@@ -308,7 +310,8 @@ class ModelBundle:
     to every depth, the tensors rounded to float32 and non-writeable, so
     in-memory values equal what `tensor_digest` hashes, `save` writes and
     any reload gives. The manifest holds only what the tensors cannot: every
-    model dimension is a tensor shape. A stage-2 ("uem") bundle embeds every
+    model dimension is a tensor shape, a head's kind is its tensor names and
+    an MLP's depth its layer names. A stage-2 ("uem") bundle embeds every
     stage-1 tensor byte-identically and lists their digests under
     "frozen_digests". On disk it is one FMAP file per tensor plus
     manifest.json, to which `save` adds the format version and each tensor's

@@ -5,9 +5,9 @@ Both stages are a `PixelModel`: an MLP applied per pixel and a head that is
 either a linear layer (discriminative) or one diagonal GMM per class
 (generative, class log densities used directly as logits). Both heads expose
 the same surface (logits, logits with a backward, tensors to and from a
-bundle), so the model, `fit` and the bundle loaders handle them alike; the
-MLP and the model share its tensors half. The stage-1 decoder is a 2-layer
-MLP.
+bundle), so the model, `fit` and the bundle loaders handle them alike. A
+model is its tensors: `PixelModel.from_tensors` rebuilds it from them alone.
+The stage-1 decoder is a 2-layer MLP.
 """
 from __future__ import annotations
 
@@ -40,8 +40,9 @@ from .neuralcore import (
 
 GENERATIVE = "generative"
 DISCRIMINATIVE = "discriminative"
-
-HEAD_TYPES = {DISCRIMINATIVE: DenseLayer, GENERATIVE: GmmHead}
+HEAD_KINDS = (GENERATIVE, DISCRIMINATIVE)
+# bundle name prefixes of a stage-1 model's decoder and head
+STAGE1_NAMES = ("decoder", "head")
 
 
 def unprefixed(prefix: str, tensors: dict) -> dict:
@@ -96,7 +97,7 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
             net_grads, _ = mlp_backward(model.net, tape, d_z)
             grads = model_tensors(net_grads, head_grads)
             opt, params = optimizer_step(opt, params, grads)
-            model = model.with_tensors(params)
+            model = PixelModel.from_tensors(params)
             losses.append(value)
         loss_history.append(sum(losses) / max(1, len(losses)))
         if isinstance(model.head, GmmHead):
@@ -127,8 +128,7 @@ class PixelModel:
     """A per-pixel MLP and a head over its output: the stage-1 decoder and
     class head, or the stage-2 projection and inlier/outlier head. The head
     is a DenseLayer (discriminative) or a GmmHead (generative); its out_dim
-    is the class count. `with_tensors` rebuilds the model, activations and
-    head type kept, over tensors named as `tensors(names)` names them."""
+    is the class count."""
     net: Mlp
     head: DenseLayer | GmmHead
 
@@ -143,11 +143,21 @@ class PixelModel:
     def tensors(self, names: tuple[str, str] = ("net", "head")) -> dict:
         return model_tensors(self.net.tensors(), self.head.tensors(), names)
 
-    def with_tensors(self, tensors: dict,
+    @classmethod
+    def from_tensors(cls, tensors: dict,
                      names: tuple[str, str] = ("net", "head")) -> "PixelModel":
-        net = Mlp.from_tensors(unprefixed(names[0], tensors), self.net.activations)
-        head = type(self.head).from_tensors(unprefixed(names[1], tensors))
-        return PixelModel(net=net, head=head)
+        """The inverse of `tensors(names)`: an MLP up to its last layer named
+        (`Mlp.from_tensors`) and a GmmHead if the head has `means`, else a
+        DenseLayer. A missing tensor raises KeyError with its full name, a
+        bad one ValueError, and parts that do not fit DimMismatch."""
+        head_type = GmmHead if f"{names[1]}.means" in tensors else DenseLayer
+        parts = []
+        for prefix, part in zip(names, (Mlp, head_type)):
+            try:
+                parts.append(part.from_tensors(unprefixed(prefix, tensors)))
+            except KeyError as exc:
+                raise KeyError(f"{prefix}.{exc.args[0]}") from None
+        return cls(*parts)
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors().values())
@@ -209,17 +219,19 @@ class InlierConfig:
 def _check_training_config(cfg, widths: tuple[str, ...]) -> None:
     """Raises ValueError for a value a training loop cannot run: a batch
     size, GMM component count or layer width (the fields named `widths`)
-    below 1, a negative epoch or Sinkhorn iteration count, a Sinkhorn
-    epsilon that is not finite and positive, or an EM momentum outside
-    [0, 1]."""
+    below 1, a negative epoch or Sinkhorn iteration count, a learning rate
+    or Sinkhorn epsilon that is not finite and positive, or an EM momentum
+    outside [0, 1]."""
     least = {"batch_size": 1, "epochs": 0, "gmm_components": 1,
              "gmm_sinkhorn_iters": 0, **dict.fromkeys(widths, 1)}
     for name, low in least.items():
         value = getattr(cfg, name)
         if value < low:
             raise ValueError(f"{name} must be >= {low}, got {value}")
-    if not (np.isfinite(cfg.gmm_epsilon) and cfg.gmm_epsilon > 0):
-        raise ValueError(f"gmm_epsilon must be finite and > 0, got {cfg.gmm_epsilon}")
+    for name in ("lr", "gmm_epsilon"):
+        value = getattr(cfg, name)
+        if not (np.isfinite(value) and value > 0):
+            raise ValueError(f"{name} must be finite and > 0, got {value}")
     if not 0 <= cfg.gmm_momentum <= 1:
         raise ValueError(f"gmm_momentum must be in [0, 1], got {cfg.gmm_momentum}")
 
@@ -260,7 +272,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
     """
     if not dataset:
         raise LlrsegError("empty dataset")
-    if config.head_kind not in HEAD_TYPES:
+    if config.head_kind not in HEAD_KINDS:
         raise LlrsegError(f"unknown head kind {config.head_kind!r}")
     feature_dim = dataset[0][0].channels
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1]))
@@ -297,7 +309,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
             d_decoded, head_grads = head_backward(d_logits)
             return value, d_decoded, head_grads
 
-        head = xavier_dense(config.decoder_dim, num_classes, "identity", rng)
+        head = xavier_dense(config.decoder_dim, num_classes, rng)
         model, loss_history, counters = fit(PixelModel(net=decoder, head=head), x, y,
                                             cross_entropy, rng, config)
     # the mIoU of the stored (float32) model, reproducible bit-exactly on reload
@@ -320,46 +332,20 @@ def heldout_miou(model: PixelModel, dataset, held_idx, num_classes: int) -> floa
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def manifest_fields(model: PixelModel) -> tuple[str, list[str]]:
-    """What a bundle manifest records of a model: its head kind and its
-    MLP's activations. The tensors record the rest."""
-    head_kind = GENERATIVE if isinstance(model.head, GmmHead) else DISCRIMINATIVE
-    return head_kind, model.net.activations
-
-
-# bundle name prefixes of a stage-1 model's decoder and head, by head kind
-STAGE1_NAMES = {DISCRIMINATIVE: ("decoder", "head"), GENERATIVE: ("decoder", "gmm")}
-
-
 def bundle_from_inlier(model: PixelModel, config: InlierConfig,
                        miou_value: float | None) -> ModelBundle:
-    head_kind, activations = manifest_fields(model)
-    manifest = {
-        "stage": "inlier",
-        "head_kind": head_kind,
-        "decoder_activations": activations,
-        "config": asdict(config),
-        "heldout_miou": miou_value,
-    }
-    return ModelBundle(manifest=manifest, tensors=model.tensors(STAGE1_NAMES[head_kind]))
+    manifest = {"stage": "inlier", "config": asdict(config), "heldout_miou": miou_value}
+    return ModelBundle(manifest=manifest, tensors=model.tensors(STAGE1_NAMES))
 
 
-def model_parts(bundle: ModelBundle, what: str, names: dict, head_kind_key: str,
-                activations_key: str) -> tuple[Mlp, DenseLayer | GmmHead]:
-    """The MLP and head of a bundle's model: head kind and activations under
-    the manifest keys given, tensors prefixed by the (net, head) pair
-    `names[head kind]`. A bad entry raises BadBundle; GMM tensors of unequal
-    shapes raise DimMismatch."""
-    man = bundle.manifest
+def _bundle_model(bundle: ModelBundle, names: tuple[str, str], what: str) -> PixelModel:
+    """`PixelModel.from_tensors` over a bundle's tensors: a missing or bad
+    entry raises BadBundle, tensors that do not fit each other DimMismatch."""
     try:
-        head_kind = man[head_kind_key]
-        net, head = names[head_kind]
-        return (Mlp.from_tensors(unprefixed(net, bundle.tensors), man[activations_key]),
-                HEAD_TYPES[head_kind].from_tensors(unprefixed(head, bundle.tensors)))
+        return PixelModel.from_tensors(bundle.tensors, names)
     except KeyError as exc:
-        raise BadBundle(f"{what} model: bundle entry {exc.args[0]!r} "
-                        "missing or unknown") from None
-    except (TypeError, ValueError) as exc:
+        raise BadBundle(f"{what} model: bundle entry {exc.args[0]!r} missing") from None
+    except ValueError as exc:
         raise BadBundle(f"{what} model: {exc}") from None
 
 
@@ -370,13 +356,10 @@ def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
     stage = bundle.manifest.get("stage")
     if stage not in ("inlier", "uem"):
         raise BadBundle(f"stage-1 model: unexpected bundle stage {stage!r}")
-    decoder, head = model_parts(bundle, "stage-1", STAGE1_NAMES,
-                                "inlier_head_kind" if stage == "uem" else "head_kind",
-                                "decoder_activations")
-    return PixelModel(net=decoder, head=head)
+    return _bundle_model(bundle, STAGE1_NAMES, "stage-1")
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:
     """Names of every stage-1 (theta) tensor in a bundle."""
-    prefixes = tuple(f"{p}." for pair in STAGE1_NAMES.values() for p in pair)
+    prefixes = tuple(f"{p}." for p in STAGE1_NAMES)
     return [n for n in bundle.tensors if n.startswith(prefixes)]

@@ -1,17 +1,17 @@
 """Minimal dense layers with analytic gradients, losses, and Adam.
 
-Everything runs in float64. Forward passes are pure; a tape produced by
-mlp_forward carries each layer's input and its activation's slope at the
-pre-activation, all the exact reverse pass needs, so that pass evaluates no
-erf. mlp_backward spends the tape: it writes its gradients over the tape's
-own buffers, so a taped GELU layer holds two arrays of its width, and a
-later mlp_forward refills a spent tape's buffers instead of allocating new
-ones. A forward-only
-pass (`tape=False`) keeps no tape: it takes the rows in chunks of about
-CHUNK_ENTRIES entries of the widest layer (1024 rows of the 1152-wide
-decoder), runs each chunk through every layer in chunk-sized buffers,
-activating in place, and writes it into one output array, so no hidden
-layer is ever held for all rows.
+Every MLP applies GELU after each layer but the last, whose output is the
+net's. Everything runs in float64. Forward passes are pure; a tape produced
+by mlp_forward carries each layer's input and each hidden layer's GELU slope
+at its pre-activation, all the exact reverse pass needs, so that pass
+evaluates no erf. mlp_backward spends the tape: it writes its gradients over
+the tape's own buffers, so a taped hidden layer holds two arrays of its
+width, and a later mlp_forward refills a spent tape's buffers instead of
+allocating new ones. A forward-only pass (`tape=False`) keeps no tape: it
+takes the rows in chunks of about CHUNK_ENTRIES entries of the widest layer
+(1024 rows of the 1152-wide decoder), runs each chunk through every layer in
+chunk-sized buffers, activating in place, and writes it into one output
+array, so no hidden layer is ever held for all rows.
 
 GELU and its derivative run in row blocks of BLOCK_ENTRIES entries
 (`_row_blocks`), so each pass over a block stays in L2 cache, and the blocks
@@ -39,7 +39,10 @@ from .errors import AllIgnored, NonFiniteGradient, StaleTape
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
-ACTIVATIONS = ("identity", "relu", "gelu")
+# Adam's moment decay rates and denominator offset
+ADAM_BETA1 = 0.9
+ADAM_BETA2 = 0.999
+ADAM_EPS = 1e-8
 # entries per GELU block, 64 rows of the 1152-wide decoder layer: a block of
 # pre-activations, gates and outputs takes 1.8 MB, inside a 2 MB L2 cache
 # (the taped pass's slope takes a fourth 0.6 MB block of scratch)
@@ -160,30 +163,21 @@ def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray) -> None:
     np.add(pdf, gate, out=pre)
 
 
-def _activate(name: str, pre: np.ndarray, out: np.ndarray | None = None) -> None:
-    """Activates the rows of pre: in place, or into out, the activation's
-    slope at pre then overwriting pre (GELU: cdf + pre*pdf; ReLU: pre > 0).
-    GELU runs in row blocks, each with block-sized scratch for its gate.
-    Identity does nothing and takes no out."""
-    if name == "relu":
-        if out is None:
-            np.maximum(pre, 0.0, out=pre)
-        else:
-            np.maximum(pre, 0.0, out=out)
-            np.greater(pre, 0.0, out=pre)
-    elif name == "gelu":
-        if out is None:
-            rows = lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r]))  # noqa: E731
-        else:
-            rows = lambda r: _gelu_slope_rows(pre[r], out[r])  # noqa: E731
-        _run_blocks(rows, _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
+def _gelu(pre: np.ndarray, out: np.ndarray | None = None) -> None:
+    """GELU of the rows of pre: in place, or into out, GELU's slope
+    cdf + pre*pdf at pre then overwriting pre. Runs in row blocks, each with
+    block-sized scratch for its gate."""
+    if out is None:
+        rows = lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r]))  # noqa: E731
+    else:
+        rows = lambda r: _gelu_slope_rows(pre[r], out[r])  # noqa: E731
+    _run_blocks(rows, _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
 
 
 @dataclass(frozen=True)
 class DenseLayer:
     weight: np.ndarray  # [out, in]
     bias: np.ndarray    # [out]
-    activation: str = "identity"
 
     def __post_init__(self):
         object.__setattr__(self, "weight", np.asarray(self.weight, dtype=np.float64))
@@ -192,8 +186,6 @@ class DenseLayer:
             raise ValueError(f"bad dense shapes W={self.weight.shape}, b={self.bias.shape}")
         if not (np.isfinite(self.weight).all() and np.isfinite(self.bias).all()):
             raise ValueError("non-finite layer parameters")
-        if self.activation not in ACTIVATIONS:
-            raise ValueError(f"unknown activation {self.activation!r}")
 
     @property
     def in_dim(self) -> int:
@@ -203,8 +195,8 @@ class DenseLayer:
     def out_dim(self) -> int:
         return self.weight.shape[0]
 
-    # As a classification head (identity activation), the layer shares
-    # this surface with gmm.GmmHead.
+    # As a classification head, the layer shares this surface with
+    # gmm.GmmHead.
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return x @ self.weight.T + self.bias
@@ -226,6 +218,7 @@ class DenseLayer:
 
 @dataclass(frozen=True)
 class Mlp:
+    """Dense layers with GELU after every one but the last."""
     layers: tuple[DenseLayer, ...]
 
     def __post_init__(self):
@@ -244,52 +237,49 @@ class Mlp:
     def out_dim(self) -> int:
         return self.layers[-1].out_dim
 
-    @property
-    def activations(self) -> list[str]:
-        return [layer.activation for layer in self.layers]
-
     def tensors(self) -> dict[str, np.ndarray]:
         """Layer i's weight and bias as `{i}.weight` and `{i}.bias`."""
         return {f"{i}.{name}": t for i, layer in enumerate(self.layers)
                 for name, t in layer.tensors().items()}
 
+    @staticmethod
+    def depth(tensors: dict) -> int:
+        """The layer count of tensors named as `tensors` names them: one more
+        than the largest layer index i of a name `{i}.*`, and 1 when there
+        is none."""
+        indices = [name.split(".")[0] for name in tensors]
+        return 1 + max((int(i) for i in indices if i.isdigit()), default=0)
+
     @classmethod
-    def from_tensors(cls, tensors: dict, activations: list) -> "Mlp":
-        """The inverse of `tensors`, activations[i] for layer i. A missing
-        tensor raises KeyError; bad shapes or activations raise ValueError."""
-        return cls([DenseLayer(tensors[f"{i}.weight"], tensors[f"{i}.bias"], activation)
-                    for i, activation in enumerate(activations)])
+    def from_tensors(cls, tensors: dict) -> "Mlp":
+        """The inverse of `tensors`, over layers 0 to `depth(tensors)` - 1.
+        A missing tensor, such as a layer below the last one named, raises
+        KeyError; bad shapes raise ValueError."""
+        return cls([DenseLayer(tensors[f"{i}.weight"], tensors[f"{i}.bias"])
+                    for i in range(cls.depth(tensors))])
 
 
-def xavier_dense(in_dim: int, out_dim: int, activation: str,
-                 rng: np.random.Generator) -> DenseLayer:
+def xavier_dense(in_dim: int, out_dim: int, rng: np.random.Generator) -> DenseLayer:
     limit = np.sqrt(6.0 / (in_dim + out_dim))
     w = rng.uniform(-limit, limit, size=(out_dim, in_dim))
-    return DenseLayer(weight=w, bias=np.zeros(out_dim), activation=activation)
+    return DenseLayer(weight=w, bias=np.zeros(out_dim))
 
 
-def make_mlp(dims: list[int], rng: np.random.Generator,
-             hidden_activation: str = "gelu",
-             final_activation: str = "identity") -> Mlp:
-    layers = []
-    for i, (a, b) in enumerate(zip(dims, dims[1:])):
-        act = final_activation if i == len(dims) - 2 else hidden_activation
-        layers.append(xavier_dense(a, b, act, rng))
-    return Mlp(layers=layers)
+def make_mlp(dims: list[int], rng: np.random.Generator) -> Mlp:
+    return Mlp(layers=[xavier_dense(a, b, rng) for a, b in zip(dims, dims[1:])])
 
 
 @dataclass
 class Tape:
     """What mlp_backward needs of a taped forward through an MLP whose layers
-    have these (weight shape, activation) pairs: each layer's input, the
-    first being the caller's x, and each layer's activation slope at its
-    pre-activation (None for identity). Every other input and every slope
-    is the first rows of one of the tape's `buffers`, keyed (layer, "pre" or
-    "out"), which mlp_backward overwrites with gradients: a tape serves one
-    backward and is then spent."""
-    layers: list[tuple[tuple[int, int], str]] = field(default_factory=list)
+    have these weight shapes: each layer's input, the first being the
+    caller's x, and each hidden layer's GELU slope at its pre-activation.
+    Every other input and every slope is the first rows of one of the tape's
+    `buffers`, keyed (layer, "pre" or "out"), which mlp_backward overwrites
+    with gradients: a tape serves one backward and is then spent."""
+    layers: list[tuple[int, int]] = field(default_factory=list)
     inputs: list[np.ndarray] = field(default_factory=list)
-    slopes: list[np.ndarray | None] = field(default_factory=list)
+    slopes: list[np.ndarray] = field(default_factory=list)
     buffers: dict = field(default_factory=dict)
     spent: bool = True
 
@@ -313,7 +303,7 @@ def mlp_forward(m: Mlp, x: np.ndarray,
     allocate the tape once. The output is a new array either way, which no
     later forward overwrites. With tape=False the tape is None, and the rows
     go through every layer one `_forward_chunks` chunk at a time, each
-    layer's activation overwriting its pre-activation in a chunk-sized
+    hidden layer's GELU overwriting its pre-activation in a chunk-sized
     buffer that the next chunk reuses, so no hidden layer is ever alive for
     all rows. x itself is never written."""
     x = np.asarray(x, dtype=np.float64)
@@ -321,40 +311,41 @@ def mlp_forward(m: Mlp, x: np.ndarray,
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
+    n, last = len(x), len(m.layers) - 1
     if not tape:
-        chunks = _forward_chunks(len(x), [layer.out_dim for layer in m.layers])
+        chunks = _forward_chunks(n, [layer.out_dim for layer in m.layers])
         longest = max((rows.stop - rows.start for rows in chunks), default=0)
         hidden = [np.empty((longest, layer.out_dim)) for layer in m.layers[:-1]]
-        out = np.empty((len(x), m.out_dim))
+        out = np.empty((n, m.out_dim))
         for rows in chunks:
             h = x[rows]
-            for layer, buf in zip(m.layers, hidden + [out[rows]]):
+            for i, (layer, buf) in enumerate(zip(m.layers, hidden + [out[rows]])):
                 h = np.matmul(h, layer.weight.T, out=buf[:len(h)])
                 h += layer.bias
-                _activate(layer.activation, h)
+                if i < last:
+                    _gelu(h)
         return out, None
     if not isinstance(tape, Tape):
         tape = Tape()
     tape.spent = True  # until it is filled
     old, tape.buffers = tape.buffers, {}
-    tape.layers = [(layer.weight.shape, layer.activation) for layer in m.layers]
+    tape.layers = [layer.weight.shape for layer in m.layers]
     tape.inputs, tape.slopes = [], []
-    n, last = len(x), len(m.layers) - 1
     h = x
     for i, layer in enumerate(m.layers):
         tape.inputs.append(h)
-        identity = layer.activation == "identity"
-        # the net's output is a new array, a hidden layer's a tape buffer; an
-        # identity layer's pre-activation is its output
-        out = (np.empty((n, layer.out_dim)) if i == last
-               else _buffer_rows(old, tape.buffers, (i, "out"), n, layer.out_dim))
-        pre = out if identity else _buffer_rows(old, tape.buffers, (i, "pre"), n,
-                                                layer.out_dim)
+        # the net's output is a new array and its own pre-activation; a
+        # hidden layer's output and pre-activation are tape buffers
+        if i == last:
+            out = pre = np.empty((n, layer.out_dim))
+        else:
+            out, pre = (_buffer_rows(old, tape.buffers, (i, key), n, layer.out_dim)
+                        for key in ("out", "pre"))
         np.matmul(h, layer.weight.T, out=pre)
         pre += layer.bias
-        if not identity:
-            _activate(layer.activation, pre, out)
-        tape.slopes.append(None if identity else pre)
+        if i < last:
+            _gelu(pre, out)
+            tape.slopes.append(pre)
         h = out
     tape.spent = False
     return h, tape
@@ -362,14 +353,14 @@ def mlp_forward(m: Mlp, x: np.ndarray,
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     """Exact reverse pass. Returns (grads, d_x) with grads keyed like
-    `m.tensors()`. It spends the tape: each layer's slope is overwritten by
-    the upstream gradient times it (in row blocks on the workers), and
-    the gradient with respect to a layer's input by the buffer that held
-    that input, so a second backward on the tape raises StaleTape. x and
-    d_out are never written."""
+    `m.tensors()`. It spends the tape: each hidden layer's slope is
+    overwritten by the upstream gradient times it (in row blocks on the
+    workers), and the gradient with respect to a layer's input by the buffer
+    that held that input, so a second backward on the tape raises StaleTape.
+    x and d_out are never written."""
     if tape.spent:
         raise StaleTape("tape is spent: a backward pass has used it")
-    if tape.layers != [(layer.weight.shape, layer.activation) for layer in m.layers]:
+    if tape.layers != [layer.weight.shape for layer in m.layers]:
         raise StaleTape("tape does not match this MLP")
     d_out = np.asarray(d_out, dtype=np.float64)
     if d_out.shape != (tape.inputs[0].shape[0], m.out_dim):
@@ -378,8 +369,9 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
     grads = {}
     d = d_out
     for i in reversed(range(len(m.layers))):
-        layer, slope = m.layers[i], tape.slopes[i]
-        if slope is not None:
+        layer = m.layers[i]
+        if i < len(tape.slopes):
+            slope = tape.slopes[i]
             _run_blocks(lambda r: np.multiply(d[r], slope[r], out=slope[r]),
                         _row_blocks(len(slope), _rows_per_block(slope.shape[1])))
             d = slope
@@ -393,12 +385,11 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
 # losses
 # ---------------------------------------------------------------------------
 
-def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
-                          ignore: int = IGNORE):
-    """Mean CE over non-ignored rows; gradient is zero on ignored rows."""
+def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
+    """Mean CE over rows not labelled IGNORE; gradient is zero on those."""
     logits = np.asarray(logits, dtype=np.float64)
     labels = np.asarray(labels)
-    valid = labels != ignore
+    valid = labels != IGNORE
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise AllIgnored("every row is ignored")
@@ -415,16 +406,15 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray,
     return float(loss), d_logits
 
 
-def sigmoid_bce_with_logits(z: np.ndarray, targets: np.ndarray,
-                            ignore: int = IGNORE):
+def sigmoid_bce_with_logits(z: np.ndarray, targets: np.ndarray):
     """Numerically stable binary cross entropy on raw logits.
 
-    targets holds {0, 1, ignore}; ignored entries contribute nothing to
+    targets holds {0, 1, IGNORE}; IGNORE entries contribute nothing to
     loss or gradient.
     """
     z = np.asarray(z, dtype=np.float64)
     targets = np.asarray(targets)
-    valid = targets != ignore
+    valid = targets != IGNORE
     n_valid = int(valid.sum())
     if n_valid == 0:
         raise AllIgnored("every entry is ignored")
@@ -443,11 +433,8 @@ def sigmoid_bce_with_logits(z: np.ndarray, targets: np.ndarray,
 
 @dataclass
 class OptimizerState:
-    """Adam's state: hyperparameters, step count and per-tensor moments."""
+    """Adam's state: learning rate, step count and per-tensor moments."""
     lr: float
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     step: int = 0
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
@@ -467,13 +454,13 @@ def optimizer_step(state: OptimizerState, params: dict, grads: dict):
             continue
         m = state.m.get(name, np.zeros_like(p))
         v = state.v.get(name, np.zeros_like(p))
-        m = state.beta1 * m + (1.0 - state.beta1) * g
-        v = state.beta2 * v + (1.0 - state.beta2) * g**2
+        m = ADAM_BETA1 * m + (1.0 - ADAM_BETA1) * g
+        v = ADAM_BETA2 * v + (1.0 - ADAM_BETA2) * g**2
         state.m[name] = m
         state.v[name] = v
-        m_hat = m / (1.0 - state.beta1**t)
-        v_hat = v / (1.0 - state.beta2**t)
-        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + state.eps)
+        m_hat = m / (1.0 - ADAM_BETA1**t)
+        v_hat = v / (1.0 - ADAM_BETA2**t)
+        new_params[name] = p - state.lr * m_hat / (np.sqrt(v_hat) + ADAM_EPS)
     state.step = t
     return state, new_params
 

@@ -113,7 +113,7 @@ def _tiny_setup(uem_kind: str, seed: int):
     y.ravel()[:3] = 255
     omap = BinaryOutlierMap(y)
     decoder = make_mlp([c_e, 8, 6], rng)
-    head = xavier_dense(6, 3, "identity", rng)
+    head = xavier_dense(6, 3, rng)
     inlier_model = PixelModel(net=decoder, head=head)
     u = build_uem(c_e, 6, 5, uem_kind, 2, rng)
     cfg = LlrConfig(alpha=1.0, beta=0.01, head_kind=uem_kind,
@@ -131,7 +131,7 @@ def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
                if uem_kind == DISCRIMINATIVE or k.startswith(f"{UEM_NAMES[0]}.")}
 
     def fn(params):
-        return llr_loss(u.with_tensors({**fixed, **params}, UEM_NAMES),
+        return llr_loss(PixelModel.from_tensors({**fixed, **params}, UEM_NAMES),
                         inlier_model, f, omap, cfg)
 
     return grad_check(fn, trained, h=h, max_coords=max_coords, seed=seed)
@@ -150,7 +150,7 @@ def check_mlp_bce_gradient(seed: int = 0, tol: float = 1e-4) -> tuple[bool, str]
     t = rng.integers(0, 2, 12)
 
     def fn(params):
-        net = Mlp.from_tensors(params, m.activations)
+        net = Mlp.from_tensors(params)
         out, tape = mlp_forward(net, x)
         loss, dz = sigmoid_bce_with_logits(out[:, 0], t)
         grads, _ = mlp_backward(net, tape, dz[:, None])
@@ -256,11 +256,10 @@ ALL_CHECKS = [
 ]
 
 
-def run_selfcheck(verbose: bool = True) -> bool:
+def run_selfcheck() -> bool:
     all_ok = True
     for name, fn in ALL_CHECKS:
         ok, detail = fn()
         all_ok &= ok
-        if verbose:
-            print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
+        print(f"[{'PASS' if ok else 'FAIL'}] {name}: {detail}")
     return all_ok

@@ -29,19 +29,20 @@ from .gmm import GmmHead, gmm_all_log_densities_with_grad, init_head, sinkhorn_a
 from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
-    HEAD_TYPES,
+    HEAD_KINDS,
     PixelModel,
     TrainResult,
+    _bundle_model,
     _check_training_config,
     fit,
     inlier_from_bundle,
-    manifest_fields,
     max_inlier_logit,
-    model_parts,
     model_tensors,
     stage1_tensor_names,
+    unprefixed,
 )
 from .neuralcore import (
+    Mlp,
     make_mlp,
     mlp_backward,
     mlp_forward,
@@ -60,7 +61,7 @@ def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
               head_kind: str, components: int, rng: np.random.Generator) -> PixelModel:
     projection = make_mlp([feature_dim, proj_hidden, proj_hidden, projection_dim], rng)
     if head_kind == DISCRIMINATIVE:
-        head = xavier_dense(projection_dim, 2, "identity", rng)
+        head = xavier_dense(projection_dim, 2, rng)
     else:
         means = rng.standard_normal((2, components, projection_dim))
         head = GmmHead(means=means,
@@ -114,8 +115,10 @@ class LlrConfig:
     gmm_max_pixels_per_class: int = 4096
 
     def __post_init__(self):
-        if self.alpha < 0 or self.beta < 0:
-            raise ValueError("alpha and beta must be non-negative")
+        for name in ("alpha", "beta"):
+            value = getattr(self, name)
+            if not (np.isfinite(value) and value >= 0):
+                raise ValueError(f"{name} must be finite and >= 0, got {value}")
         _check_training_config(self, ("projection_dim", "proj_hidden"))
 
 
@@ -215,7 +218,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         raise LlrsegError("train_uem needs a stage-1 (inlier) bundle")
     if not dataset:
         raise LlrsegError("empty dataset")
-    if cfg.head_kind not in HEAD_TYPES:
+    if cfg.head_kind not in HEAD_KINDS:
         raise LlrsegError(f"unknown head kind {cfg.head_kind!r}")
 
     initial_digests = {name: tensor_digest(stage1.tensors[name])
@@ -256,7 +259,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         rng, cfg)
 
     # the bundle embeds the stage-1 tensors as they are now
-    bundle = bundle_from_uem(u, inlier_model, stage1, cfg, initial_digests)
+    bundle = bundle_from_uem(u, stage1, cfg, initial_digests)
     verify_freeze(bundle)
     return TrainResult(bundle=bundle, loss_history=loss_history,
                        em_counters=counters, warnings=[])
@@ -266,19 +269,13 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
 # bundle conversion
 # ---------------------------------------------------------------------------
 
-def bundle_from_uem(u: PixelModel, inlier_model: PixelModel, stage1: ModelBundle,
-                    cfg: LlrConfig, frozen_digests: dict) -> ModelBundle:
-    """UEM `u` with the tensors of `stage1`, whose model is `inlier_model`."""
+def bundle_from_uem(u: PixelModel, stage1: ModelBundle, cfg: LlrConfig,
+                    frozen_digests: dict) -> ModelBundle:
+    """UEM `u` with the tensors of `stage1`."""
     tensors = {**{name: stage1.tensors[name] for name in stage1_tensor_names(stage1)},
                **u.tensors(UEM_NAMES)}
-    head_kind, proj_activations = manifest_fields(u)
-    inlier_head_kind, decoder_activations = manifest_fields(inlier_model)
     manifest = {
         "stage": "uem",
-        "head_kind": head_kind,
-        "inlier_head_kind": inlier_head_kind,
-        "decoder_activations": decoder_activations,
-        "proj_activations": proj_activations,
         "heldout_miou": stage1.manifest.get("heldout_miou"),
         "config": asdict(cfg),
         "frozen_digests": frozen_digests,
@@ -292,14 +289,13 @@ def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
     not fit each other or the head is not 2-class."""
     if bundle.manifest.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
-    projection, head = model_parts(bundle, "stage-2", dict.fromkeys(HEAD_TYPES, UEM_NAMES),
-                                   "head_kind", "proj_activations")
-    if len(projection.layers) != 3:
-        raise BadBundle("stage-2 model: the projection has "
-                        f"{len(projection.layers)} layers, not 3")
-    if head.out_dim != 2:
-        raise DimMismatch(f"stage-2 head has {head.out_dim} classes, not 2")
-    return PixelModel(net=projection, head=head)
+    layers = Mlp.depth(unprefixed(UEM_NAMES[0], bundle.tensors))
+    if layers != 3:
+        raise BadBundle(f"stage-2 model: the projection has {layers} layers, not 3")
+    u = _bundle_model(bundle, UEM_NAMES, "stage-2")
+    if u.head.out_dim != 2:
+        raise DimMismatch(f"stage-2 head has {u.head.out_dim} classes, not 2")
+    return u
 
 
 def verify_freeze(stage2: ModelBundle) -> bool:

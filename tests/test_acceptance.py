@@ -182,7 +182,7 @@ def test_criterion_9_parameter_budget():
     ratios = {}
     for head_kind in (GENERATIVE, DISCRIMINATIVE):
         if head_kind == DISCRIMINATIVE:
-            head = xavier_dense(icfg.decoder_dim, k, "identity", rng)
+            head = xavier_dense(icfg.decoder_dim, k, rng)
         else:
             head = GmmHead(
                 means=rng.normal(0, 1, (k, icfg.gmm_components,

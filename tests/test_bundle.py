@@ -51,7 +51,7 @@ def make_bundles(head_kind, k, c, d, seed=0) -> tuple[ModelBundle, ModelBundle]:
         head = GmmHead(means=rng.normal(0, 1, (k, c, d)),
                        variances=rng.uniform(0.1, 2.0, (k, c, d)))
     else:
-        head = xavier_dense(d, k, "identity", rng)
+        head = xavier_dense(d, k, rng)
     inlier = PixelModel(net=decoder, head=head)
     stage1 = bundle_from_inlier(inlier, InlierConfig(
         head_kind=head_kind, decoder_dim=d, gmm_components=c), 0.0)
@@ -59,7 +59,7 @@ def make_bundles(head_kind, k, c, d, seed=0) -> tuple[ModelBundle, ModelBundle]:
     digests = {n: tensor_digest(stage1.tensors[n]) for n in stage1_tensor_names(stage1)}
     cfg = LlrConfig(head_kind=head_kind, projection_dim=d, proj_hidden=4,
                     gmm_components=c)
-    return stage1, bundle_from_uem(u, inlier, stage1, cfg, digests)
+    return stage1, bundle_from_uem(u, stage1, cfg, digests)
 
 
 def make_stage2(head_kind, k, c, d, seed=0) -> ModelBundle:
@@ -94,8 +94,21 @@ def as_format_2(manifest: dict) -> None:
     shapes = {name: meta["shape"] for name, meta in manifest["tensors"].items()}
     manifest.update(format_version=2, feature_dim=shapes["decoder.0.weight"][1],
                     decoder_dim=shapes["decoder.1.weight"][0], decoder_layers=2,
-                    num_classes=shapes.get("gmm.means", shapes.get("head.weight"))[0],
+                    num_classes=shapes.get("head.means", shapes.get("head.weight"))[0],
                     projection_dim=shapes.get("uem.proj.2.weight", [None])[0])
+
+
+def as_format_3(manifest: dict) -> None:
+    """Rewrite a saved manifest as format 3 wrote it, with the head kinds and
+    activation lists that format 4 leaves to the tensor names."""
+    def kind(head):
+        return GENERATIVE if f"{head}.means" in manifest["tensors"] else DISCRIMINATIVE
+
+    manifest.update(format_version=3, head_kind=kind("head"),
+                    decoder_activations=["gelu", "identity"])
+    if manifest["stage"] == "uem":
+        manifest.update(head_kind=kind("uem.head"), inlier_head_kind=kind("head"),
+                        proj_activations=["gelu", "gelu", "identity"])
 
 
 def save_per_component(bundle: ModelBundle, path: Path) -> None:
@@ -115,9 +128,8 @@ def save_per_component(bundle: ModelBundle, path: Path) -> None:
     edit_manifest(path, lambda m: m.pop("format_version"))
 
 
-STAGE1_KEYS = {"stage", "head_kind", "decoder_activations", "config", "heldout_miou",
-               "format_version", "tensors"}
-STAGE2_KEYS = STAGE1_KEYS | {"inlier_head_kind", "proj_activations", "frozen_digests"}
+STAGE1_KEYS = {"stage", "config", "heldout_miou", "format_version", "tensors"}
+STAGE2_KEYS = STAGE1_KEYS | {"frozen_digests"}
 SHAPES = dict(k=st.integers(1, 4), c=st.integers(1, 4), d=st.integers(1, 5))
 
 
@@ -141,17 +153,14 @@ class TestRoundTrip:
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
     def test_saved_manifest_keys(self, kind):
-        """A format-3 manifest holds no model dimension: the tensors do."""
+        """A format-4 manifest holds no model dimension, head kind or
+        activation: the tensors' shapes and names do."""
         stage1, stage2 = make_bundles(kind, 3, 2, 4)
         for bundle, keys in ((stage1, STAGE1_KEYS), (stage2, STAGE2_KEYS)):
             with saved(bundle) as path:
                 manifest = json.loads((path / "manifest.json").read_text())
             assert set(manifest) == keys
-            assert manifest["format_version"] == BUNDLE_FORMAT_VERSION == 3
-            assert manifest["head_kind"] == kind
-            assert manifest["decoder_activations"] == ["gelu", "identity"]
-        assert manifest["inlier_head_kind"] == kind
-        assert manifest["proj_activations"] == ["gelu", "gelu", "identity"]
+            assert manifest["format_version"] == BUNDLE_FORMAT_VERSION == 4
 
     @pytest.mark.parametrize("kind, head", [
         (DISCRIMINATIVE, ["bias", "weight"]), (GENERATIVE, ["means", "vars"])])
@@ -160,8 +169,7 @@ class TestRoundTrip:
         stage1, stage2 = make_bundles(kind, 3, 2, 4)
         decoder = ["decoder.0.bias", "decoder.0.weight",
                    "decoder.1.bias", "decoder.1.weight"]
-        stage1_head = "gmm" if kind == GENERATIVE else "head"
-        want1 = decoder + [f"{stage1_head}.{name}" for name in head]
+        want1 = decoder + [f"head.{name}" for name in head]
         assert sorted(stage1.tensors) == want1
         assert sorted(stage2.tensors) == want1 + [f"uem.head.{name}" for name in head] + [
             "uem.proj.0.bias", "uem.proj.0.weight", "uem.proj.1.bias",
@@ -171,8 +179,8 @@ class TestRoundTrip:
     @given(**SHAPES)
     def test_gmm_heads_are_two_packed_tensors(self, k, c, d):
         bundle = make_stage2(GENERATIVE, k, c, d)
-        assert bundle.tensors["gmm.means"].shape == (k, c, d)
-        assert bundle.tensors["gmm.vars"].shape == (k, c, d)
+        assert bundle.tensors["head.means"].shape == (k, c, d)
+        assert bundle.tensors["head.vars"].shape == (k, c, d)
         assert bundle.tensors["uem.head.means"].shape == (2, c, d)
         assert bundle.tensors["uem.head.vars"].shape == (2, c, d)
         # 2 + 2 decoder, 6 projection, 2 + 2 GMM tensors
@@ -228,7 +236,7 @@ class TestCorruption:
                 load_models(path)
 
     @settings(max_examples=20, deadline=None)
-    @given(prefix=st.sampled_from(["gmm", "uem.head"]),
+    @given(prefix=st.sampled_from(["head", "uem.head"]),
            field=st.sampled_from(["means", "vars"]), **SHAPES)
     def test_transposed_packed_shape_in_manifest(self, prefix, field, k, c, d):
         bundle = make_stage2(GENERATIVE, k, c, d)
@@ -269,9 +277,9 @@ class TestCorruption:
         """A stage-1 head saved as [C, K, d] is a valid C-class head, but its
         file image, header included, no longer has its frozen digest."""
         assume(k != c)
-        bundle = self.transposed_head(make_stage2(GENERATIVE, k, c, d), "gmm")
+        bundle = self.transposed_head(make_stage2(GENERATIVE, k, c, d), "head")
         with saved(bundle) as path:
-            with pytest.raises(FreezeViolation, match="'gmm.means' digest mismatch"):
+            with pytest.raises(FreezeViolation, match="'head.means' digest mismatch"):
                 verify_freeze(ModelBundle.load(path))
 
     @settings(max_examples=15, deadline=None)
@@ -289,11 +297,12 @@ class TestCorruption:
                 load_models(path)
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
-    def test_format_2_bundle(self, kind):
+    @pytest.mark.parametrize("version, rewrite", [(2, as_format_2), (3, as_format_3)])
+    def test_older_format_bundle(self, kind, version, rewrite):
         with saved(make_stage2(kind, 3, 2, 4)) as path:
-            edit_manifest(path, as_format_2)
-            with pytest.raises(BadBundle, match="has format version 2, expected format "
-                               "version 3; retrain it with this version"):
+            edit_manifest(path, rewrite)
+            with pytest.raises(BadBundle, match=f"has format version {version}, expected "
+                               "format version 4; retrain it with this version"):
                 load_models(path, verify=False)
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
@@ -302,15 +311,42 @@ class TestCorruption:
         with pytest.raises(BadBundle, match=f"format version {BUNDLE_FORMAT_VERSION}"):
             load_models(tmp_path / "old", verify=False)
 
+    @staticmethod
+    def drop_entries(path: Path, prefix: str) -> None:
+        """Drop the manifest entries of the tensors named `{prefix}.*`."""
+        def drop(manifest):
+            for name in [n for n in manifest["tensors"] if n.startswith(f"{prefix}.")]:
+                manifest["tensors"].pop(name)
+        edit_manifest(path, drop)
+
     def test_projection_must_have_three_layers(self):
         with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
-            edit_manifest(path, lambda m: m["proj_activations"].pop())
-            with pytest.raises(BadBundle, match="projection has 2 layers"):
+            self.drop_entries(path, "uem.proj.2")
+            with pytest.raises(BadBundle, match="projection has 2 layers, not 3"):
+                load_models(path)
+
+    @pytest.mark.parametrize("net", ["decoder.0", "uem.proj.1"])
+    def test_layer_below_the_last_one_named_is_missing(self, net):
+        """An MLP ends at its last layer named, so a layer dropped below it
+        is a missing entry, not a shallower net."""
+        with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
+            self.drop_entries(path, net)
+            with pytest.raises(BadBundle, match=f"bundle entry '{net}.weight' missing"):
+                load_models(path)
+
+    @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
+    @pytest.mark.parametrize("head", ["head", "uem.head"])
+    def test_head_with_neither_means_nor_weight(self, kind, head):
+        """A head's kind is its tensor names: one with no `means` is linear,
+        so it is missing its `weight`."""
+        with saved(make_stage2(kind, 3, 2, 4)) as path:
+            self.drop_entries(path, head)
+            with pytest.raises(BadBundle, match=f"bundle entry '{head}.weight' missing"):
                 load_models(path)
 
     def test_uem_head_must_be_two_class(self):
         bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)
-        head = xavier_dense(4, 3, "identity", np.random.default_rng(0))
+        head = xavier_dense(4, 3, np.random.default_rng(0))
         tensors = {**bundle.tensors, "uem.head.weight": head.weight,
                    "uem.head.bias": head.bias}
         with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
@@ -324,13 +360,6 @@ class TestCorruption:
         tensors = {**bundle.tensors, name: bundle.tensors[name].T}
         with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
             with pytest.raises(BadBundle, match="bad dense shapes"):
-                load_models(path)
-
-    @pytest.mark.parametrize("field", ["decoder_activations", "proj_activations"])
-    def test_unknown_activation(self, field):
-        with saved(make_stage2(DISCRIMINATIVE, 3, 2, 4)) as path:
-            edit_manifest(path, lambda m: m[field].__setitem__(0, "tanh"))
-            with pytest.raises(BadBundle, match="unknown activation 'tanh'"):
                 load_models(path)
 
     def test_missing_manifest(self, tmp_path):

@@ -76,6 +76,38 @@ class TestRunConfig:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value, rule", [
+        ("num_classes", 0, "num_classes must be in [1, 255], got 0"),
+        ("num_classes", 256, "num_classes must be in [1, 255], got 256"),
+        ("feature_dim", 0, "feature_dim must be >= 1, got 0"),
+        ("height", 0, "height must be >= 1, got 0"),
+        ("width", -3, "width must be >= 1, got -3"),
+        ("bank_size", 0, "bank_size must be >= 1, got 0"),
+        ("count_range", [3, 1], "count_range must be (low, high) with 0 <= low <= high, "
+                                "got (3, 1)"),
+        ("count_range", [-2, -1], "count_range must be (low, high) with 0 <= low <= high, "
+                                  "got (-2, -1)"),
+        ("min_area", -1.0, "min_area and max_area must satisfy 0 < min_area <= max_area "
+                           "<= 1, got -1.0 and 0.1"),
+        ("min_area", 0.5, "min_area and max_area must satisfy 0 < min_area <= max_area "
+                          "<= 1, got 0.5 and 0.1"),
+        ("max_area", 1.5, "min_area and max_area must satisfy 0 < min_area <= max_area "
+                          "<= 1, got 0.01 and 1.5"),
+        ("min_area", float("nan"), "min_area and max_area must satisfy 0 < min_area <= "
+                                   "max_area <= 1, got nan and 0.1"),
+    ])
+    def test_layout_synth_cannot_make_exits_1(self, tmp_path, capsys, key, value, rule):
+        """Caught before any scene: no classes, or a minimum area above the
+        maximum, died in NumPy with a traceback, and a reversed count range
+        pasted its first bound without notice."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "dataset": {key: value}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: LlrsegError: config section dataset: {rule}\n"
+        assert not out.exists()
+
     def test_resolved_has_no_section_seeds(self):
         resolved = RunConfig.from_dict(SMALL_RUN).resolved()
         assert resolved["seed"] == 3
@@ -334,6 +366,25 @@ class TestPipeline:
         assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section, key,
                                        value, rule)
 
+    @pytest.mark.parametrize("section, key, value, rule", [
+        ("inlier", "lr", float("nan"), "must be finite and > 0"),
+        ("uem", "lr", float("nan"), "must be finite and > 0"),
+        ("uem", "lr", float("inf"), "must be finite and > 0"),
+        ("inlier", "lr", -1.0, "must be finite and > 0"),
+        ("uem", "lr", 0.0, "must be finite and > 0"),
+        ("uem", "alpha", float("nan"), "must be finite and >= 0"),
+        ("uem", "beta", float("nan"), "must be finite and >= 0"),
+        ("uem", "alpha", float("inf"), "must be finite and >= 0"),
+        ("uem", "beta", -0.5, "must be finite and >= 0"),
+    ])
+    def test_rate_or_loss_weight_no_fit_can_use_exits_1(self, pipeline_dirs, tmp_path,
+                                                        capsys, section, key, value, rule):
+        """Caught before training: a NaN or infinite rate failed mid-fit with a
+        traceback, a negative one trained by gradient ascent, and a NaN loss
+        weight dropped its term without notice."""
+        assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section, key,
+                                       value, rule)
+
     def test_config_file_not_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"seed": 1,')
@@ -370,24 +421,25 @@ class TestPipeline:
         assert_bundles_rejected(d, tmp_path, capsys,
                                 f"expected format version {BUNDLE_FORMAT_VERSION}")
 
-    def test_format_2_bundles_rejected(self, pipeline_dirs, tmp_path, capsys):
+    @pytest.mark.parametrize("version", [2, 3])
+    def test_older_format_bundles_rejected(self, pipeline_dirs, tmp_path, capsys, version):
         import shutil
-        from test_bundle import as_format_2, edit_manifest
+        import test_bundle
 
         d = pipeline_dirs
         for stage, name in (("s1", "stage1"), ("s2", "stage2")):
             shutil.copytree(d[stage] / name, tmp_path / name)
-            edit_manifest(tmp_path / name, as_format_2)
-        assert_bundles_rejected(d, tmp_path, capsys, "has format version 2, expected "
-                                "format version 3; retrain it with this version")
+            test_bundle.edit_manifest(tmp_path / name,
+                                      getattr(test_bundle, f"as_format_{version}"))
+        assert_bundles_rejected(d, tmp_path, capsys, f"has format version {version}, "
+                                "expected format version 4; retrain it with this version")
 
     @pytest.mark.parametrize("version, key", [
-        (3, "stage"), (3, "head_kind"), (3, "decoder_activations"),
-        (2, "stage"), (2, "feature_dim"), (2, "num_classes")])
+        (4, "stage"), (2, "stage"), (2, "feature_dim"), (2, "num_classes")])
     def test_train_uem_rejects_trimmed_stage1_manifest(self, pipeline_dirs, tmp_path,
                                                        capsys, version, key):
         """A stage-1 manifest that lacks a key is a BadBundle before any
-        training. Format 3 keeps no dimension, so the dimension keys are cut
+        training. Format 4 keeps no dimension, so the dimension keys are cut
         from a format-2 manifest, which the version check rejects."""
         import shutil
         from test_bundle import as_format_2, edit_manifest
@@ -463,7 +515,8 @@ class TestPipeline:
         stage2 = tmp_path / "stage2"
         shutil.copytree(d["s2"] / "stage2", stage2)
         manifest = json.loads((stage2 / "manifest.json").read_text())
-        manifest["proj_activations"].pop()
+        for name in ("uem.proj.2.weight", "uem.proj.2.bias"):
+            manifest["tensors"].pop(name)
         (stage2 / "manifest.json").write_text(json.dumps(manifest))
         out = tmp_path / "scores"
         code = main(["score", "--config", str(d["cfg"]), "--stage2", str(stage2),

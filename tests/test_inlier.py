@@ -36,7 +36,7 @@ from llrseg.neuralcore import (
 
 def make_disc_model(rng, c_e=4, c_d=6, k=3):
     decoder = make_mlp([c_e, 8, c_d], rng)
-    head = xavier_dense(c_d, k, "identity", rng)
+    head = xavier_dense(c_d, k, rng)
     return PixelModel(net=decoder, head=head)
 
 
@@ -109,7 +109,7 @@ class TestMaxLogitAndIdScore:
     def test_single_class_equals_its_logit(self):
         rng = np.random.default_rng(5)
         decoder = make_mlp([4, 8, 6], rng)
-        head = xavier_dense(6, 1, "identity", rng)
+        head = xavier_dense(6, 1, rng)
         m = PixelModel(net=decoder, head=head)
         f = FeatureMap(rng.normal(0, 1, (4, 3, 3)))
         assert np.array_equal(max_inlier_logit(m, f), inlier_logits(m, f)[0])
@@ -151,17 +151,23 @@ def make_gen_model(rng, c_e=4, c_d=6, k=3, c=2):
 def make_wide_disc_model(rng, c_e=4, k=3):
     """The default decoder's widths, 1152 and 64, over c_e channels."""
     decoder = make_mlp([c_e, 1152, 64], rng)
-    return PixelModel(net=decoder, head=xavier_dense(64, k, "identity", rng))
+    return PixelModel(net=decoder, head=xavier_dense(64, k, rng))
 
 
 class TestTensors:
+    @pytest.mark.parametrize("names", [("net", "head"), ("uem.proj", "uem.head")])
     @pytest.mark.parametrize("make", [make_disc_model, make_gen_model])
-    def test_with_tensors_round_trip_is_bitwise(self, make):
+    def test_from_tensors_round_trip_is_bitwise(self, make, names):
+        """The tensors alone give the model back: the head's kind by its
+        tensor names, the MLP's depth by its layer names."""
         rng = np.random.default_rng(30)
         m = make(rng)
-        rebuilt = m.with_tensors(m.tensors())
+        rebuilt = PixelModel.from_tensors(m.tensors(names), names)
         assert type(rebuilt.head) is type(m.head)
-        assert rebuilt.net.activations == m.net.activations
+        assert len(rebuilt.net.layers) == len(m.net.layers)
+        assert rebuilt.tensors().keys() == m.tensors().keys()
+        assert all(t.tobytes() == rebuilt.tensors()[name].tobytes()
+                   for name, t in m.tensors().items())
         f = FeatureMap(rng.normal(0, 1, (4, 5, 3)))
         assert inlier_logits(rebuilt, f).tobytes() == inlier_logits(m, f).tobytes()
 
@@ -169,12 +175,9 @@ class TestTensors:
         m = make_gen_model(np.random.default_rng(31))
         assert list(m.tensors()) == ["net.0.weight", "net.0.bias", "net.1.weight",
                                      "net.1.bias", "head.means", "head.vars"]
-        named = m.tensors(("decoder", "gmm"))
+        named = m.tensors(("decoder", "head"))
         assert list(named) == ["decoder.0.weight", "decoder.0.bias", "decoder.1.weight",
-                               "decoder.1.bias", "gmm.means", "gmm.vars"]
-        rebuilt = m.with_tensors(named, ("decoder", "gmm"))
-        assert all(t.tobytes() == rebuilt.tensors()[name].tobytes()
-                   for name, t in m.tensors().items())
+                               "decoder.1.bias", "head.means", "head.vars"]
         assert m.parameter_count() == sum(t.size for t in m.tensors().values())
 
 
@@ -376,7 +379,7 @@ class TestGenerativeStage1:
             losses.append(sum(batch_losses) / len(batch_losses))
             head = refresh(head, by_class, rng, cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters,
                            cfg.gmm_momentum, cfg.gmm_max_pixels_per_class, {})
-        want = self.stored(head.tensors(), "gmm")
+        want = self.stored(head.tensors(), "head")
         for name, t in want.items():
             assert result.bundle.tensors[name].tobytes() == t.tobytes(), name
         assert result.loss_history == losses

@@ -18,12 +18,11 @@ from llrseg import neuralcore
 from llrseg.datamodel import IGNORE
 from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
-    ACTIVATIONS,
     DenseLayer,
     Mlp,
     OptimizerState,
     Tape,
-    _activate,
+    _gelu,
     _row_blocks,
     _rows_per_block,
     grad_check,
@@ -44,19 +43,14 @@ class TestForward:
         y, _ = mlp_forward(m, x)
         assert np.array_equal(y, x)
 
-    def test_relu_clips_negative_preactivations(self):
-        m = Mlp([DenseLayer(weight=np.eye(2), bias=np.array([-10.0, -10.0]),
-                            activation="relu")])
-        y, _ = mlp_forward(m, np.zeros((4, 2)))
-        assert np.all(y == 0.0)
-
-    def test_two_layer_matches_naive_matmul(self):
+    def test_two_layer_matches_naive_gelu_then_identity(self):
         rng = np.random.default_rng(1)
-        m = make_mlp([3, 5, 2], rng, hidden_activation="identity")
+        m = make_mlp([3, 5, 2], rng)
         x = rng.normal(0, 1, (7, 3))
         w0, b0 = m.layers[0].weight, m.layers[0].bias
         w1, b1 = m.layers[1].weight, m.layers[1].bias
-        want = (x @ w0.T + b0) @ w1.T + b1
+        pre = x @ w0.T + b0
+        want = (0.5 * pre * (1.0 + erf(pre / np.sqrt(2.0)))) @ w1.T + b1
         y, _ = mlp_forward(m, x)
         assert np.allclose(y, want, atol=1e-12)
 
@@ -72,26 +66,37 @@ class TestForward:
 class TestTensors:
     def test_names_and_round_trip(self):
         rng = np.random.default_rng(14)
-        m = make_mlp([4, 6, 5, 3], rng, final_activation="relu")
+        m = make_mlp([4, 6, 5, 3], rng)
         tensors = m.tensors()
         assert list(tensors) == ["0.weight", "0.bias", "1.weight", "1.bias",
                                  "2.weight", "2.bias"]
-        rebuilt = Mlp.from_tensors(tensors, m.activations)
-        assert rebuilt.activations == ["gelu", "gelu", "relu"]
+        rebuilt = Mlp.from_tensors(tensors)
+        assert len(rebuilt.layers) == Mlp.depth(tensors) == 3
         x = rng.normal(0, 1, (7, 4))
         assert mlp_forward(rebuilt, x)[0].tobytes() == mlp_forward(m, x)[0].tobytes()
 
-    def test_missing_tensor_is_a_key_error(self):
-        m = make_mlp([3, 4, 2], np.random.default_rng(15))
-        tensors = m.tensors()
-        del tensors["1.bias"]
-        with pytest.raises(KeyError, match="1.bias"):
-            Mlp.from_tensors(tensors, m.activations)
+    def test_depth_is_the_last_layer_named(self):
+        tensors = make_mlp([3, 4, 4, 2], np.random.default_rng(20)).tensors()
+        assert Mlp.depth({}) == 1
+        assert Mlp.depth({"2.bias": None, "x.weight": None}) == 3
+        del tensors["2.weight"], tensors["2.bias"]
+        assert Mlp.depth(tensors) == 2
+        assert len(Mlp.from_tensors(tensors).layers) == 2
+
+    @pytest.mark.parametrize("names", [["0.bias"], ["1.weight"], ["1.bias"],
+                                       ["1.weight", "1.bias"], ["0.weight", "0.bias"]])
+    def test_missing_tensor_is_a_key_error(self, names):
+        """A layer below the last one named is missing, not the net's end."""
+        tensors = make_mlp([3, 4, 4, 2], np.random.default_rng(15)).tensors()
+        for name in names:
+            del tensors[name]
+        with pytest.raises(KeyError, match=names[0]):
+            Mlp.from_tensors(tensors)
 
     def test_fields_cannot_be_assigned(self):
         m = make_mlp([3, 4, 2], np.random.default_rng(16))
         layer = m.layers[0]
-        for field in ("weight", "bias", "activation"):
+        for field in ("weight", "bias"):
             with pytest.raises(dataclasses.FrozenInstanceError):
                 setattr(layer, field, getattr(layer, field))
         with pytest.raises(dataclasses.FrozenInstanceError):
@@ -127,7 +132,7 @@ class TestBackward:
         coeff = rng.normal(0, 1, (8, 2))
 
         def fn(params):
-            net = Mlp.from_tensors(params, m.activations)
+            net = Mlp.from_tensors(params)
             y, tape = mlp_forward(net, x)
             grads, _ = mlp_backward(net, tape, coeff)
             return float((y * coeff).sum()), grads
@@ -168,7 +173,7 @@ class TestGeluTape:
         cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x**2)
         slope, out = x.copy(), np.empty_like(x)
-        _activate("gelu", slope, out)
+        _gelu(slope, out)
         assert bitwise_equal(out, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
         assert bitwise_equal(d * slope, d * (cdf + x * pdf))
 
@@ -187,21 +192,10 @@ class TestGeluTape:
         mlp_backward(m, tape, rng.normal(0, 1, (6, 2)))
         assert len(calls) == 2
 
-    def test_tape_from_other_activations_rejected(self):
-        rng = np.random.default_rng(12)
-        m = make_mlp([3, 4, 2], rng)
-        _, tape = mlp_forward(m, rng.normal(0, 1, (4, 3)))
-        relu = Mlp.from_tensors(m.tensors(), ["relu", "identity"])
-        with pytest.raises(StaleTape):
-            mlp_backward(relu, tape, np.zeros((4, 2)))
 
 
-def whole_array_activate(name, pre):
-    """The unblocked activation: (activation, GELU gate or None)."""
-    if name == "identity":
-        return pre, None
-    if name == "relu":
-        return np.maximum(pre, 0.0), None
+def whole_array_gelu(pre):
+    """The unblocked GELU: (activation, gate)."""
     gate = np.divide(pre, np.sqrt(2.0))
     erf(gate, out=gate)
     gate += 1.0
@@ -210,11 +204,7 @@ def whole_array_activate(name, pre):
     return out, gate
 
 
-def whole_array_d_pre(name, pre, gate, d):
-    if name == "identity":
-        return d
-    if name == "relu":
-        return d * (pre > 0.0)
+def whole_array_d_pre(pre, gate, d):
     d_pre = np.square(pre)
     d_pre *= -0.5
     np.exp(d_pre, out=d_pre)
@@ -235,16 +225,15 @@ class TestBlockedActivations:
     tape activates in place; every result must equal the whole-array one."""
 
     @staticmethod
-    def net_and_input(activation, rows):
+    def net_and_input(rows):
+        """Two 1152-wide GELU layers and an identity output layer."""
         rng = np.random.default_rng(rows)
-        m = make_mlp([5, 1152, 1152, 4], rng, hidden_activation=activation,
-                     final_activation=activation)
+        m = make_mlp([5, 1152, 1152, 4], rng)
         return m, rng.normal(0, 2, (rows, 5)), rng.normal(0, 1, (rows, 4))
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
-    def test_forward_without_tape_equals_taped(self, activation, rows):
-        m, x, _ = self.net_and_input(activation, rows)
+    def test_forward_without_tape_equals_taped(self, rows):
+        m, x, _ = self.net_and_input(rows)
         kept = x.copy()
         taped, tape = mlp_forward(m, x)
         out, no_tape = mlp_forward(m, x, tape=False)
@@ -252,24 +241,23 @@ class TestBlockedActivations:
         assert bitwise_equal(out, taped)
         assert bitwise_equal(x, kept)
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
-    def test_tape_and_gradients_equal_whole_array_references(self, activation, rows):
-        m, x, d_out = self.net_and_input(activation, rows)
+    def test_tape_and_gradients_equal_whole_array_references(self, rows):
+        m, x, d_out = self.net_and_input(rows)
         inputs, pres, gates = [], [], []
         h = x
-        for layer in m.layers:
+        last = len(m.layers) - 1
+        for i, layer in enumerate(m.layers):
             inputs.append(h)
             pre = h @ layer.weight.T
             pre += layer.bias
             pres.append(pre)
-            h, gate = whole_array_activate(layer.activation, pre)
+            h, gate = (pre, None) if i == last else whole_array_gelu(pre)
             gates.append(gate)
-        layers = len(m.layers)
-        want_grads, d_pres, upstream, d = {}, [None] * layers, [None] * layers, d_out
-        for i in reversed(range(layers)):
+        want_grads, d_pres, upstream, d = {}, [None] * (last + 1), [None] * (last + 1), d_out
+        for i in reversed(range(last + 1)):
             upstream[i] = d
-            d_pres[i] = whole_array_d_pre(m.layers[i].activation, pres[i], gates[i], d)
+            d_pres[i] = d if i == last else whole_array_d_pre(pres[i], gates[i], d)
             want_grads[f"{i}.weight"] = d_pres[i].T @ inputs[i]
             want_grads[f"{i}.bias"] = d_pres[i].sum(axis=0)
             d = d_pres[i] @ m.layers[i].weight
@@ -277,10 +265,10 @@ class TestBlockedActivations:
         out, tape = mlp_forward(m, x)
         assert bitwise_equal(out, h)
         assert all(bitwise_equal(got, want) for got, want in zip(tape.inputs, inputs))
+        # a slope per hidden layer, times its upstream gradient that layer's d_pre
+        assert len(tape.slopes) == last
         for slope, d_up, want in zip(tape.slopes, upstream, d_pres):
-            # the slope times the layer's upstream gradient is that layer's d_pre
-            assert (slope is None) == (activation == "identity")
-            assert bitwise_equal(d_up if slope is None else d_up * slope, want)
+            assert bitwise_equal(d_up * slope, want)
         grads, d_x = mlp_backward(m, tape, d_out)
         assert grads.keys() == want_grads.keys()
         assert all(bitwise_equal(grads[name], want_grads[name]) for name in grads)
@@ -347,11 +335,9 @@ class TestTapeReuse:
     buffers, and a later forward refills them; nothing may differ from a
     forward and backward on a fresh tape."""
 
-    @pytest.mark.parametrize("activation", ACTIVATIONS)
-    def test_reused_tape_equals_fresh_tapes(self, activation):
+    def test_reused_tape_equals_fresh_tapes(self):
         rng = np.random.default_rng(17)
-        m = make_mlp([16, 1152, 24, 5], rng, hidden_activation=activation,
-                     final_activation=activation)
+        m = make_mlp([16, 1152, 24, 5], rng)
         tape, outputs, buffers = True, [], None
         for rows in (1024, 700, 1024):  # a full batch, a shorter tail, a full one
             x = rng.normal(0, 2, (rows, 16))
@@ -461,13 +447,13 @@ class TestRowBlocksOnWorkers:
     @pytest.mark.parametrize("workers", [2, 3])
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_inline_equals_pooled(self, monkeypatch, workers, rows):
-        m, x, d_out = TestBlockedActivations.net_and_input("gelu", rows)
+        m, x, d_out = TestBlockedActivations.net_and_input(rows)
         kept = x.copy()
         monkeypatch.setattr(neuralcore, "_WORKERS", workers)
         pooled = self.gelu_results(m, x, d_out)
         monkeypatch.setattr(neuralcore, "_WORKERS", 1)
         inline = self.gelu_results(m, x, d_out)
-        assert len(pooled) == len(inline) == 19  # three GELU layers
+        assert len(pooled) == len(inline) == 17  # two GELU layers, three in all
         assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline))
         assert bitwise_equal(x, kept)
 
@@ -498,7 +484,7 @@ class TestRowBlocksOnWorkers:
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_runs_blocks_on_workers_of_its_own(self, monkeypatch):
         monkeypatch.setattr(neuralcore, "_WORKERS", 2)
-        m, x, _ = TestBlockedActivations.net_and_input("gelu", 3 * B + 1)
+        m, x, _ = TestBlockedActivations.net_and_input(3 * B + 1)
         want, _ = mlp_forward(m, x, tape=False)  # the parent's workers are running
 
         def child():
@@ -524,7 +510,7 @@ class TestRowBlocksOnWorkers:
                 raise FloatingPointError("block 3")
             return erf(*args, **kwargs)
 
-        m, x, _ = TestBlockedActivations.net_and_input("gelu", 3 * B + 1)
+        m, x, _ = TestBlockedActivations.net_and_input(3 * B + 1)
         kept = x.copy()
         monkeypatch.setattr(neuralcore, "erf", failing_erf)
         with pytest.raises(FloatingPointError, match="block 3"):
@@ -659,7 +645,7 @@ class TestGradCheck:
         t = rng.integers(0, 2, 12)
 
         def fn(params):
-            net = Mlp.from_tensors(params, m.activations)
+            net = Mlp.from_tensors(params)
             out, tape = mlp_forward(net, x)
             loss, dz = sigmoid_bce_with_logits(out[:, 0], t)
             grads, _ = mlp_backward(net, tape, dz[:, None])

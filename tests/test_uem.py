@@ -62,7 +62,7 @@ class TestUemForward:
 
     def test_symmetric_generative_heads_give_equal_maps(self):
         rng = np.random.default_rng(3)
-        proj = make_mlp([4, 5, 5, 2], rng, hidden_activation="identity")
+        proj = make_mlp([4, 5, 5, 2], rng)
         # mirror-image class mixtures around the first axis
         mu = np.array([1.0, 0.5])
         head = GmmHead(means=np.stack([mu * [1, 1],
@@ -131,7 +131,7 @@ class TestLlrScore:
 
 def frozen_inlier(rng, c_e=5, k=3):
     decoder = make_mlp([c_e, 8, 6], rng)
-    head = xavier_dense(6, k, "identity", rng)
+    head = xavier_dense(6, k, rng)
     return PixelModel(net=decoder, head=head)
 
 
@@ -181,7 +181,7 @@ class TestLlrLoss:
         if kind == GENERATIVE:
             names = {n for n in names if n.startswith("uem.proj.")}
         assert set(grads) == names
-        assert not set(grads) & set(inlier.tensors(STAGE1_NAMES[DISCRIMINATIVE]))
+        assert not set(grads) & set(inlier.tensors(STAGE1_NAMES))
 
     def test_config_rejects_negative_weights(self):
         with pytest.raises(ValueError):
@@ -373,7 +373,7 @@ class TestTrainUem:
         with pytest.raises(TypeError):
             loaded.manifest["config"]["lr"] = 1.0
         with pytest.raises(AttributeError):
-            loaded.manifest["proj_activations"].pop()
+            loaded.manifest["tensors"][name]["shape"].pop()
         assert verify_freeze(loaded)
         # and `save` writes back the manifest it read, byte for byte
         loaded.save(tmp_path / "again")
@@ -419,7 +419,7 @@ class TestParameterBudget:
         decoder = make_mlp([c_e, icfg.decoder_hidden, icfg.decoder_dim], rng)
         for head_kind in (GENERATIVE, DISCRIMINATIVE):
             if head_kind == DISCRIMINATIVE:
-                head = xavier_dense(icfg.decoder_dim, k, "identity", rng)
+                head = xavier_dense(icfg.decoder_dim, k, rng)
             else:
                 head = GmmHead(
                     means=rng.normal(0, 1, (k, icfg.gmm_components,
