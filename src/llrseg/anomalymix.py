@@ -18,11 +18,17 @@ from .datamodel import (
     BinaryOutlierMap,
     FeatureMap,
     LabelMap,
+    load_feature_map,
+    load_label_map,
+    load_outlier_map,
     save_feature_map,
     save_label_map,
     save_outlier_map,
 )
 from .errors import LlrsegError
+
+# standard deviations of the Gaussian clouds class and bank means are drawn from
+CLASS_SPREAD, BANK_SPREAD = 4.0, 8.0
 
 
 @dataclass(frozen=True)
@@ -72,33 +78,32 @@ class OutlierBank:
 
 
 def random_spec(num_classes: int, feature_dim: int, height: int, width: int,
-                rng: np.random.Generator, spread: float = 4.0,
-                scale: float = 1.0) -> SceneSpec:
+                rng: np.random.Generator) -> SceneSpec:
     """Sample class means on a spread-out Gaussian cloud, rejecting layouts
-    whose means come too close to separate well."""
+    whose means lie closer than 4 (every class scale is 1)."""
     for _ in range(100):
-        means = rng.normal(0.0, spread, size=(num_classes, feature_dim))
+        means = rng.normal(0.0, CLASS_SPREAD, size=(num_classes, feature_dim))
         dists = np.linalg.norm(means[:, None] - means[None, :], axis=2)
         np.fill_diagonal(dists, np.inf)
-        if dists.min() >= 4.0 * scale:
+        if dists.min() >= 4.0:
             break
     else:
         raise LlrsegError("could not place well-separated class means")
     return SceneSpec(num_classes=num_classes, feature_dim=feature_dim,
-                     class_means=means, class_scales=np.full(num_classes, scale),
+                     class_means=means, class_scales=np.full(num_classes, 1.0),
                      height=height, width=width)
 
 
 def random_bank(spec: SceneSpec, size: int, rng: np.random.Generator,
-                separation: float = 6.0, spread: float = 8.0,
-                min_area: float = 0.01, max_area: float = 0.10) -> OutlierBank:
+                separation: float = 6.0, min_area: float = 0.01,
+                max_area: float = 0.10) -> OutlierBank:
     """Bank Gaussians at least separation * max(scale) away from every
     inlier mean (and from each other)."""
     max_scale = float(spec.class_scales.max())
     floor = separation * max_scale
     means = []
     for _ in range(10000):
-        cand = rng.normal(0.0, spread, size=spec.feature_dim)
+        cand = rng.normal(0.0, BANK_SPREAD, size=spec.feature_dim)
         others = np.vstack([spec.class_means] + means) if means else spec.class_means
         if np.linalg.norm(others - cand, axis=1).min() >= floor:
             means.append(cand[None, :])
@@ -234,6 +239,10 @@ class DatasetConfig:
         # labels are uint8, and IGNORE (255) is none of classes 0 to 254
         if not 1 <= self.num_classes <= IGNORE:
             raise ValueError(f"num_classes must be in [1, {IGNORE}], got {self.num_classes}")
+        if not (np.isfinite(self.separation) and self.separation >= 0):
+            raise ValueError(f"separation must be finite and >= 0, got {self.separation}")
+        if min(self.splits) < 0:
+            raise ValueError(f"splits must be scene counts >= 0, got {tuple(self.splits)}")
         low, high = self.count_range
         if not 0 <= low <= high:
             raise ValueError(f"count_range must be (low, high) with 0 <= low <= high, "
@@ -314,8 +323,6 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict:
 def load_split(dataset_dir, split: str):
     """The (FeatureMap, LabelMap, BinaryOutlierMap) triples of a split, in
     scene order."""
-    from .datamodel import load_feature_map, load_label_map, load_outlier_map
-
     dataset_dir = Path(dataset_dir)
     manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
     out = []

@@ -335,9 +335,6 @@ class ModelBundle:
             _freeze(tensors[name])
         object.__setattr__(self, "tensors", MappingProxyType(tensors))
 
-    def digests(self) -> dict[str, str]:
-        return {name: tensor_digest(t) for name, t in self.tensors.items()}
-
     def save(self, dirpath) -> None:
         """Write the bundle; a tensor that cannot be stored leaves no file."""
         blobs = {name: _tensor_file_bytes(t) for name, t in self.tensors.items()}

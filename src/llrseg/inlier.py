@@ -41,8 +41,11 @@ from .neuralcore import (
 GENERATIVE = "generative"
 DISCRIMINATIVE = "discriminative"
 HEAD_KINDS = (GENERATIVE, DISCRIMINATIVE)
-# bundle name prefixes of a stage-1 model's decoder and head
+# bundle name prefixes of a stage-1 model's decoder and head, of the UEM's
+# projection and head, and of every model a bundle of each stage holds
 STAGE1_NAMES = ("decoder", "head")
+UEM_NAMES = ("uem.proj", "uem.head")
+STAGE_NAMES = {"inlier": STAGE1_NAMES, "uem": STAGE1_NAMES + UEM_NAMES}
 
 
 def unprefixed(prefix: str, tensors: dict) -> dict:
@@ -148,8 +151,9 @@ class PixelModel:
                      names: tuple[str, str] = ("net", "head")) -> "PixelModel":
         """The inverse of `tensors(names)`: an MLP up to its last layer named
         (`Mlp.from_tensors`) and a GmmHead if the head has `means`, else a
-        DenseLayer. A missing tensor raises KeyError with its full name, a
-        bad one ValueError, and parts that do not fit DimMismatch."""
+        DenseLayer; tensors under neither prefix go unread. A missing tensor
+        raises KeyError with its full name, a bad or stray one (under a
+        prefix, unread) ValueError, and parts that do not fit DimMismatch."""
         head_type = GmmHead if f"{names[1]}.means" in tensors else DenseLayer
         parts = []
         for prefix, part in zip(names, (Mlp, head_type)):
@@ -157,7 +161,12 @@ class PixelModel:
                 parts.append(part.from_tensors(unprefixed(prefix, tensors)))
             except KeyError as exc:
                 raise KeyError(f"{prefix}.{exc.args[0]}") from None
-        return cls(*parts)
+        model = cls(*parts)
+        prefixes = tuple(f"{p}." for p in names)
+        stray = {n for n in tensors if n.startswith(prefixes)} - model.tensors(names).keys()
+        if stray:
+            raise ValueError(f"stray tensor {min(stray)!r}: the model does not read it")
+        return model
 
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors().values())
@@ -217,11 +226,13 @@ class InlierConfig:
 
 
 def _check_training_config(cfg, widths: tuple[str, ...]) -> None:
-    """Raises ValueError for a value a training loop cannot run: a batch
-    size, GMM component count or layer width (the fields named `widths`)
-    below 1, a negative epoch or Sinkhorn iteration count, a learning rate
-    or Sinkhorn epsilon that is not finite and positive, or an EM momentum
-    outside [0, 1]."""
+    """Raises ValueError for a value a training loop cannot run: a head
+    kind not in HEAD_KINDS, a batch size, GMM component count or layer
+    width (the fields named `widths`) below 1, a negative epoch or Sinkhorn
+    iteration count, a learning rate or Sinkhorn epsilon that is not finite
+    and positive, or an EM momentum outside [0, 1]."""
+    if cfg.head_kind not in HEAD_KINDS:
+        raise ValueError(f"head_kind must be one of {HEAD_KINDS}, got {cfg.head_kind!r}")
     least = {"batch_size": 1, "epochs": 0, "gmm_components": 1,
              "gmm_sinkhorn_iters": 0, **dict.fromkeys(widths, 1)}
     for name, low in least.items():
@@ -272,8 +283,6 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
     """
     if not dataset:
         raise LlrsegError("empty dataset")
-    if config.head_kind not in HEAD_KINDS:
-        raise LlrsegError(f"unknown head kind {config.head_kind!r}")
     feature_dim = dataset[0][0].channels
     rng = np.random.default_rng(np.random.SeedSequence([config.seed, 0x1]))
     train_idx, held_idx = holdout_split(len(dataset))
@@ -340,7 +349,14 @@ def bundle_from_inlier(model: PixelModel, config: InlierConfig,
 
 def _bundle_model(bundle: ModelBundle, names: tuple[str, str], what: str) -> PixelModel:
     """`PixelModel.from_tensors` over a bundle's tensors: a missing or bad
-    entry raises BadBundle, tensors that do not fit each other DimMismatch."""
+    entry, or a stray one that no model of the bundle's stage reads, raises
+    BadBundle, tensors that do not fit each other DimMismatch."""
+    stage = bundle.manifest["stage"]
+    prefixes = tuple(f"{p}." for p in STAGE_NAMES[stage])
+    for name in bundle.tensors:
+        if not name.startswith(prefixes):
+            raise BadBundle(f"{what} model: stray bundle entry {name!r}: no model "
+                            f"of the {stage!r} stage reads it")
     try:
         return PixelModel.from_tensors(bundle.tensors, names)
     except KeyError as exc:

@@ -1,7 +1,9 @@
 """Pixel-wise evaluation: AUROC, AP, FPR@TPR, mIoU.
 
-Ranking metrics group tied scores at a single threshold and are computed
-from one descending sort in O(n log n).
+Ranking metrics group tied scores at a single threshold and are all read
+from one stable descending sort in O(n log n): AP and FPR@TPR from the
+cumulative TP / FP counts at each tie group, AUROC from the same counts in
+integers.
 """
 from __future__ import annotations
 
@@ -50,70 +52,51 @@ class ScoredPixels:
         return cls(scores=scores.scores[keep], labels=lab[keep])
 
 
-def _require_two_classes(sp: ScoredPixels) -> None:
+def _grouped_counts(sp: ScoredPixels) -> tuple[np.ndarray, np.ndarray]:
+    """Cumulative TP and FP at the last pixel of each tie group, from one
+    stable descending sort: the one ranking every ranking metric reads."""
     if sp.positives == 0 or sp.negatives == 0:
         raise OneClassOnly(
             f"need both classes, got {sp.positives} positives / {sp.negatives} negatives")
-
-
-def _grouped_counts(sp: ScoredPixels):
-    """Unique thresholds descending plus cumulative TP / FP at each."""
     order = np.argsort(-sp.scores, kind="stable")
     scores = sp.scores[order]
-    labels = sp.labels[order]
-    tp_cum = np.cumsum(labels)
-    fp_cum = np.cumsum(1 - labels)
-    # last index of each tied group
-    last = np.nonzero(np.diff(scores) != 0)[0]
-    idx = np.concatenate([last, [scores.size - 1]])
-    return scores[idx], tp_cum[idx], fp_cum[idx]
+    last = np.append(np.nonzero(np.diff(scores))[0], scores.size - 1)
+    tp = np.cumsum(sp.labels[order])[last]
+    return tp, last + 1 - tp
 
 
-def _midranks(scores: np.ndarray) -> np.ndarray:
-    """Ascending 1-based ranks, each tied group sharing its mean rank.
+def _auroc(tp: np.ndarray, fp: np.ndarray) -> float:
+    """Mann-Whitney U / (P*N), ties counted half. Each group's negatives
+    rank below every earlier positive and tie with the group's own, so
+    2U = sum(fp_new * (2*tp - tp_new)), an integer divided once."""
+    tp_new, fp_new = np.diff(tp, prepend=0), np.diff(fp, prepend=0)
+    return float((fp_new * (2 * tp - tp_new)).sum() / (2 * tp[-1] * fp[-1]))
 
-    A group at sorted positions a..b gets (a + b + 2) / 2, an integer or a
-    half-integer, so every rank is exact in float64.
-    """
-    order = np.argsort(scores, kind="stable")
-    sorted_scores = scores[order]
-    first = np.concatenate([[0], np.nonzero(np.diff(sorted_scores) != 0)[0] + 1])
-    last = np.concatenate([first[1:] - 1, [scores.size - 1]])
-    group_rank = (first + last + 2) / 2.0
-    ranks = np.empty(scores.size)
-    ranks[order] = np.repeat(group_rank, last - first + 1)
-    return ranks
+
+def _average_precision(tp: np.ndarray, fp: np.ndarray) -> float:
+    recall = tp / tp[-1]
+    prev_recall = np.concatenate([[0.0], recall[:-1]])
+    return float(((recall - prev_recall) * (tp / (tp + fp))).sum())
+
+
+def _fpr_at_tpr(tp: np.ndarray, fp: np.ndarray, tpr: float) -> float:
+    ok = np.nonzero(tp / tp[-1] >= tpr)[0]
+    return float(fp[ok[0]] / fp[-1]) if ok.size else 1.0
 
 
 def auroc(sp: ScoredPixels) -> float:
     """Mann-Whitney statistic: (correct pairs + half the ties) / (P*N)."""
-    _require_two_classes(sp)
-    ranks = _midranks(sp.scores)  # midranks handle ties exactly
-    pos_ranks = ranks[sp.labels == 1]
-    p, n = sp.positives, sp.negatives
-    u = pos_ranks.sum() - p * (p + 1) / 2.0
-    return float(u / (p * n))
+    return _auroc(*_grouped_counts(sp))
 
 
 def average_precision(sp: ScoredPixels) -> float:
     """Step-sum AP over descending unique thresholds (ties grouped)."""
-    _require_two_classes(sp)
-    _, tp, fp = _grouped_counts(sp)
-    recall = tp / sp.positives
-    precision = tp / (tp + fp)
-    prev_recall = np.concatenate([[0.0], recall[:-1]])
-    return float(((recall - prev_recall) * precision).sum())
+    return _average_precision(*_grouped_counts(sp))
 
 
 def fpr_at_tpr(sp: ScoredPixels, tpr: float = 0.95) -> float:
     """FPR at the largest threshold whose TPR >= tpr, no interpolation."""
-    _require_two_classes(sp)
-    _, tp, fp = _grouped_counts(sp)
-    tprs = tp / sp.positives
-    ok = np.nonzero(tprs >= tpr)[0]
-    if ok.size == 0:
-        return 1.0
-    return float(fp[ok[0]] / sp.negatives)
+    return _fpr_at_tpr(*_grouped_counts(sp), tpr)
 
 
 def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
@@ -143,10 +126,9 @@ def miou(pred: LabelMap, gt: LabelMap, num_classes: int) -> float:
     return float(np.mean(list(per_class.values())))
 
 
-def evaluation_report(sp: ScoredPixels, tpr: float = 0.95) -> dict:
-    return {
-        "auroc": auroc(sp),
-        "ap": average_precision(sp),
-        "fpr95": fpr_at_tpr(sp, tpr),
-        "counts": {"positives": sp.positives, "negatives": sp.negatives},
-    }
+def evaluation_report(sp: ScoredPixels) -> dict:
+    """AUROC, AP and FPR at TPR 0.95, all read from one grouped sort."""
+    tp, fp = _grouped_counts(sp)
+    return {"auroc": _auroc(tp, fp), "ap": _average_precision(tp, fp),
+            "fpr95": _fpr_at_tpr(tp, fp, 0.95),
+            "counts": {"positives": sp.positives, "negatives": sp.negatives}}

@@ -29,7 +29,7 @@ from .gmm import GmmHead, gmm_all_log_densities_with_grad, init_head, sinkhorn_a
 from .inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
-    HEAD_KINDS,
+    UEM_NAMES,
     PixelModel,
     TrainResult,
     _bundle_model,
@@ -53,8 +53,6 @@ from .neuralcore import (
 
 INLIER_CLASS = 0
 OUTLIER_CLASS = 1
-# bundle name prefixes of the UEM's projection and head
-UEM_NAMES = ("uem.proj", "uem.head")
 
 
 def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
@@ -218,8 +216,6 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
         raise LlrsegError("train_uem needs a stage-1 (inlier) bundle")
     if not dataset:
         raise LlrsegError("empty dataset")
-    if cfg.head_kind not in HEAD_KINDS:
-        raise LlrsegError(f"unknown head kind {cfg.head_kind!r}")
 
     initial_digests = {name: tensor_digest(stage1.tensors[name])
                        for name in stage1_tensor_names(stage1)}

@@ -344,6 +344,39 @@ class TestCorruption:
             with pytest.raises(BadBundle, match=f"bundle entry '{head}.weight' missing"):
                 load_models(path)
 
+    @staticmethod
+    def with_tensor(bundle: ModelBundle, name: str) -> ModelBundle:
+        """`bundle` plus a tensor `name` with a fresh digest."""
+        return ModelBundle(manifest=bundle.manifest,
+                           tensors={**bundle.tensors, name: np.ones(4)})
+
+    @pytest.mark.parametrize("kind, name", [
+        (GENERATIVE, "head.weight"), (GENERATIVE, "uem.head.bias"),
+        (DISCRIMINATIVE, "head.vars"), (DISCRIMINATIVE, "uem.head.vars"),
+        (DISCRIMINATIVE, "decoder.7x.bias"), (GENERATIVE, "uem.proj.0.scale"),
+    ])
+    def test_stray_entry_under_a_model_prefix(self, kind, name):
+        """A model reads every entry under its prefixes, or the bundle is
+        refused: a linear head's `weight` beside a GMM head's `means` used to
+        be dropped without notice."""
+        with saved(self.with_tensor(make_stage2(kind, 3, 2, 4), name)) as path:
+            with pytest.raises(BadBundle, match=f"stray tensor {name!r}"):
+                load_models(path)
+
+    @pytest.mark.parametrize("name", ["extra.weight", "uem.extra", "uem", "decoders.0.bias"])
+    def test_stray_entry_under_no_model_prefix(self, name):
+        with saved(self.with_tensor(make_stage2(DISCRIMINATIVE, 3, 2, 4), name)) as path:
+            with pytest.raises(BadBundle, match=f"stray bundle entry {name!r}: no "
+                               "model of the 'uem' stage reads it"):
+                load_models(path)
+
+    @pytest.mark.parametrize("name", ["uem.head.weight", "uem.proj.0.bias", "extra.weight"])
+    def test_stage1_bundle_holds_only_stage1_entries(self, name):
+        stage1 = make_bundles(GENERATIVE, 3, 2, 4)[0]
+        with pytest.raises(BadBundle, match=f"stray bundle entry {name!r}: no "
+                           "model of the 'inlier' stage reads it"):
+            inlier_from_bundle(self.with_tensor(stage1, name))
+
     def test_uem_head_must_be_two_class(self):
         bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)
         head = xavier_dense(4, 3, np.random.default_rng(0))

@@ -11,6 +11,7 @@ import pytest
 from llrseg.cli import RunConfig, derive_seed, main
 from llrseg.datamodel import BUNDLE_FORMAT_VERSION
 from llrseg.errors import LlrsegError
+from llrseg.inlier import HEAD_KINDS
 
 
 SMALL_RUN = {
@@ -95,11 +96,17 @@ class TestRunConfig:
                           "<= 1, got 0.01 and 1.5"),
         ("min_area", float("nan"), "min_area and max_area must satisfy 0 < min_area <= "
                                    "max_area <= 1, got nan and 0.1"),
+        ("splits", [-1, 2, 1], "splits must be scene counts >= 0, got (-1, 2, 1)"),
+        ("splits", [4, 4, -3], "splits must be scene counts >= 0, got (4, 4, -3)"),
+        ("separation", float("nan"), "separation must be finite and >= 0, got nan"),
+        ("separation", float("inf"), "separation must be finite and >= 0, got inf"),
+        ("separation", -3.0, "separation must be finite and >= 0, got -3.0"),
     ])
     def test_layout_synth_cannot_make_exits_1(self, tmp_path, capsys, key, value, rule):
         """Caught before any scene: no classes, or a minimum area above the
-        maximum, died in NumPy with a traceback, and a reversed count range
-        pasted its first bound without notice."""
+        maximum, died in NumPy with a traceback, a reversed count range
+        pasted its first bound without notice, a negative split count wrote
+        no scene of that split, and a NaN separation failed every bank draw."""
         cfg_path = tmp_path / "run.json"
         cfg_path.write_text(json.dumps({"seed": 0, "dataset": {key: value}}))
         out = tmp_path / "out"
@@ -166,7 +173,7 @@ def pipeline_dirs(tmp_path_factory):
 
 def assert_training_config_exits_1(d, tmp_path, capsys, section, key, value, rule):
     """The training command of `section` exits 1 on `key: value`, before
-    writing anything, with `{key} {rule}, got {value}`."""
+    writing anything, with `{key} {rule}, got {value!r}`."""
     cfg = tmp_path / "run.json"
     cfg.write_text(json.dumps({**SMALL_RUN, section: {**SMALL_RUN[section], key: value}}))
     out = tmp_path / "o"
@@ -179,7 +186,7 @@ def assert_training_config_exits_1(d, tmp_path, capsys, section, key, value, rul
     err = capsys.readouterr().err
     assert code == 1
     assert err == (f"error: LlrsegError: config section {section}: "
-                   f"{key} {rule}, got {value}\n")
+                   f"{key} {rule}, got {value!r}\n")
     assert not out.exists()
 
 
@@ -385,6 +392,19 @@ class TestPipeline:
         assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section, key,
                                        value, rule)
 
+    @pytest.mark.parametrize("section", ["inlier", "uem"])
+    def test_unknown_head_kind_exits_1(self, pipeline_dirs, tmp_path, capsys, section):
+        """Caught at config load: an unknown stage-1 kind used to fail only
+        after `config.json` was written, and an unknown stage-2 kind passed
+        train-inlier."""
+        assert_training_config_exits_1(pipeline_dirs, tmp_path, capsys, section,
+                                       "head_kind", "linear", f"must be one of {HEAD_KINDS}")
+        out = tmp_path / "o"
+        assert main(["train-inlier", "--config", str(tmp_path / "run.json"), "--out",
+                     str(out), "--dataset", str(pipeline_dirs["data"])]) == 1
+        assert "head_kind must be one of" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_config_file_not_json_exits_1(self, tmp_path, capsys):
         cfg = tmp_path / "run.json"
         cfg.write_text('{"seed": 1,')
@@ -420,6 +440,17 @@ class TestPipeline:
             save_per_component(ModelBundle.load(d[stage] / name), tmp_path / name)
         assert_bundles_rejected(d, tmp_path, capsys,
                                 f"expected format version {BUNDLE_FORMAT_VERSION}")
+
+    def test_bundles_with_a_stray_entry_rejected(self, pipeline_dirs, tmp_path, capsys):
+        from llrseg.datamodel import ModelBundle
+
+        d = pipeline_dirs
+        for stage, name in (("s1", "stage1"), ("s2", "stage2")):
+            bundle = ModelBundle.load(d[stage] / name)
+            ModelBundle(manifest=bundle.manifest,
+                        tensors={**bundle.tensors, "extra.weight": np.ones(3)}
+                        ).save(tmp_path / name)
+        assert_bundles_rejected(d, tmp_path, capsys, "stray bundle entry 'extra.weight'")
 
     @pytest.mark.parametrize("version", [2, 3])
     def test_older_format_bundles_rejected(self, pipeline_dirs, tmp_path, capsys, version):

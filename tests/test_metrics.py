@@ -6,16 +6,16 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
 from llrseg.datamodel import IGNORE, LabelMap, ScoreMap
 from llrseg.errors import IllegalLabel, OneClassOnly
+import llrseg.metrics as metrics
 from llrseg.metrics import (
     ScoredPixels,
-    _midranks,
     auroc,
     average_precision,
     evaluation_report,
@@ -60,13 +60,19 @@ class TestAuroc:
 class TestMidranks:
     # a handful of distinct values (signed zeros among them) makes long ties
     @settings(max_examples=300, deadline=None)
-    @given(scores=arrays(np.float64, st.integers(1, 60),
-                         elements=st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0, 1e300])))
-    def test_bitwise_equal_to_scipy_rankdata(self, scores):
-        want = rankdata(scores, method="average")
-        got = _midranks(scores)
-        assert got.dtype == want.dtype
-        assert np.array_equal(got.view(np.int64), want.view(np.int64))
+    @given(scores=arrays(np.float64, st.integers(2, 60),
+                         elements=st.sampled_from([-0.0, 0.0, 0.5, -1.0, 3.0, 1e300])),
+           data=st.data())
+    def test_auroc_bitwise_equal_to_scipy_midranks(self, scores, data):
+        """AUROC from tie-grouped counts is the textbook rank-sum form over
+        `scipy.stats.rankdata` midranks, to the bit."""
+        labels = data.draw(arrays(np.int64, scores.size, elements=st.integers(0, 1)))
+        p = int(labels.sum())
+        n = labels.size - p
+        assume(p > 0 and n > 0)
+        want = (rankdata(scores)[labels == 1].sum() - p * (p + 1) / 2) / (p * n)
+        got = auroc(sp(scores, labels))
+        assert np.float64(got).view(np.int64) == np.float64(want).view(np.int64)
 
     def test_cli_import_does_not_load_scipy_stats(self):
         src = Path(__file__).resolve().parents[1] / "src"
@@ -225,3 +231,18 @@ def test_evaluation_report_fields():
     assert report["ap"] == 1.0
     assert report["fpr95"] == 0.0
     assert report["counts"] == {"positives": 2, "negatives": 2}
+
+
+def test_evaluation_report_sorts_once(monkeypatch):
+    """The report reads all three ranking metrics from one grouped sort,
+    and each one equals its public function to the bit."""
+    rng = np.random.default_rng(7)
+    s = sp(np.round(rng.normal(0, 1, 500), 1), rng.integers(0, 2, 500))
+    calls = []
+    grouped = metrics._grouped_counts
+    monkeypatch.setattr(metrics, "_grouped_counts",
+                        lambda pixels: calls.append(pixels) or grouped(pixels))
+    report = evaluation_report(s)
+    assert calls == [s]
+    assert [report["auroc"], report["ap"], report["fpr95"]] == [
+        auroc(s), average_precision(s), fpr_at_tpr(s, 0.95)]

@@ -47,7 +47,7 @@ from llrseg.uem import (
 )
 from llrseg.selfcheck import llr_grad_error
 
-from test_inlier import separable_dataset
+from test_inlier import digests, separable_dataset
 
 
 class TestUemForward:
@@ -301,11 +301,11 @@ class TestTrainUem:
         assert verify_freeze(stage2)
 
     def test_unknown_head_kind_rejected(self):
-        """The head kind a stage-2 manifest records is the type of the
-        head trained, so an unknown kind is refused before training."""
-        dataset, stage1 = self.stage1()
-        with pytest.raises(LlrsegError, match="unknown head kind 'linear'"):
-            train_uem(stage1, mixed_pairs(dataset), self.ucfg(head_kind="linear"))
+        """A head's kind is its tensor names, so a config names one of the
+        two kinds or is refused before any training."""
+        with pytest.raises(ValueError, match="head_kind must be one of "
+                           r"\('generative', 'discriminative'\), got 'linear'"):
+            self.ucfg(head_kind="linear")
 
     def test_stage2_embeds_stage1_byte_identical(self, tmp_path):
         dataset, stage1 = self.stage1(seed=1)
@@ -389,7 +389,7 @@ class TestTrainUem:
         pairs = mixed_pairs(dataset, 4)
         a = train_uem(stage1, pairs, self.ucfg(seed=5)).bundle
         b = train_uem(stage1, pairs, self.ucfg(seed=5)).bundle
-        assert a.digests() == b.digests()
+        assert digests(a) == digests(b)
 
     def test_generative_head_round_trip(self, tmp_path):
         dataset, stage1 = self.stage1(seed=5)
