@@ -212,7 +212,7 @@ def inject_outliers(
 # dataset generation
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class DatasetConfig:
     num_classes: int = 5
     feature_dim: int = 16

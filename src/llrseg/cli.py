@@ -12,7 +12,7 @@ import argparse
 import hashlib
 import json
 import sys
-from dataclasses import asdict, dataclass, field, fields
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -58,13 +58,13 @@ def _check_fits(where: str, value, default) -> None:
         raise LlrsegError(f"config key {where} must be {expected}, not {value!r}")
 
 
-@dataclass
+@dataclass(frozen=True)
 class InferenceConfig:
     window: int = 64
     stride: int = 32
 
 
-@dataclass
+@dataclass(frozen=True)
 class RunConfig:
     seed: int = 0
     dataset: DatasetConfig = field(default_factory=DatasetConfig)
@@ -99,11 +99,10 @@ class RunConfig:
         if unknown:
             raise LlrsegError(f"unknown top-level config keys: {sorted(unknown)}")
         _check_fits("seed", raw.get("seed", 0), 0)
-        cfg = cls(seed=raw.get("seed", 0))
-        for f in fields(cls)[1:]:  # the sections; each one's type is its factory
-            if f.name in raw:
-                setattr(cfg, f.name, build(f.default_factory, raw[f.name], f.name))
-        return cfg
+        # the sections; each one's type is its factory
+        return cls(seed=raw.get("seed", 0), **{
+            f.name: build(f.default_factory, raw[f.name], f.name)
+            for f in fields(cls)[1:] if f.name in raw})
 
     @classmethod
     def load(cls, path) -> "RunConfig":
@@ -123,12 +122,10 @@ class RunConfig:
 
 def _load_config(args) -> RunConfig:
     cfg = RunConfig.load(args.config) if args.config else RunConfig()
-    if args.seed is not None:
-        cfg.seed = args.seed
-    cfg.dataset.seed = derive_seed(cfg.seed, "dataset")
-    cfg.inlier.seed = derive_seed(cfg.seed, "inlier")
-    cfg.uem.seed = derive_seed(cfg.seed, "uem")
-    return cfg
+    seed = cfg.seed if args.seed is None else args.seed
+    return replace(cfg, seed=seed, **{
+        name: replace(getattr(cfg, name), seed=derive_seed(seed, name))
+        for name in ("dataset", "inlier", "uem")})
 
 
 def _echo_config(cfg: RunConfig, out_dir: Path) -> None:

@@ -3,8 +3,10 @@
 One GmmHead serves every mixture in the package: the stage-1 class
 densities and the stage-2 inlier/outlier densities. Mixture
 weights are uniform per class and never stored or re-estimated, so the
-log-weight is the constant log(1/C). Every density evaluation goes through
-a max-subtracted log-sum-exp so finite inputs never produce -inf.
+log-weight is the constant log(1/C). One in-place log-sum-exp, `_logsumexp`,
+serves the class densities and every Sinkhorn scaling: equal to
+scipy.special.logsumexp bit for bit on finite input, it skips the exps that
+underflow to 0.
 
 A row's class log densities depend on that row alone, so the class
 densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
@@ -102,24 +104,28 @@ class GmmHead:
                    variances=np.maximum(tensors["vars"], VAR_FLOOR))
 
 
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray:
-    """log(sum(exp(a))) along `axis`, bit for bit what scipy.special.logsumexp
-    returns for real input, without its array-API overhead.
+def _logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
+    """log(sum(exp(a))) along `axis` of a C-contiguous a, which it
+    overwrites; `sum_(e)` sums the shifted exponentials e along `axis`.
 
-    The m entries equal to the maximum are taken out of the sum (they add
-    log(m)) and the rest is summed relative to it; a slice that is all -inf
-    gives -inf.
+    As in scipy.special.logsumexp, the m entries at the maximum are taken
+    out of the sum (they add log(m)) and the rest is summed relative to it,
+    so for finite a and a `sum_` in the order scipy's sum takes, the result
+    is scipy's bit for bit. Entries below -746 leave the sum as 0 too: NumPy
+    rounds their exp to 0 along a path ~20x slower than its normal one. The
+    input must hold no NaN or +inf; a -inf entry adds nothing, but a slice
+    that is all -inf gives NaN where scipy gives -inf.
     """
-    axis = tuple(range(a.ndim)) if axis is None else axis  # as scipy sums
-    a_max = np.max(a, axis=axis, keepdims=True)
-    at_max = a == a_max
-    m = np.sum(at_max, axis=axis, keepdims=True, dtype=a.dtype)
-    shift = np.where(np.isfinite(a_max), a_max, 0.0)  # -inf - -inf is NaN
-    with np.errstate(divide="ignore", over="ignore", invalid="ignore"):
-        s = np.sum(np.exp(np.where(at_max, -np.inf, a) - shift),
-                   axis=axis, keepdims=True) / m
-        out = np.log1p(s) + np.log(m) + a_max
-    return np.squeeze(out, axis=axis)
+    a_max = a.max(axis=axis, keepdims=True)
+    a -= a_max
+    at_max = a == 0  # for finite a, the same test as a == a_max
+    m = at_max.sum(axis=axis, dtype=a.dtype)
+    flat = a.reshape(-1)
+    live = np.flatnonzero((flat > -746.0) ^ at_max.reshape(-1))
+    e = np.exp(flat[live])
+    flat.fill(0.0)
+    flat[live] = e
+    return np.log1p(sum_(a) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
 
 
 def _component_log_densities(x: np.ndarray, head: GmmHead, k: int,
@@ -165,7 +171,7 @@ def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
                 comp_ll[rows, k * cc:(k + 1) * cc] = comp
             comp += log_weight
             if resp is None:
-                logdens[rows, k] = _logsumexp(comp, axis=1)
+                logdens[rows, k] = _logsumexp(comp, 1, lambda e: e.sum(axis=1))
                 continue
             m = comp.max(axis=1, keepdims=True)
             e = np.exp(comp - m)
@@ -254,27 +260,6 @@ class SinkhornPlan:
         return float(row + col)
 
 
-def _finite_logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
-    """`_logsumexp(a, axis)` of a finite, C-contiguous a, which it
-    overwrites; `sum_(e)` sums the shifted exponentials e along `axis` in
-    the order that call would have used.
-
-    For finite a, a - max == 0 is the same test as a == max. The entries at
-    the maximum leave the sum as 0, as there; so do those below -746, whose
-    exp NumPy rounds to 0 along a path ~20x slower than its normal one.
-    """
-    a_max = a.max(axis=axis, keepdims=True)
-    a -= a_max
-    at_max = a == 0
-    m = at_max.sum(axis=axis, dtype=a.dtype)
-    flat = a.reshape(-1)
-    live = np.flatnonzero((flat > -746.0) ^ at_max.reshape(-1))
-    e = np.exp(flat[live])
-    flat.fill(0.0)
-    flat[live] = e
-    return np.log1p(sum_(a) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
-
-
 def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -> SinkhornPlan:
     """Entropic balanced assignment from exp(logliks / epsilon).
 
@@ -312,11 +297,11 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
     u = np.zeros(n)
     v = np.zeros(c)
     for _ in range(iters):
-        u = log_a - _finite_logsumexp(log_kt + v[:, None], 0, pixel_sum)
-        v = log_b - _finite_logsumexp(log_kt + u, 1, component_sum)
+        u = log_a - _logsumexp(log_kt + v[:, None], 0, pixel_sum)
+        v = log_b - _logsumexp(log_kt + u, 1, component_sum)
     log_p = log_k + u[:, None] + v[None, :]
     # exact unit total mass; the flattened sum's order depends on the layout
-    log_p -= _finite_logsumexp(log_p.copy(), (0, 1), lambda e: e.sum(axis=(0, 1)))
+    log_p -= _logsumexp(log_p.copy(), (0, 1), lambda e: e.sum(axis=(0, 1)))
     return SinkhornPlan(matrix=np.exp(log_p))
 
 

@@ -10,8 +10,9 @@ A pixel's score can still depend on its batch in the last bits (by a few
 1e-12 on scores of a few 1e3), so the batches are the row blocks of
 `neuralcore._row_blocks`, whose one-row-tail rule keeps every batch of a
 frame of more than one pixel at two rows or more; a window of one pixel
-scores pairs. `score_image` keeps no state: it builds the models of its
-bundle on every call.
+scores pairs. `score_image` keeps no state: it builds both models of its
+bundle on every call, whatever the scorer, so every scorer checks the whole
+bundle.
 """
 from __future__ import annotations
 
@@ -100,7 +101,7 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
         raise DimMismatch(f"tile plan of a {plan.frame[0]}x{plan.frame[1]} frame, "
                           f"given a {f.height}x{f.width} frame")
     inlier_model = inlier_from_bundle(stage2)
-    uem_model = uem_from_bundle(stage2) if scorer != "id" else None
+    uem_model = uem_from_bundle(stage2)
     pixels = f.data.reshape(f.channels, -1)
     n = pixels.shape[1]
     scores = np.empty(n)

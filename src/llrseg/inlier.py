@@ -97,7 +97,7 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
         for idx in _batches(order, cfg.batch_size):
             z, tape = mlp_forward(model.net, x[idx], tape=tape)
             value, d_z, head_grads = loss(model.head, z, idx)
-            net_grads, _ = mlp_backward(model.net, tape, d_z)
+            net_grads = mlp_backward(model.net, tape, d_z)
             grads = model_tensors(net_grads, head_grads)
             opt, params = optimizer_step(opt, params, grads)
             model = PixelModel.from_tensors(params)
@@ -206,7 +206,7 @@ def id_score(m: PixelModel, f: FeatureMap) -> ScoreMap:
 # training
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class InlierConfig:
     head_kind: str = GENERATIVE
     decoder_dim: int = 64

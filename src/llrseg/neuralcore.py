@@ -352,12 +352,13 @@ def mlp_forward(m: Mlp, x: np.ndarray,
 
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
-    """Exact reverse pass. Returns (grads, d_x) with grads keyed like
-    `m.tensors()`. It spends the tape: each hidden layer's slope is
+    """Exact reverse pass. Returns the parameter gradients, keyed like
+    `m.tensors()`; no caller needs the gradient with respect to x, so none
+    is computed. It spends the tape: each hidden layer's slope is
     overwritten by the upstream gradient times it (in row blocks on the
-    workers), and the gradient with respect to a layer's input by the buffer
-    that held that input, so a second backward on the tape raises StaleTape.
-    x and d_out are never written."""
+    workers), and the gradient with respect to a hidden layer's input by
+    the buffer that held that input, so a second backward on the tape
+    raises StaleTape. x and d_out are never written."""
     if tape.spent:
         raise StaleTape("tape is spent: a backward pass has used it")
     if tape.layers != [layer.weight.shape for layer in m.layers]:
@@ -377,8 +378,9 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
             d = slope
         grads[f"{i}.weight"] = d.T @ tape.inputs[i]
         grads[f"{i}.bias"] = d.sum(axis=0)
-        d = np.matmul(d, layer.weight, out=tape.inputs[i] if i else None)
-    return grads, d
+        if i:
+            d = np.matmul(d, layer.weight, out=tape.inputs[i])
+    return grads
 
 
 # ---------------------------------------------------------------------------

@@ -153,7 +153,7 @@ def check_mlp_bce_gradient(seed: int = 0, tol: float = 1e-4) -> tuple[bool, str]
         net = Mlp.from_tensors(params)
         out, tape = mlp_forward(net, x)
         loss, dz = sigmoid_bce_with_logits(out[:, 0], t)
-        grads, _ = mlp_backward(net, tape, dz[:, None])
+        grads = mlp_backward(net, tape, dz[:, None])
         return loss, grads
 
     err = grad_check(fn, {k: v.copy() for k, v in m.tensors().items()}, seed=seed)

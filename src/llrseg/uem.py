@@ -95,7 +95,7 @@ def ood_score(log_p_out) -> ScoreMap:
 # loss
 # ---------------------------------------------------------------------------
 
-@dataclass
+@dataclass(frozen=True)
 class LlrConfig:
     alpha: float = 1.0
     beta: float = 0.01
@@ -194,7 +194,7 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
     z, tape = mlp_forward(u.net, f.pixels())
     loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
                                             outliers.labels.ravel(), cfg)
-    proj_grads, _ = mlp_backward(u.net, tape, d_z)
+    proj_grads = mlp_backward(u.net, tape, d_z)
     return loss, model_tensors(proj_grads, head_grads, UEM_NAMES)
 
 

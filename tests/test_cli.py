@@ -1,4 +1,5 @@
 """Command-line workflow: synth -> train -> score -> eval, plus config rules."""
+import dataclasses
 import json
 import os
 import subprocess
@@ -8,10 +9,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from llrseg.cli import RunConfig, derive_seed, main
+from llrseg.anomalymix import DatasetConfig
+from llrseg.cli import InferenceConfig, RunConfig, derive_seed, main
 from llrseg.datamodel import BUNDLE_FORMAT_VERSION
 from llrseg.errors import LlrsegError
-from llrseg.inlier import HEAD_KINDS
+from llrseg.inlier import HEAD_KINDS, InlierConfig
+from llrseg.uem import LlrConfig
 
 
 SMALL_RUN = {
@@ -114,6 +117,18 @@ class TestRunConfig:
         err = capsys.readouterr().err
         assert err == f"error: LlrsegError: config section dataset: {rule}\n"
         assert not out.exists()
+
+    @pytest.mark.parametrize("config, key, value", [
+        (DatasetConfig(), "height", 0), (InlierConfig(), "head_kind", "linear"),
+        (LlrConfig(), "batch_size", 0), (InferenceConfig(), "window", 0),
+        (RunConfig(), "seed", 1)])
+    def test_a_config_is_a_value(self, config, key, value):
+        """A config checks its fields at construction, so none may change
+        after it: a changed config is built with `dataclasses.replace`."""
+        kept = getattr(config, key)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(config, key, value)
+        assert getattr(config, key) == kept
 
     def test_resolved_has_no_section_seeds(self):
         resolved = RunConfig.from_dict(SMALL_RUN).resolved()
@@ -451,6 +466,25 @@ class TestPipeline:
                         tensors={**bundle.tensors, "extra.weight": np.ones(3)}
                         ).save(tmp_path / name)
         assert_bundles_rejected(d, tmp_path, capsys, "stray bundle entry 'extra.weight'")
+
+    def test_id_scorer_rejects_a_stray_uem_entry(self, pipeline_dirs, tmp_path, capsys):
+        """`score --scorer id` reads no UEM tensor, yet builds the UEM, so a
+        stray `uem.head.weight` beside the generative head's `uem.head.means`
+        fails it as it fails `llr`."""
+        from llrseg.datamodel import ModelBundle
+
+        d = pipeline_dirs
+        bundle = ModelBundle.load(d["s2"] / "stage2")
+        assert "uem.head.means" in bundle.tensors
+        ModelBundle(manifest=bundle.manifest,
+                    tensors={**bundle.tensors, "uem.head.weight": np.ones((2, 12))}
+                    ).save(tmp_path / "stage2")
+        code = main(["score", "--config", str(d["cfg"]), "--scorer", "id",
+                     "--stage2", str(tmp_path / "stage2"), "--out", str(tmp_path / "o"),
+                     str(d["eval_scene"] / "features.fmap")])
+        assert code == 1
+        assert "stray tensor 'uem.head.weight'" in capsys.readouterr().err
+        assert not list((tmp_path / "o").glob("*.smap"))
 
     @pytest.mark.parametrize("version", [2, 3])
     def test_older_format_bundles_rejected(self, pipeline_dirs, tmp_path, capsys, version):

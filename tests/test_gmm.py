@@ -20,7 +20,7 @@ from llrseg.gmm import (
     refresh,
     sinkhorn_assign,
 )
-from llrseg.gmm import _finite_logsumexp, _logsumexp
+from llrseg.gmm import _logsumexp
 
 
 def gaussian_log_density(x, mu, var) -> float:
@@ -118,6 +118,19 @@ class TestGmmLogDensity:
                 assert np.array_equal(got.view(np.int64), want.view(np.int64))
             assert np.array_equal(batch, kept)
 
+    @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
+                                "ignore:invalid value:RuntimeWarning",
+                                "ignore:divide by zero:RuntimeWarning")
+    def test_overflowing_distance_gives_nan(self):
+        """Every component density of a row beyond ~1e154 is -inf, so its
+        class densities are NaN, which scoring and Sinkhorn both reject;
+        the other rows keep theirs."""
+        head = GmmHead(means=np.zeros((2, 3, 2)), variances=np.ones((2, 3, 2)))
+        x = np.array([[1e160, 0.0], [1.0, 0.0]])
+        dens = gmm_all_log_densities(x, head)
+        assert np.isnan(dens[0]).all()
+        assert np.array_equal(dens[1], gmm_all_log_densities(x[1:], head)[0])
+
     def test_batch_matches_scalar(self):
         rng = np.random.default_rng(3)
         head = GmmHead(means=rng.normal(0, 1, (2, 3, 5)),
@@ -205,7 +218,7 @@ class TestDensityBlocksOnWorkers:
                        variances=rng.uniform(0.1, 3.0, (6, 8, 64)))
         for name, x in layouts(rng.normal(0, 2, (rows, 64))).items():
             comps = [component_log_densities(x, head, k) for k in range(6)]
-            want = np.stack([_logsumexp(comp + head.log_weight, axis=1)
+            want = np.stack([logsumexp(comp + head.log_weight, axis=1)
                              for comp in comps], axis=1)
             assert bitwise_equal(gmm_all_log_densities(x, head), want), name
             comp_ll = np.empty((rows, 6 * 8))
@@ -215,11 +228,11 @@ class TestDensityBlocksOnWorkers:
     def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
         calls = []
 
-        def failing_logsumexp(a, axis=None):
+        def failing_logsumexp(a, axis, sum_):
             calls.append(1)
             if len(calls) == 3:
                 raise FloatingPointError("block 3")
-            return _logsumexp(a, axis)
+            return _logsumexp(a, axis, sum_)
 
         rng = np.random.default_rng(5)
         head = GmmHead(means=rng.normal(0, 1, (1, 2, 4)),
@@ -232,10 +245,10 @@ class TestDensityBlocksOnWorkers:
         assert bitwise_equal(x, kept)
 
 
-# finite values plus -inf; the few distinct magnitudes after rounding make
-# ties at the maximum common, which the log-sum-exp takes out of the sum
-LSE_VALUES = st.one_of(st.just(-np.inf),
-                       st.floats(-1e4, 1e4).map(lambda v: round(v, 1)),
+# finite values; the few distinct magnitudes after rounding make ties at the
+# maximum common, which the log-sum-exp takes out of the sum, and the wide
+# ones put terms below -746, whose exps it skips
+LSE_VALUES = st.one_of(st.floats(-1e4, 1e4).map(lambda v: round(v, 1)),
                        st.floats(-800.0, 800.0))
 
 
@@ -243,18 +256,13 @@ class TestLogSumExp:
     @settings(max_examples=300, deadline=None)
     @given(a=arrays(np.float64, st.tuples(st.integers(1, 12), st.integers(1, 6)),
                     elements=LSE_VALUES),
-           axis=st.sampled_from([0, 1, None]))
+           axis=st.sampled_from([0, 1, (0, 1)]))
     def test_bitwise_equal_to_scipy(self, a, axis):
-        assert np.array_equal(_logsumexp(a, axis=axis), logsumexp(a, axis=axis))
-
-    def test_all_minus_inf_slice_is_minus_inf(self):
-        a = np.array([[-np.inf, -np.inf, -np.inf], [0.0, -np.inf, 1.0]])
-        out = _logsumexp(a, axis=1)
-        assert out[0] == -np.inf
-        assert out[1] == logsumexp(a[1])
+        got = _logsumexp(a.copy(), axis, lambda e: e.sum(axis=axis))
+        assert bitwise_equal(np.asarray(got), np.asarray(logsumexp(a, axis=axis)))
 
     def test_ties_at_the_max(self):
-        assert _logsumexp(np.zeros((1, 4)), axis=1)[0] == np.log(4.0)
+        assert _logsumexp(np.zeros((1, 4)), 1, lambda e: e.sum(axis=1))[0] == np.log(4.0)
 
 
 class TestSinkhorn:
@@ -330,8 +338,8 @@ class TestSinkhornBits:
         exp NumPy rounds to 0 may be left out."""
         t = np.linspace(-760.0, -700.0, 6001)
         a = np.stack([np.zeros_like(t), t])
-        want = _logsumexp(a, axis=0)
-        got = _finite_logsumexp(a.copy(), 0, lambda e: e.sum(axis=0))
+        want = logsumexp(a, axis=0)
+        got = _logsumexp(a.copy(), 0, lambda e: e.sum(axis=0))
         assert bitwise_equal(got, want)
         assert (want[t > -745.0] > 0).all() and (want[t < -746.0] == 0).all()
 

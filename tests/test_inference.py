@@ -273,9 +273,9 @@ class TestScoreImage:
         assert np.array_equal(a.scores, b.scores)
 
     def test_scoring_keeps_no_state(self, small_stage2, eval_scene, monkeypatch):
-        """Every call builds the models of its bundle, the UEM only for a
-        scorer that reads it, and a copy of the bundle gives the same maps
-        bit for bit."""
+        """Every call builds both models of its bundle, whichever scorer
+        reads them, and a copy of the bundle gives the same maps bit for
+        bit."""
         f, _ = eval_scene
         plan = tile_plan(f.height, f.width, 16, 8)
         scorers = ("id", "id", "llr", "ood", "llr")
@@ -291,7 +291,7 @@ class TestScoreImage:
         monkeypatch.setattr(inference, "uem_from_bundle", counting(uem_from_bundle))
         first = [score_image(small_stage2, f, plan, scorer).scores for scorer in scorers]
         inlier, uem = ("inlier_from_bundle", small_stage2), ("uem_from_bundle", small_stage2)
-        assert built == [inlier, inlier, inlier, uem, inlier, uem, inlier, uem]
+        assert built == [inlier, uem] * len(scorers)
         same = dataclasses.replace(small_stage2)
         again = [score_image(same, f, plan, scorer).scores for scorer in scorers]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
