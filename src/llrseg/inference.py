@@ -3,8 +3,9 @@
 Every head is pixel-wise, so `score_image` scores each pixel exactly once,
 in row-major batches of one window's area; the tile plan sets the batch
 size and must be the plan of the frame. The decoder's share of a batch's
-memory is bounded by its forward chunk (`neuralcore.CHUNK_ENTRIES`, 1024
-rows of its hidden layer), not by the batch size.
+memory is bounded by its forward chunks (`neuralcore.CHUNK_ENTRIES` in
+all, 1024 rows of its hidden layer shared among the workers), not by the
+batch size.
 
 A pixel's score can still depend on its batch in the last bits (by a few
 1e-12 on scores of a few 1e3), so the batches are the row blocks of

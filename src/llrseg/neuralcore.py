@@ -9,27 +9,29 @@ the tape's own buffers, so a taped hidden layer holds two arrays of its
 width, and a later mlp_forward refills a spent tape's buffers instead of
 allocating new ones. A forward-only pass (`tape=False`) keeps no tape: it
 takes the rows in chunks of about CHUNK_ENTRIES entries of the widest layer
-(1024 rows of the 1152-wide decoder), runs each chunk through every layer in
-chunk-sized buffers, activating in place, and writes it into one output
-array, so no hidden layer is ever held for all rows.
+shared among the workers (512 rows of the 1152-wide decoder on two), runs
+each chunk through every layer in chunk-sized buffers, activating in place,
+and writes it into one output array, so no hidden layer is ever held for all
+rows.
 
-GELU and its derivative run in row blocks of BLOCK_ENTRIES entries
-(`_row_blocks`), so each pass over a block stays in L2 cache, and the blocks
-run on a worker per CPU in the process's affinity set (NumPy's ufuncs and
-scipy's erf release the GIL). Each block makes the same calls on the same
-rows whichever worker runs it, so no result depends on the worker count.
-Matmuls always run on the calling thread, and the taped pass and the
-reverse pass multiply every row at once: OpenBLAS picks its kernel by the
-product's shape, and kernels round small products differently, so a
-matmul of a few rows would change result bits. The forward-only chunks are
-kept tall enough for their narrowest layer that they do not
-(`_forward_chunks`).
+Work runs on a worker per CPU in the process's affinity set (NumPy's ufuncs
+and matmuls and scipy's erf release the GIL), and no result depends on the
+worker count. A tape-free chunk runs whole on one worker: each layer's
+matmul and bias, then GELU in place over row blocks of BLOCK_ENTRIES entries
+(`_row_blocks`), each small enough to stay in L2 cache. The taped pass and
+the reverse pass run GELU, its derivative and the gradient's product with it
+in such row blocks on the workers, and their matmuls on the calling thread,
+over every row at once: OpenBLAS picks its kernel by the product's shape,
+and kernels round small products differently, so a matmul of a few rows
+would change result bits. The forward-only chunks are kept tall enough for
+their narrowest layer that they do not (`_forward_chunks`).
 """
 from __future__ import annotations
 
 import os
 from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass, field
+from queue import SimpleQueue
 
 import numpy as np
 from scipy.special import erf, expit
@@ -47,14 +49,13 @@ ADAM_EPS = 1e-8
 # pre-activations, gates and outputs takes 1.8 MB, inside a 2 MB L2 cache
 # (the taped pass's slope takes a fourth 0.6 MB block of scratch)
 BLOCK_ENTRIES = 64 * 1152
-# entries per chunk of a tape-free forward, 1024 rows of the decoder's
-# 1152-wide layer: a 9.4 MB buffer in place of the 37.7 MB of a 4096-row
-# scoring batch. `score` of three 128x128 frames on a 2-core x86-64 machine
-# (median of 5, three rounds) read, unchunked / 512 / 1024 / 2048 rows:
-# one BLAS thread 0.82-0.86 / 0.84-0.90 / 0.82-0.83 / 0.79-0.84 s; BLAS
-# threads unpinned 1.03-1.10 / 1.10-1.14 / 1.09-1.11 / 1.00-1.06 s, as
-# OpenBLAS's idle worker spins and stalls a GELU worker about once per
-# chunk. 2048 rows would hold half the batch's hidden layer.
+# entries of the widest layer in the chunks a tape-free forward holds at
+# once, one per worker: 1024 rows of the decoder's 1152-wide layer, 512 per
+# worker on two, 9.4 MB in place of the 37.7 MB of a 4096-row scoring
+# batch. A 4096-row decoder forward on a 2-core x86-64 machine with one
+# BLAS thread (median of 40, three rounds) took 48-51 / 53-55 / 54-63 ms
+# with chunks of 256 / 512 / 1024 rows per worker, and 61-69 ms when the
+# caller ran every 1024-row chunk's matmuls and only GELU ran on workers.
 CHUNK_ENTRIES = 1024 * 1152
 
 
@@ -78,8 +79,10 @@ def _row_blocks(n: int, rows: int, least: int = 2) -> list[slice]:
 
 def _forward_chunks(n: int, widths: list[int]) -> list[slice]:
     """The row chunks of a tape-free forward through layers of these output
-    widths: CHUNK_ENTRIES entries of the widest layer each, and none, the
-    tail included, shorter than max(64, ceil(4096 / narrowest width)) rows.
+    widths: CHUNK_ENTRIES // _WORKERS entries of the widest layer each (512
+    rows of the decoder on two workers), as each worker holds one chunk's
+    buffers at a time, and none, the tail included, shorter than
+    max(64, ceil(4096 / narrowest width)) rows.
 
     OpenBLAS picks its GEMM kernel by the product's shape, and the kernels
     round differently, so a chunk's rows come out with the bits of the
@@ -92,7 +95,7 @@ def _forward_chunks(n: int, widths: list[int]) -> list[slice]:
     if min(widths) == 1:
         return [slice(0, n)] if n else []
     least = max(64, -(-4096 // min(widths)))
-    return _row_blocks(n, max(least, CHUNK_ENTRIES // max(widths)), least)
+    return _row_blocks(n, max(least, CHUNK_ENTRIES // _WORKERS // max(widths)), least)
 
 
 # one worker per CPU this process may run on
@@ -117,10 +120,12 @@ def _run_blocks(fn, blocks: list) -> None:
     Every call has ended when this returns, and an exception raised by fn
     then reaches the caller.
 
-    fn may run on a worker thread, so it may call only NumPy, SciPy and
-    private helpers: perfbench's tracer wraps every public function of the
-    package with one shared span stack, and must not see a call from a
-    worker. fn must not call `_run_blocks`.
+    A block is any work that gives the same bits on every thread: a row
+    block of an elementwise pass, or a tape-free forward's whole chunk,
+    matmuls included. fn may run on a worker thread, so it may call only
+    NumPy, SciPy and private helpers: perfbench's tracer wraps every public
+    function of the package with one shared span stack, and must not see a
+    call from a worker. fn must not call `_run_blocks`.
     """
     tasks = min(_WORKERS, len(blocks))
     if tasks <= 1:
@@ -161,17 +166,6 @@ def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray) -> None:
     pdf *= pre
     gate *= 0.5
     np.add(pdf, gate, out=pre)
-
-
-def _gelu(pre: np.ndarray, out: np.ndarray | None = None) -> None:
-    """GELU of the rows of pre: in place, or into out, GELU's slope
-    cdf + pre*pdf at pre then overwriting pre. Runs in row blocks, each with
-    block-sized scratch for its gate."""
-    if out is None:
-        rows = lambda r: _gelu_rows(pre[r], pre[r], np.empty_like(pre[r]))  # noqa: E731
-    else:
-        rows = lambda r: _gelu_slope_rows(pre[r], out[r])  # noqa: E731
-    _run_blocks(rows, _row_blocks(len(pre), _rows_per_block(pre.shape[1])))
 
 
 @dataclass(frozen=True)
@@ -301,11 +295,12 @@ def mlp_forward(m: Mlp, x: np.ndarray,
     forward refills it and returns it: its buffers take this forward's rows
     wherever they are wide and tall enough, so the steps of a training loop
     allocate the tape once. The output is a new array either way, which no
-    later forward overwrites. With tape=False the tape is None, and the rows
-    go through every layer one `_forward_chunks` chunk at a time, each
+    later forward overwrites. With tape=False the tape is None, and each
+    `_forward_chunks` chunk goes through every layer on one worker, each
     hidden layer's GELU overwriting its pre-activation in a chunk-sized
-    buffer that the next chunk reuses, so no hidden layer is ever alive for
-    all rows. x itself is never written."""
+    buffer. The caller allocates one set of these buffers per worker, and
+    each chunk borrows a set that no running chunk holds, so no hidden layer
+    is ever alive for all rows. x itself is never written."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
@@ -313,17 +308,34 @@ def mlp_forward(m: Mlp, x: np.ndarray,
         raise ValueError("non-finite input")
     n, last = len(x), len(m.layers) - 1
     if not tape:
-        chunks = _forward_chunks(n, [layer.out_dim for layer in m.layers])
+        widths = [layer.out_dim for layer in m.layers]
+        chunks = _forward_chunks(n, widths)
         longest = max((rows.stop - rows.start for rows in chunks), default=0)
-        hidden = [np.empty((longest, layer.out_dim)) for layer in m.layers[:-1]]
         out = np.empty((n, m.out_dim))
-        for rows in chunks:
+        # one set of buffers per task `_run_blocks` starts, each set the
+        # hidden layers of a chunk and GELU's gate for a block (a one-row
+        # tail joined to a block adds a row): a task borrows a set for each
+        # chunk and returns it after, and a task that raises ends, so the
+        # tasks left never outnumber the sets. The caller allocates them:
+        # gates the workers allocated themselves stayed in their own malloc
+        # arenas and raised the peak RSS of scoring by ~1 MB.
+        sets = SimpleQueue()
+        for _ in range(min(_WORKERS, len(chunks))):
+            sets.put(([np.empty((longest, width)) for width in widths[:-1]],
+                      np.empty(BLOCK_ENTRIES + max(widths[:-1], default=0))))
+
+        def chunk(rows):
+            hidden, gate = sets.get()
             h = x[rows]
             for i, (layer, buf) in enumerate(zip(m.layers, hidden + [out[rows]])):
                 h = np.matmul(h, layer.weight.T, out=buf[:len(h)])
                 h += layer.bias
                 if i < last:
-                    _gelu(h)
+                    for r in _row_blocks(len(h), _rows_per_block(h.shape[1])):
+                        _gelu_rows(h[r], h[r], gate[:h[r].size].reshape(h[r].shape))
+            sets.put((hidden, gate))
+
+        _run_blocks(chunk, chunks)
         return out, None
     if not isinstance(tape, Tape):
         tape = Tape()
@@ -344,7 +356,8 @@ def mlp_forward(m: Mlp, x: np.ndarray,
         np.matmul(h, layer.weight.T, out=pre)
         pre += layer.bias
         if i < last:
-            _gelu(pre, out)
+            _run_blocks(lambda r: _gelu_slope_rows(pre[r], out[r]),
+                        _row_blocks(n, _rows_per_block(layer.out_dim)))
             tape.slopes.append(pre)
         h = out
     tape.spent = False

@@ -3,6 +3,7 @@ import dataclasses
 import itertools
 import re
 import tracemalloc
+from concurrent.futures import ThreadPoolExecutor
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import llrseg.inference as inference
+from llrseg import neuralcore
 from llrseg.anomalymix import DatasetConfig, load_split, make_dataset
 from llrseg.datamodel import FeatureMap
 from llrseg.errors import DimMismatch, LlrsegError
@@ -147,6 +149,30 @@ def covering_plans(draw):
     sh = draw(st.integers(1, min(wh, h)))
     sw = draw(st.integers(1, min(ww, w)))
     return h, w, (wh, ww), (sh, sw)
+
+
+@pytest.fixture(scope="module")
+def default_size_stage2(tmp_path_factory):
+    """A stage-2 bundle with the default decoder, [16, 1152, 64]."""
+    out = tmp_path_factory.mktemp("default_size")
+    make_dataset(DatasetConfig(height=16, width=16, splits=(2, 2, 1)), out)
+    stage1 = train_inlier([(f, l) for f, l, _ in load_split(out, "train_inlier")],
+                          5, InlierConfig(epochs=1))
+    return train_uem(stage1.bundle, [(f, o) for f, _, o in load_split(out, "train_uem")],
+                     LlrConfig(epochs=1)).bundle
+
+
+def scoring_peak(stage2) -> int:
+    """The tracemalloc peak of scoring a 128x128 frame with the default plan,
+    in bytes."""
+    f = FeatureMap(np.random.default_rng(0).normal(0, 1, (16, 128, 128)))
+    plan = tile_plan(128, 128, 64, 32)
+    tracemalloc.start()
+    try:
+        score_image(stage2, f, plan)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
 
 
 @pytest.fixture(scope="module")
@@ -296,23 +322,26 @@ class TestScoreImage:
         again = [score_image(same, f, plan, scorer).scores for scorer in scorers]
         assert all(a.tobytes() == b.tobytes() for a, b in zip(first, again))
 
-    def test_default_size_frame_holds_no_hidden_layer_of_a_batch(self, tmp_path):
+    def test_default_size_frame_holds_no_hidden_layer_of_a_batch(self, default_size_stage2):
         """A default-size bundle scores a 128x128 frame in 4096-pixel
         batches, at a peak below one [4096, 1152] hidden layer of its
         decoder: the decoder runs in chunks of fewer rows."""
-        make_dataset(DatasetConfig(height=16, width=16, splits=(2, 2, 1)), tmp_path)
-        stage1 = train_inlier([(f, l) for f, l, _ in load_split(tmp_path, "train_inlier")],
-                              5, InlierConfig(epochs=1))
-        stage2 = train_uem(stage1.bundle,
-                           [(f, o) for f, _, o in load_split(tmp_path, "train_uem")],
-                           LlrConfig(epochs=1)).bundle
-        assert [l.out_dim for l in inlier_from_bundle(stage2).net.layers] == [1152, 64]
-        f = FeatureMap(np.random.default_rng(0).normal(0, 1, (16, 128, 128)))
-        plan = tile_plan(128, 128, 64, 32)
-        tracemalloc.start()
+        assert [l.out_dim for l in inlier_from_bundle(default_size_stage2).net.layers] == [1152, 64]
+        assert scoring_peak(default_size_stage2) < 4096 * 1152 * 8
+
+    def test_two_workers_hold_what_one_does(self, default_size_stage2, monkeypatch):
+        """Two workers each run whole decoder chunks of half the height, in
+        buffers the caller allocates once, so the scoring peak stays within
+        10% of one worker's: the second worker's block of GELU gate adds
+        0.6 MB to a ~12.4 MB peak, and a 1024-row chunk buffer per worker
+        would add 9.4 MB."""
+        monkeypatch.setattr(neuralcore, "_WORKERS", 1)
+        one = scoring_peak(default_size_stage2)
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(neuralcore, "_WORKERS", 2)
+        monkeypatch.setattr(neuralcore, "_POOL", pool)
         try:
-            score_image(stage2, f, plan)
-            peak = tracemalloc.get_traced_memory()[1]
+            two = scoring_peak(default_size_stage2)
         finally:
-            tracemalloc.stop()
-        assert peak < 4096 * 1152 * 8
+            pool.shutdown()
+        assert two < 1.1 * one

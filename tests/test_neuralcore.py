@@ -22,7 +22,7 @@ from llrseg.neuralcore import (
     Mlp,
     OptimizerState,
     Tape,
-    _gelu,
+    _gelu_slope_rows,
     _row_blocks,
     _rows_per_block,
     grad_check,
@@ -172,7 +172,7 @@ class TestGeluTape:
         cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x**2)
         slope, out = x.copy(), np.empty_like(x)
-        _gelu(slope, out)
+        _gelu_slope_rows(slope, out)
         assert bitwise_equal(out, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
         assert bitwise_equal(d * slope, d * (cdf + x * pdf))
 
@@ -275,9 +275,13 @@ class TestBlockedActivations:
 
 
 # the inlier decoder and the UEM projection at their default sizes, and the
-# rows of every chunk edge of the decoder and of a 4096-row scoring batch
+# rows of every chunk edge of the decoder and of a 4096-row scoring batch:
+# the decoder's chunks are 1024, 512 and 341 rows tall with one, two and
+# three workers, and at least 64 (1087, 575, 404 and 745 end in a shorter
+# tail that joins the chunk before it)
 PACKAGE_NETS = [[16, 1152, 64], [16, 24, 24, 64]]
-PACKAGE_ROWS = [0, 1, 2, 63, 64, 65, 1023, 1024, 1025, 1087, 1088, 2048,
+PACKAGE_ROWS = [0, 1, 2, 63, 64, 65, 340, 341, 342, 404, 511, 512, 513, 575,
+                681, 682, 683, 745, 1023, 1024, 1025, 1087, 1088, 2048,
                 4095, 4096, 4097, 4160]
 # nets with narrow layers, whose rows keep the bits of a whole-array product
 # only in tall chunks, at rows whose 64-row tail such a layer would round
@@ -298,12 +302,27 @@ class TestForwardChunks:
         data = rng.normal(0, 1, (dims[0], rows))
         # C order, and the Fortran-order view FeatureMap.pixels() returns
         for x in (np.ascontiguousarray(data.T), data.T):
-            kept = x.copy()
-            want, _ = mlp_forward(m, x)
-            for workers in (1, 2):
-                monkeypatch.setattr(neuralcore, "_WORKERS", workers)
-                assert bitwise_equal(mlp_forward(m, x, tape=False)[0], want)
-            assert bitwise_equal(x, kept)
+            self.assert_equal_taped_on_any_workers(monkeypatch, m, x)
+
+    # the projection's chunks are 18432, 9216 and 6144 rows tall with one,
+    # two and three workers, and at least 171 (ceil(4096 / 24))
+    @pytest.mark.parametrize("rows", [6143, 6144, 6145, 6314, 9215, 9216, 9217,
+                                      18431, 18432, 18433, 18602])
+    def test_projection_net_equals_taped_at_its_chunk_edges(self, monkeypatch, rows):
+        rng = np.random.default_rng(rows)
+        m = make_mlp([16, 24, 24, 64], rng)
+        self.assert_equal_taped_on_any_workers(monkeypatch, m, rng.normal(0, 1, (rows, 16)))
+
+    @staticmethod
+    def assert_equal_taped_on_any_workers(monkeypatch, m, x):
+        """One, two and three workers' tape-free output is the taped one,
+        and x is left unwritten."""
+        kept = x.copy()
+        want, _ = mlp_forward(m, x)
+        for workers in (1, 2, 3):
+            monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+            assert bitwise_equal(mlp_forward(m, x, tape=False)[0], want)
+        assert bitwise_equal(x, kept)
 
     @pytest.mark.parametrize("dims", NARROW_NETS)
     @pytest.mark.parametrize("rows", NARROW_ROWS)
@@ -324,8 +343,9 @@ class TestForwardChunks:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        # a 1024-row chunk of the hidden layer, a block of gate per worker and
-        # the [N, 64] output; all N rows of the hidden layer take 1.0x
+        # 1024 rows of the hidden layer split into a chunk per worker, a
+        # block of gate per worker and the [N, 64] output; all N rows of the
+        # hidden layer take 1.0x
         assert peak < 0.5 * hidden_bytes
 
 
@@ -479,6 +499,46 @@ class TestRowBlocksOnWorkers:
             pool.shutdown(wait=False)
         assert not runner.is_alive()
         assert sorted(seen) == list(range(0, 5000, 7))
+
+    def test_an_exception_in_a_chunk_reaches_the_caller(self, monkeypatch):
+        # the second GELU block raises on whichever worker runs it; its task
+        # ends holding a chunk's buffers, which must not stall the other task
+        # nor the next forward
+        pool = ThreadPoolExecutor(2)
+        monkeypatch.setattr(neuralcore, "_WORKERS", 2)
+        monkeypatch.setattr(neuralcore, "_POOL", pool)
+        rng = np.random.default_rng(20)
+        m = make_mlp([16, 1152, 64], rng)
+        x = rng.normal(0, 1, (4096, 16))
+        want, _ = mlp_forward(m, x)
+        gelu_rows, calls = neuralcore._gelu_rows, []
+
+        def second_call_fails(*args):
+            calls.append(None)
+            if len(calls) == 2:
+                raise RuntimeError("a chunk failed")
+            gelu_rows(*args)
+
+        monkeypatch.setattr(neuralcore, "_gelu_rows", second_call_fails)
+        outcomes = []
+
+        def two_forwards():
+            for _ in range(2):
+                try:
+                    outcomes.append(mlp_forward(m, x, tape=False)[0])
+                except RuntimeError as error:
+                    outcomes.append(error)
+
+        runner = threading.Thread(target=two_forwards)
+        try:
+            runner.start()
+            runner.join(60)
+        finally:
+            pool.shutdown(wait=False)
+        assert not runner.is_alive()
+        assert len(outcomes) == 2
+        assert isinstance(outcomes[0], RuntimeError) and str(outcomes[0]) == "a chunk failed"
+        assert bitwise_equal(outcomes[1], want)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_runs_blocks_on_workers_of_its_own(self, monkeypatch):
