@@ -63,6 +63,11 @@ class InferenceConfig:
     window: int = 64
     stride: int = 32
 
+    def __post_init__(self):
+        for name in ("window", "stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+
 
 @dataclass(frozen=True)
 class RunConfig:

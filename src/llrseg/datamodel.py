@@ -1,7 +1,8 @@
 """Core tensors, label conventions, and the binary file formats.
 
-All maps live in memory as float64 / int arrays and are serialized with
-fixed little-endian layouts (32-bit floats on disk). Arrays are marked
+Feature and score maps live in memory as float64 arrays, label maps (an
+outlier map is a two-class label map) as uint8, and all are serialized
+with fixed little-endian layouts (32-bit floats on disk). Arrays are marked
 read-only after construction so instances can be shared across workers.
 """
 from __future__ import annotations
@@ -107,7 +108,8 @@ class FeatureMap:
 
 @dataclass(frozen=True)
 class LabelMap:
-    """Per-pixel class labels in {0..K-1} plus IGNORE."""
+    """Per-pixel class labels in {0..K-1} plus IGNORE, stored as uint8: a
+    value that is not an integer in [0, 255] raises IllegalLabel."""
 
     labels: np.ndarray  # uint8, shape [H, W]
 
@@ -116,10 +118,13 @@ class LabelMap:
         if labels.ndim != 2 or min(labels.shape) < 1:
             raise DimMismatch(f"label map must be 2-d, got shape {labels.shape}")
         if labels.dtype != np.uint8:
-            if np.any(labels < 0) or np.any(labels > 255):
-                bad = np.argmax((labels < 0) | (labels > 255))
-                raise IllegalLabel(int(labels.ravel()[bad]), int(bad))
-            labels = labels.astype(np.uint8)
+            with np.errstate(invalid="ignore"):  # a NaN's cast is the error below
+                cast = labels.astype(np.uint8)
+            bad = cast != labels
+            if bad.any():
+                pos = int(np.argmax(bad.ravel()))
+                raise IllegalLabel(labels.ravel()[pos].item(), pos)
+            labels = cast
         object.__setattr__(self, "labels", _freeze(labels))
 
     @property
@@ -132,28 +137,12 @@ class LabelMap:
 
 
 @dataclass(frozen=True)
-class BinaryOutlierMap:
-    """Per-pixel labels in {0=inlier, 1=outlier, IGNORE}."""
-
-    labels: np.ndarray  # uint8, shape [H, W]
+class BinaryOutlierMap(LabelMap):
+    """A two-class label map: 0 = inlier, 1 = outlier, or IGNORE."""
 
     def __post_init__(self):
-        labels = np.asarray(self.labels).astype(np.uint8, copy=False)
-        if labels.ndim != 2 or min(labels.shape) < 1:
-            raise DimMismatch(f"outlier map must be 2-d, got shape {labels.shape}")
-        legal = (labels == 0) | (labels == 1) | (labels == IGNORE)
-        if not legal.all():
-            pos = int(np.argmin(legal.ravel()))
-            raise IllegalLabel(int(labels.ravel()[pos]), pos)
-        object.__setattr__(self, "labels", _freeze(labels))
-
-    @property
-    def height(self) -> int:
-        return self.labels.shape[0]
-
-    @property
-    def width(self) -> int:
-        return self.labels.shape[1]
+        super().__post_init__()
+        check_labels(self, 2)
 
 
 @dataclass(frozen=True)

@@ -258,9 +258,13 @@ def holdout_split(n: int) -> tuple[list[int], list[int]]:
 
 
 def _gather_pixels(dataset, indices, num_classes):
+    """The non-IGNORE pixels of the indexed scenes: rows [N, C], labels [N]."""
     feats, labels = [], []
+    channels = dataset[0][0].channels
     for i in indices:
         f, l = dataset[i][0], dataset[i][1]
+        if f.channels != channels:
+            raise DimMismatch(f"scene {i} has {f.channels} channels, scene 0 has {channels}")
         validate_pair(f, l, num_classes)
         px = f.pixels()
         lab = l.labels.ravel()

@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .datamodel import IGNORE, LabelMap, ScoreMap, check_labels
+from .datamodel import IGNORE, BinaryOutlierMap, LabelMap, ScoreMap, check_labels
 from .errors import DimMismatch, OneClassOnly
 
 
@@ -43,8 +43,8 @@ class ScoredPixels:
         return int(self.labels.size - self.labels.sum())
 
     @classmethod
-    def from_maps(cls, scores: ScoreMap, outliers) -> "ScoredPixels":
-        lab = outliers.labels if hasattr(outliers, "labels") else np.asarray(outliers)
+    def from_maps(cls, scores: ScoreMap, outliers: BinaryOutlierMap) -> "ScoredPixels":
+        lab = outliers.labels
         if scores.scores.shape != lab.shape:
             raise DimMismatch(
                 f"score map {scores.scores.shape} vs labels {lab.shape}")

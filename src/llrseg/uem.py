@@ -23,6 +23,7 @@ from .datamodel import (
     ModelBundle,
     ScoreMap,
     tensor_digest,
+    validate_pair,
 )
 from .errors import AllIgnored, BadBundle, DimMismatch, FreezeViolation, LlrsegError
 from .gmm import GmmHead, gmm_all_log_densities_with_grad, init_head, sinkhorn_assign
@@ -34,6 +35,7 @@ from .inlier import (
     TrainResult,
     _bundle_model,
     _check_training_config,
+    _gather_pixels,
     fit,
     inlier_from_bundle,
     max_inlier_logit,
@@ -188,8 +190,7 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
     `u.tensors(UEM_NAMES)`: the projection's, and a linear head's (EM fits a
     GMM head, which gets none). The inlier model only supplies the max_k F_k
     term: no theta tensor ever appears in the returned gradient record."""
-    if (f.height, f.width) != (outliers.height, outliers.width):
-        raise DimMismatch("feature map and outlier map dims differ")
+    validate_pair(f, outliers, 2)
     max_logit = max_inlier_logit(inlier_model, f).ravel()
     z, tape = mlp_forward(u.net, f.pixels())
     loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
@@ -203,7 +204,8 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
 # ---------------------------------------------------------------------------
 
 def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
-    """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs.
+    """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs, whose non-IGNORE
+    pixels `_gather_pixels` collects as it does stage 1's labelled scenes.
 
     `fit` runs Adam on the LLR loss for the projection and a linear head. A
     GMM head is fitted by Sinkhorn EM alone, once per epoch; the loss's
@@ -230,20 +232,13 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     u = build_uem(feature_dim, cfg.projection_dim, cfg.proj_hidden,
                   cfg.head_kind, cfg.gmm_components, rng)
 
-    # frozen inlier term and pixel buffers, precomputed once
-    xs, ys, maxes = [], [], []
-    for f, omap in dataset:
-        if (f.height, f.width) != (omap.height, omap.width):
-            raise DimMismatch("feature map and outlier map dims differ")
-        keep = omap.labels.ravel() != IGNORE
-        xs.append(f.pixels()[keep])
-        ys.append(omap.labels.ravel()[keep].astype(np.int64))
-        maxes.append(max_inlier_logit(inlier_model, f).ravel()[keep])
-    x = np.concatenate(xs, axis=0)
-    y = np.concatenate(ys)
-    max_logit = np.concatenate(maxes)
+    # pixel rows and the frozen inlier term, precomputed once
+    x, y = _gather_pixels(dataset, range(len(dataset)), 2)
     if x.shape[0] == 0:
         raise AllIgnored("every pixel in the dataset is ignored")
+    max_logit = np.concatenate([
+        max_inlier_logit(inlier_model, f).ravel()[omap.labels.ravel() != IGNORE]
+        for f, omap in dataset])
 
     if cfg.head_kind == GENERATIVE:
         z0, _ = mlp_forward(u.net, x, tape=False)

@@ -118,6 +118,19 @@ class TestRunConfig:
         assert err == f"error: LlrsegError: config section dataset: {rule}\n"
         assert not out.exists()
 
+    @pytest.mark.parametrize("key, value", [("window", 0), ("stride", -3)])
+    def test_tiling_no_plan_can_use_exits_1(self, tmp_path, capsys, key, value):
+        """Caught by every command that reads the config, not first by
+        `score` after it has loaded the bundle."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "inference": {key: value}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: LlrsegError: config section inference: "
+                       f"{key} must be >= 1, got {value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, key, value", [
         (DatasetConfig(), "height", 0), (InlierConfig(), "head_kind", "linear"),
         (LlrConfig(), "batch_size", 0), (InferenceConfig(), "window", 0),
@@ -311,6 +324,24 @@ class TestPipeline:
         assert code == 1
         assert "same output file" in capsys.readouterr().err
         assert not out.exists()
+
+    def test_train_inlier_rejects_scenes_of_other_channel_counts(self, tmp_path, capsys):
+        from llrseg.datamodel import FeatureMap, save_feature_map
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {**SMALL_RUN, "dataset": {**SMALL_RUN["dataset"], "splits": [3, 0, 0]}}))
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        save_feature_map(FeatureMap(np.zeros((18, 24, 24))),
+                         data / "scenes" / "0001" / "features.fmap")
+        out = tmp_path / "s1"
+        assert main(["train-inlier", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: DimMismatch: scene 1 has 18 channels, scene 0 has 8")
+        assert "Traceback" not in err
+        assert not (out / "stage1").exists()
 
     def test_score_rejects_window_zero(self, pipeline_dirs, tmp_path, capsys):
         d = pipeline_dirs

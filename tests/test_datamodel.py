@@ -114,6 +114,24 @@ class TestLabelAndOutlierMaps:
             BinaryOutlierMap(np.array([[0, 2]], dtype=np.uint8))
         assert exc.value.value == 2
 
+    @pytest.mark.parametrize("kind, labels, value, position", [
+        (BinaryOutlierMap, [[-1, 0]], -1, 0), (BinaryOutlierMap, [[256, 1]], 256, 0),
+        (BinaryOutlierMap, [[0.5, 1]], 0.5, 0), (BinaryOutlierMap, [[np.nan, 0]], np.nan, 0),
+        (LabelMap, [[2.5]], 2.5, 0)])
+    def test_rejects_what_is_no_uint8_label(self, kind, labels, value, position):
+        """Not wrapped (-1 was IGNORE, 256 an inlier) nor truncated."""
+        with pytest.raises(IllegalLabel) as exc:
+            kind(np.array(labels))
+        assert exc.value.position == position
+        assert np.array_equal(exc.value.value, value, equal_nan=True)
+
+    def test_an_outlier_map_is_a_label_map_of_integral_values(self):
+        omap = BinaryOutlierMap(np.array([[True, False], [1.0, 255.0]]))
+        assert isinstance(omap, LabelMap)
+        assert omap.labels.dtype == np.uint8
+        assert omap.labels.tolist() == [[1, 0], [1, IGNORE]]
+        assert LabelMap(np.array([[3.0, 255.0]])).labels.tolist() == [[3, IGNORE]]
+
     def test_score_round_trip(self, tmp_path):
         rng = np.random.default_rng(1)
         smap = ScoreMap(f32_exact(rng, (3, 4)))

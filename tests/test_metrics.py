@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.stats import rankdata
 
-from llrseg.datamodel import IGNORE, LabelMap, ScoreMap
+from llrseg.datamodel import IGNORE, BinaryOutlierMap, LabelMap, ScoreMap
 from llrseg.errors import IllegalLabel, OneClassOnly
 import llrseg.metrics as metrics
 from llrseg.metrics import (
@@ -153,7 +153,7 @@ class TestFromMaps:
     def test_ignore_removed(self):
         scores = ScoreMap(np.arange(6, dtype=float).reshape(2, 3))
         labels = np.array([[0, 1, IGNORE], [1, 0, 0]], dtype=np.uint8)
-        s = ScoredPixels.from_maps(scores, labels)
+        s = ScoredPixels.from_maps(scores, BinaryOutlierMap(labels))
         assert s.scores.shape == (5,)
         assert s.positives == 2 and s.negatives == 3
 
@@ -162,7 +162,7 @@ class TestFromMaps:
         raw = rng.normal(0, 1, (8, 8))
         labels = rng.integers(0, 2, (8, 8)).astype(np.uint8)
         labels[0, :4] = IGNORE
-        a = ScoredPixels.from_maps(ScoreMap(raw), labels)
+        a = ScoredPixels.from_maps(ScoreMap(raw), BinaryOutlierMap(labels))
         keep = labels != IGNORE
         b = ScoredPixels(scores=raw[keep], labels=labels[keep])
         for metric in (auroc, average_precision, fpr_at_tpr):

@@ -3,7 +3,7 @@ import dataclasses
 import multiprocessing
 import os
 import sys
-import threading
+import traceback
 import tracemalloc
 from concurrent.futures import ThreadPoolExecutor
 
@@ -476,69 +476,82 @@ class TestRowBlocksOnWorkers:
         assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline))
         assert bitwise_equal(x, kept)
 
-    def test_every_block_runs_once_with_more_workers_than_cpus(self, monkeypatch):
+    @staticmethod
+    def in_forked_child(scenario, timeout=60):
+        """Runs scenario() in a forked child, which reports by its exit code:
+        0 if it returned, 1 if it raised (its traceback goes to stderr). A
+        child still running after `timeout` seconds is killed and the test
+        fails, so a worker that never ends dies with the child instead of
+        holding this process at interpreter exit."""
+        def child():
+            try:
+                scenario()
+            except Exception:
+                traceback.print_exc()
+                os._exit(1)
+            os._exit(0)
+
+        proc = multiprocessing.get_context("fork").Process(target=child)
+        proc.start()
+        proc.join(timeout)
+        if proc.exitcode is None:
+            proc.kill()
+            proc.join()
+            pytest.fail(f"the scenario did not end within {timeout} s")
+        assert proc.exitcode == 0, "the scenario failed in the child (see stderr)"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_every_block_runs_once_with_more_workers_than_cpus(self):
         workers = 4 * len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 8
-        pool = ThreadPoolExecutor(workers)
-        monkeypatch.setattr(neuralcore, "_WORKERS", workers)
-        monkeypatch.setattr(neuralcore, "_POOL", pool)
-        seen = []
 
-        def record(rows):
-            np.sqrt(np.arange(1000.0))  # gives the GIL up
-            seen.append(rows.start)
+        def scenario():
+            # the child's own pool and settings, gone with the child
+            neuralcore._WORKERS = workers
+            neuralcore._POOL = ThreadPoolExecutor(workers)
+            seen = []
 
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            runner = threading.Thread(target=neuralcore._run_blocks,
-                                      args=(record, neuralcore._row_blocks(5000, 7)))
-            runner.start()
-            runner.join(60)
-        finally:
-            sys.setswitchinterval(interval)
-            pool.shutdown(wait=False)
-        assert not runner.is_alive()
-        assert sorted(seen) == list(range(0, 5000, 7))
+            def record(rows):
+                np.sqrt(np.arange(1000.0))  # gives the GIL up
+                seen.append(rows.start)
 
-    def test_an_exception_in_a_chunk_reaches_the_caller(self, monkeypatch):
+            sys.setswitchinterval(1e-6)
+            neuralcore._run_blocks(record, neuralcore._row_blocks(5000, 7))
+            assert sorted(seen) == list(range(0, 5000, 7))
+
+        self.in_forked_child(scenario)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_an_exception_in_a_chunk_reaches_the_caller(self):
         # the second GELU block raises on whichever worker runs it; its task
         # ends holding a chunk's buffers, which must not stall the other task
         # nor the next forward
-        pool = ThreadPoolExecutor(2)
-        monkeypatch.setattr(neuralcore, "_WORKERS", 2)
-        monkeypatch.setattr(neuralcore, "_POOL", pool)
-        rng = np.random.default_rng(20)
-        m = make_mlp([16, 1152, 64], rng)
-        x = rng.normal(0, 1, (4096, 16))
-        want, _ = mlp_forward(m, x)
-        gelu_rows, calls = neuralcore._gelu_rows, []
+        def scenario():
+            neuralcore._WORKERS = 2
+            neuralcore._POOL = ThreadPoolExecutor(2)
+            rng = np.random.default_rng(20)
+            m = make_mlp([16, 1152, 64], rng)
+            x = rng.normal(0, 1, (4096, 16))
+            want, _ = mlp_forward(m, x)
+            gelu_rows, calls = neuralcore._gelu_rows, []
 
-        def second_call_fails(*args):
-            calls.append(None)
-            if len(calls) == 2:
-                raise RuntimeError("a chunk failed")
-            gelu_rows(*args)
+            def second_call_fails(*args):
+                calls.append(None)
+                if len(calls) == 2:
+                    raise RuntimeError("a chunk failed")
+                gelu_rows(*args)
 
-        monkeypatch.setattr(neuralcore, "_gelu_rows", second_call_fails)
-        outcomes = []
-
-        def two_forwards():
+            neuralcore._gelu_rows = second_call_fails
+            outcomes = []
             for _ in range(2):
                 try:
                     outcomes.append(mlp_forward(m, x, tape=False)[0])
                 except RuntimeError as error:
                     outcomes.append(error)
+            assert len(outcomes) == 2
+            assert isinstance(outcomes[0], RuntimeError) and str(outcomes[0]) == "a chunk failed"
+            assert bitwise_equal(outcomes[1], want)
 
-        runner = threading.Thread(target=two_forwards)
-        try:
-            runner.start()
-            runner.join(60)
-        finally:
-            pool.shutdown(wait=False)
-        assert not runner.is_alive()
-        assert len(outcomes) == 2
-        assert isinstance(outcomes[0], RuntimeError) and str(outcomes[0]) == "a chunk failed"
-        assert bitwise_equal(outcomes[1], want)
+        self.in_forked_child(scenario)
 
     @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
     def test_a_forked_child_runs_blocks_on_workers_of_its_own(self, monkeypatch):
@@ -546,18 +559,11 @@ class TestRowBlocksOnWorkers:
         m, x, _ = TestBlockedActivations.net_and_input(3 * B + 1)
         want, _ = mlp_forward(m, x, tape=False)  # the parent's workers are running
 
-        def child():
+        def scenario():
             got, _ = mlp_forward(m, x, tape=False)
-            os._exit(0 if bitwise_equal(got, want) else 1)
+            assert bitwise_equal(got, want)
 
-        proc = multiprocessing.get_context("fork").Process(target=child)
-        proc.start()
-        proc.join(60)
-        if proc.exitcode is None:
-            proc.kill()
-            proc.join()
-            pytest.fail("the forked child hung on the parent's worker pool")
-        assert proc.exitcode == 0
+        self.in_forked_child(scenario)
 
     @pytest.mark.parametrize("tape", [True, False])
     def test_exception_in_a_block_reaches_the_caller(self, monkeypatch, tape):

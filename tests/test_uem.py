@@ -8,10 +8,11 @@ from llrseg.datamodel import (
     IGNORE,
     BinaryOutlierMap,
     FeatureMap,
+    LabelMap,
     ModelBundle,
     tensor_digest,
 )
-from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, LlrsegError
+from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, IllegalLabel, LlrsegError
 from llrseg.gmm import GmmHead, component_log_densities, gmm_all_log_densities_with_grad
 from llrseg.inlier import (
     DISCRIMINATIVE,
@@ -162,6 +163,16 @@ class TestLlrLoss:
         loss, _ = llr_loss(u, inlier, f, BinaryOutlierMap(targets), cfg)
         assert loss == pytest.approx(np.log(2), abs=1e-12)
 
+    def test_a_label_past_two_classes_raises(self):
+        """`validate_pair` owns the pair rule: dims and two classes."""
+        rng = np.random.default_rng(9)
+        u = build_uem(5, 6, 5, DISCRIMINATIVE, 2, rng)
+        f = FeatureMap(rng.normal(0, 1, (5, 2, 2)))
+        with pytest.raises(IllegalLabel) as exc:
+            llr_loss(u, frozen_inlier(rng), f, LabelMap(np.array([[0, 1], [2, 0]])),
+                     LlrConfig(head_kind=DISCRIMINATIVE))
+        assert (exc.value.value, exc.value.position) == (2, 2)
+
     @pytest.mark.parametrize("kind", [DISCRIMINATIVE, GENERATIVE])
     def test_gradients_match_finite_differences(self, kind):
         assert llr_grad_error(kind, seed=0) < 1e-4
@@ -299,6 +310,13 @@ class TestTrainUem:
         for name, digest in before.items():
             assert tensor_digest(stage2.tensors[name]) == digest
         assert verify_freeze(stage2)
+
+    def test_a_scene_of_another_channel_count_raises(self):
+        dataset, stage1 = self.stage1()
+        pairs = mixed_pairs(dataset)
+        pairs[1] = (FeatureMap(np.zeros((9, 24, 24))), pairs[1][1])
+        with pytest.raises(DimMismatch, match="scene 1 has 9 channels, scene 0 has 8"):
+            train_uem(stage1, pairs, self.ucfg())
 
     def test_unknown_head_kind_rejected(self):
         """A head's kind is its tensor names, so a config names one of the
