@@ -3,7 +3,8 @@
 Feature and score maps live in memory as float64 arrays, label maps (an
 outlier map is a two-class label map) as uint8, and all are serialized
 with fixed little-endian layouts (32-bit floats on disk). Arrays are marked
-read-only after construction so instances can be shared across workers.
+read-only after construction so instances can be shared across workers; a
+map copies an array its caller can still write, and keeps a read-only one.
 """
 from __future__ import annotations
 
@@ -51,7 +52,13 @@ TENSOR_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")
 MAX_DIM = 1 << 24
 
 
-def _freeze(a: np.ndarray) -> np.ndarray:
+def _freeze(a: np.ndarray, given) -> np.ndarray:
+    """a marked read-only, copied first if it may share memory with given,
+    the caller's input, through which or whose base the caller can write."""
+    if isinstance(given, np.ndarray) and np.may_share_memory(a, given) and (
+            given.flags.writeable
+            or isinstance(given.base, np.ndarray) and given.base.flags.writeable):
+        a = a.copy()
     a.flags.writeable = False
     return a
 
@@ -86,7 +93,7 @@ class FeatureMap:
         if min(data.shape) < 1:
             raise DimMismatch(f"degenerate feature map shape {data.shape}")
         _check_finite(data)
-        object.__setattr__(self, "data", _freeze(data))
+        object.__setattr__(self, "data", _freeze(data, self.data))
 
     @property
     def channels(self) -> int:
@@ -125,7 +132,7 @@ class LabelMap:
                 pos = int(np.argmax(bad.ravel()))
                 raise IllegalLabel(labels.ravel()[pos].item(), pos)
             labels = cast
-        object.__setattr__(self, "labels", _freeze(labels))
+        object.__setattr__(self, "labels", _freeze(labels, self.labels))
 
     @property
     def height(self) -> int:
@@ -156,7 +163,7 @@ class ScoreMap:
         if scores.ndim != 2 or min(scores.shape) < 1:
             raise DimMismatch(f"score map must be 2-d, got shape {scores.shape}")
         _check_finite(scores)
-        object.__setattr__(self, "scores", _freeze(scores))
+        object.__setattr__(self, "scores", _freeze(scores, self.scores))
 
     @property
     def height(self) -> int:
@@ -321,7 +328,7 @@ class ModelBundle:
             with np.errstate(over="ignore"):
                 tensors[name] = np.asarray(t, dtype=np.float32).astype(np.float64)
             _check_finite(tensors[name], f"float32 value in tensor {name!r}")
-            _freeze(tensors[name])
+            tensors[name] = _freeze(tensors[name], t)
         object.__setattr__(self, "tensors", MappingProxyType(tensors))
 
     def save(self, dirpath) -> None:

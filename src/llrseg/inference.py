@@ -109,4 +109,7 @@ def score_image(stage2: ModelBundle, f: FeatureMap, plan: TilePlan,
     for rows in _row_blocks(n, max(2, plan.window[0] * plan.window[1])):
         batch = FeatureMap(pixels[:, None, rows])
         scores[rows] = _score_tile(inlier_model, uem_model, batch, scorer)[0]
+    # read-only, so the map keeps it: a copy of each frame's scores raised
+    # the peak RSS of scoring three 128x128 frames by ~0.8 MB
+    scores.flags.writeable = False
     return ScoreMap(scores.reshape(f.height, f.width))

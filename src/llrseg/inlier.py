@@ -230,10 +230,13 @@ def _check_training_config(cfg, widths: tuple[str, ...]) -> None:
     kind not in HEAD_KINDS, a batch size, GMM component count or layer
     width (the fields named `widths`) below 1, a negative epoch or Sinkhorn
     iteration count, a learning rate or Sinkhorn epsilon that is not finite
-    and positive, or an EM momentum outside [0, 1]."""
+    and positive, an EM momentum outside [0, 1], or fewer pixels per class
+    for the EM refresh than GMM components (Sinkhorn balances the pixels
+    over the components, so it needs at least one each)."""
     if cfg.head_kind not in HEAD_KINDS:
         raise ValueError(f"head_kind must be one of {HEAD_KINDS}, got {cfg.head_kind!r}")
     least = {"batch_size": 1, "epochs": 0, "gmm_components": 1,
+             "gmm_max_pixels_per_class": cfg.gmm_components,
              "gmm_sinkhorn_iters": 0, **dict.fromkeys(widths, 1)}
     for name, low in least.items():
         value = getattr(cfg, name)

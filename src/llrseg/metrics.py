@@ -24,13 +24,14 @@ class ScoredPixels:
 
     def __post_init__(self):
         scores = np.asarray(self.scores, dtype=np.float64).ravel()
-        labels = np.asarray(self.labels).astype(np.int64).ravel()
+        labels = np.asarray(self.labels).ravel()
         if scores.shape != labels.shape:
             raise DimMismatch("scores and labels differ in length")
         if not np.isfinite(scores).all():
             raise ValueError("non-finite scores")
-        if np.any((labels != 0) & (labels != 1)):
+        if np.any((labels != 0) & (labels != 1)):  # before a cast truncates 0.5
             raise ValueError("labels must be binary")
+        labels = labels.astype(np.int64)
         object.__setattr__(self, "scores", scores)
         object.__setattr__(self, "labels", labels)
 

@@ -7,24 +7,24 @@ at its pre-activation, all the exact reverse pass needs, so that pass
 evaluates no erf. mlp_backward spends the tape: it writes its gradients over
 the tape's own buffers, so a taped hidden layer holds two arrays of its
 width, and a later mlp_forward refills a spent tape's buffers instead of
-allocating new ones. A forward-only pass (`tape=False`) keeps no tape: it
-takes the rows in chunks of about CHUNK_ENTRIES entries of the widest layer
-shared among the workers (512 rows of the 1152-wide decoder on two), runs
-each chunk through every layer in chunk-sized buffers, activating in place,
-and writes it into one output array, so no hidden layer is ever held for all
-rows.
+allocating new ones. Every forward takes the rows in chunks of about
+CHUNK_ENTRIES entries of the widest layer shared among the workers (512
+rows of the 1152-wide decoder on two) and runs each chunk through every
+layer: a taped one into the tape's buffers, a forward-only one
+(`tape=False`) in chunk-sized buffers, activating in place, writing it into
+one output array, so that no hidden layer is ever held for all rows.
 
 Work runs on a worker per CPU in the process's affinity set (NumPy's ufuncs
 and matmuls and scipy's erf release the GIL), and no result depends on the
-worker count. A tape-free chunk runs whole on one worker: each layer's
-matmul and bias, then GELU in place over row blocks of BLOCK_ENTRIES entries
-(`_row_blocks`), each small enough to stay in L2 cache. The taped pass and
-the reverse pass run GELU, its derivative and the gradient's product with it
-in such row blocks on the workers, and their matmuls on the calling thread,
-over every row at once: OpenBLAS picks its kernel by the product's shape,
-and kernels round small products differently, so a matmul of a few rows
-would change result bits. The forward-only chunks are kept tall enough for
-their narrowest layer that they do not (`_forward_chunks`).
+worker count. A forward's chunk runs whole on one worker: each layer's
+matmul and bias, then GELU (and, with a tape, its slope) over row blocks of
+BLOCK_ENTRIES entries (`_row_blocks`), each small enough to stay in L2
+cache. OpenBLAS picks its kernel by the product's shape, and kernels round
+small products differently, so a matmul of a few rows would change result
+bits; the chunks are kept tall enough for their narrowest layer that they
+do not (`_forward_chunks`). The reverse pass multiplies by the slopes in
+such row blocks on the workers, and runs its matmuls, which sum over rows,
+on the calling thread over every row at once.
 """
 from __future__ import annotations
 
@@ -49,13 +49,13 @@ ADAM_EPS = 1e-8
 # pre-activations, gates and outputs takes 1.8 MB, inside a 2 MB L2 cache
 # (the taped pass's slope takes a fourth 0.6 MB block of scratch)
 BLOCK_ENTRIES = 64 * 1152
-# entries of the widest layer in the chunks a tape-free forward holds at
-# once, one per worker: 1024 rows of the decoder's 1152-wide layer, 512 per
-# worker on two, 9.4 MB in place of the 37.7 MB of a 4096-row scoring
-# batch. A 4096-row decoder forward on a 2-core x86-64 machine with one
-# BLAS thread (median of 40, three rounds) took 48-51 / 53-55 / 54-63 ms
-# with chunks of 256 / 512 / 1024 rows per worker, and 61-69 ms when the
-# caller ran every 1024-row chunk's matmuls and only GELU ran on workers.
+# entries of the widest layer in the chunks a forward runs at once, one per
+# worker: 1024 rows of the decoder's 1152-wide layer, 512 per worker on
+# two, 9.4 MB in place of the 37.7 MB of a 4096-row scoring batch. A
+# 4096-row decoder forward on a 2-core x86-64 machine with one BLAS thread
+# (median of 40, three rounds) took 48-51 / 53-55 / 54-63 ms with chunks of
+# 256 / 512 / 1024 rows per worker, and 61-69 ms when the caller ran every
+# 1024-row chunk's matmuls and only GELU ran on workers.
 CHUNK_ENTRIES = 1024 * 1152
 
 
@@ -78,10 +78,10 @@ def _row_blocks(n: int, rows: int, least: int = 2) -> list[slice]:
 
 
 def _forward_chunks(n: int, widths: list[int]) -> list[slice]:
-    """The row chunks of a tape-free forward through layers of these output
-    widths: CHUNK_ENTRIES // _WORKERS entries of the widest layer each (512
-    rows of the decoder on two workers), as each worker holds one chunk's
-    buffers at a time, and none, the tail included, shorter than
+    """The row chunks of a forward through layers of these output widths:
+    CHUNK_ENTRIES // _WORKERS entries of the widest layer each (512 rows of
+    the decoder on two workers), as each worker holds one chunk's buffers at
+    a time, and none, the tail included, shorter than
     max(64, ceil(4096 / narrowest width)) rows.
 
     OpenBLAS picks its GEMM kernel by the product's shape, and the kernels
@@ -121,7 +121,7 @@ def _run_blocks(fn, blocks: list) -> None:
     then reaches the caller.
 
     A block is any work that gives the same bits on every thread: a row
-    block of an elementwise pass, or a tape-free forward's whole chunk,
+    block of an elementwise pass, or a forward's whole chunk,
     matmuls included. fn may run on a worker thread, so it may call only
     NumPy, SciPy and private helpers: perfbench's tracer wraps every public
     function of the package with one shared span stack, and must not see a
@@ -154,10 +154,11 @@ def _gelu_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray) -> None:
     out *= gate
 
 
-def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray) -> None:
+def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray,
+                     pdf: np.ndarray) -> None:
     """GELU of the rows pre into out, and its slope cdf + pre*pdf at pre
-    over pre, cdf = gate/2, pdf = exp(-pre²/2)/√(2π); the gate is scratch."""
-    gate, pdf = np.empty_like(pre), np.empty_like(pre)
+    over pre, cdf = gate/2, pdf = exp(-pre²/2)/√(2π); gate and pdf, of pre's
+    shape, are scratch."""
     _gelu_rows(pre, out, gate)
     np.square(pre, out=pdf)
     pdf *= -0.5
@@ -295,73 +296,71 @@ def mlp_forward(m: Mlp, x: np.ndarray,
     forward refills it and returns it: its buffers take this forward's rows
     wherever they are wide and tall enough, so the steps of a training loop
     allocate the tape once. The output is a new array either way, which no
-    later forward overwrites. With tape=False the tape is None, and each
-    `_forward_chunks` chunk goes through every layer on one worker, each
-    hidden layer's GELU overwriting its pre-activation in a chunk-sized
-    buffer. The caller allocates one set of these buffers per worker, and
-    each chunk borrows a set that no running chunk holds, so no hidden layer
-    is ever alive for all rows. x itself is never written."""
+    later forward overwrites. Each `_forward_chunks` chunk goes through every
+    layer on one worker, into the tape's buffers or, with tape=False (the
+    tape is then None), into chunk-sized buffers, each hidden layer's GELU
+    overwriting its pre-activation, so no hidden layer is ever alive for all
+    rows. The caller allocates a set of chunk buffers and GELU scratch per
+    task, and each chunk borrows a set that no running chunk holds. x itself
+    is never written."""
     x = np.asarray(x, dtype=np.float64)
     if x.ndim != 2 or x.shape[1] != m.in_dim:
         raise ValueError(f"input shape {x.shape} does not match in_dim {m.in_dim}")
     if not np.isfinite(x).all():
         raise ValueError("non-finite input")
     n, last = len(x), len(m.layers) - 1
-    if not tape:
-        widths = [layer.out_dim for layer in m.layers]
-        chunks = _forward_chunks(n, widths)
-        longest = max((rows.stop - rows.start for rows in chunks), default=0)
-        out = np.empty((n, m.out_dim))
-        # one set of buffers per task `_run_blocks` starts, each set the
-        # hidden layers of a chunk and GELU's gate for a block (a one-row
-        # tail joined to a block adds a row): a task borrows a set for each
-        # chunk and returns it after, and a task that raises ends, so the
-        # tasks left never outnumber the sets. The caller allocates them:
-        # gates the workers allocated themselves stayed in their own malloc
-        # arenas and raised the peak RSS of scoring by ~1 MB.
-        sets = SimpleQueue()
-        for _ in range(min(_WORKERS, len(chunks))):
-            sets.put(([np.empty((longest, width)) for width in widths[:-1]],
-                      np.empty(BLOCK_ENTRIES + max(widths[:-1], default=0))))
+    widths = [layer.out_dim for layer in m.layers]
+    chunks = _forward_chunks(n, widths)
+    longest = max((rows.stop - rows.start for rows in chunks), default=0)
+    out = np.empty((n, m.out_dim))
+    if tape:
+        tape = tape if isinstance(tape, Tape) else Tape()
+        tape.spent = True  # until it is filled
+        old, tape.buffers = tape.buffers, {}
+        tape.layers = [layer.weight.shape for layer in m.layers]
+        # a hidden layer's output and its pre-activation, which the slope
+        # overwrites; the net's output is its own pre-activation
+        taped = [tuple(_buffer_rows(old, tape.buffers, (i, key), n, width)
+                       for key in ("out", "pre")) for i, width in enumerate(widths[:-1])]
+        tape.inputs, tape.slopes = [x] + [h for h, _ in taped], [pre for _, pre in taped]
+    # A set per task `_run_blocks` starts, while the sets hold at most
+    # CHUNK_ENTRIES of the widest layer (a tail joined to the last chunk
+    # aside), so the sets do not grow with the worker count: surplus tasks
+    # wait for one. GELU's scratch is a gate and, with a tape, a pdf, for a
+    # block (a one-row tail joined to a block adds a row). Scratch that the
+    # workers allocated themselves stayed in their own malloc arenas and
+    # raised the peak RSS of scoring by ~1 MB.
+    block = max((min(longest, _rows_per_block(width) + 1) * width
+                 for width in widths[:-1]), default=0)
+    tall = chunks[0].stop if chunks else 1
+    sets = SimpleQueue()
+    for _ in range(min(_WORKERS, len(chunks), max(1, CHUNK_ENTRIES // (tall * max(widths))))):
+        hidden = taped if tape else [2 * (np.empty((longest, width)),) for width in widths[:-1]]
+        sets.put((hidden + [(out, out)], [np.empty(block) for _ in range(1 + bool(tape))]))
+    gelu = _gelu_slope_rows if tape else _gelu_rows
 
-        def chunk(rows):
-            hidden, gate = sets.get()
+    def chunk(rows):
+        layers, scratch = sets.get()
+        try:  # a set goes back even when the chunk raises
             h = x[rows]
-            for i, (layer, buf) in enumerate(zip(m.layers, hidden + [out[rows]])):
-                h = np.matmul(h, layer.weight.T, out=buf[:len(h)])
-                h += layer.bias
+            for i, (layer, (act, pre)) in enumerate(zip(m.layers, layers)):
+                # a chunk-sized buffer takes the chunk's rows from its first
+                at = rows if tape or i == last else slice(0, len(h))
+                act, pre = act[at], pre[at]
+                np.matmul(h, layer.weight.T, out=pre)
+                pre += layer.bias
                 if i < last:
-                    for r in _row_blocks(len(h), _rows_per_block(h.shape[1])):
-                        _gelu_rows(h[r], h[r], gate[:h[r].size].reshape(h[r].shape))
-            sets.put((hidden, gate))
+                    for r in _row_blocks(len(h), _rows_per_block(pre.shape[1])):
+                        gelu(pre[r], act[r], *(a[:pre[r].size].reshape(pre[r].shape)
+                                               for a in scratch))
+                h = act
+        finally:
+            sets.put((layers, scratch))
 
-        _run_blocks(chunk, chunks)
-        return out, None
-    if not isinstance(tape, Tape):
-        tape = Tape()
-    tape.spent = True  # until it is filled
-    old, tape.buffers = tape.buffers, {}
-    tape.layers = [layer.weight.shape for layer in m.layers]
-    tape.inputs, tape.slopes = [], []
-    h = x
-    for i, layer in enumerate(m.layers):
-        tape.inputs.append(h)
-        # the net's output is a new array and its own pre-activation; a
-        # hidden layer's output and pre-activation are tape buffers
-        if i == last:
-            out = pre = np.empty((n, layer.out_dim))
-        else:
-            out, pre = (_buffer_rows(old, tape.buffers, (i, key), n, layer.out_dim)
-                        for key in ("out", "pre"))
-        np.matmul(h, layer.weight.T, out=pre)
-        pre += layer.bias
-        if i < last:
-            _run_blocks(lambda r: _gelu_slope_rows(pre[r], out[r]),
-                        _row_blocks(n, _rows_per_block(layer.out_dim)))
-            tape.slopes.append(pre)
-        h = out
-    tape.spent = False
-    return h, tape
+    _run_blocks(chunk, chunks)
+    if tape:
+        tape.spent = False
+    return out, tape or None
 
 
 def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):

@@ -131,6 +131,21 @@ class TestRunConfig:
                        f"{key} must be >= 1, got {value}\n")
         assert not out.exists()
 
+    @pytest.mark.parametrize("section, value", [("uem", 3), ("inlier", 0)])
+    def test_fewer_em_pixels_than_components_exits_1(self, tmp_path, capsys, section, value):
+        """Sinkhorn needs a pixel per component: such a value used to pass
+        the config and fail in training with a message about Sinkhorn's
+        internals."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0,
+                                        section: {"gmm_max_pixels_per_class": value}}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == (f"error: LlrsegError: config section {section}: "
+                       f"gmm_max_pixels_per_class must be >= 5, got {value}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("config, key, value", [
         (DatasetConfig(), "height", 0), (InlierConfig(), "head_kind", "linear"),
         (LlrConfig(), "batch_size", 0), (InferenceConfig(), "window", 0),

@@ -145,6 +145,52 @@ class TestLabelAndOutlierMaps:
             load_score_map(p)
 
 
+MAPS = [(FeatureMap, "data", (2, 3, 3), np.float64), (ScoreMap, "scores", (3, 3), np.float64),
+        (LabelMap, "labels", (3, 3), np.uint8), (BinaryOutlierMap, "labels", (3, 3), np.uint8)]
+
+
+class TestMapsOwnTheirArrays:
+    """A map neither shares nor freezes an array its caller can still write,
+    and keeps one that no one can."""
+
+    def test_a_view_of_an_outlier_map_input_cannot_change_the_map(self):
+        a = np.zeros((2, 2), np.uint8)
+        v = a.view()
+        m = BinaryOutlierMap(a)
+        v[0, 0] = 7  # an illegal outlier label
+        assert m.labels[0, 0] == 0
+
+    @pytest.mark.parametrize("kind, field, shape, dtype", MAPS)
+    def test_a_writeable_input_is_copied_and_stays_writeable(self, kind, field, shape, dtype):
+        a = np.zeros(shape, dtype)
+        stored = getattr(kind(a), field)
+        assert not np.shares_memory(stored, a)
+        assert a.flags.writeable and not stored.flags.writeable
+        a[(0,) * a.ndim] = 1
+        assert stored[(0,) * a.ndim] == 0
+
+    @pytest.mark.parametrize("kind, field, shape, dtype", MAPS)
+    def test_a_read_only_input_is_kept(self, kind, field, shape, dtype):
+        a = np.zeros(shape, dtype)
+        a.flags.writeable = False
+        assert getattr(kind(a), field) is a
+
+    def test_a_read_only_view_of_a_writeable_array_is_copied(self):
+        a = np.zeros((3, 3))
+        v = a.view()
+        v.flags.writeable = False
+        m = ScoreMap(v)
+        a[0, 0] = 1
+        assert m.scores[0, 0] == 0
+
+    def test_a_batch_of_a_loaded_frame_is_no_copy(self, tmp_path):
+        """What scoring builds per batch, a view of a frozen frame, keeps it."""
+        save_feature_map(FeatureMap(np.zeros((2, 3, 3))), tmp_path / "f.fmap")
+        f = load_feature_map(tmp_path / "f.fmap")
+        batch = FeatureMap(f.data.reshape(2, -1)[:, None, 2:5])
+        assert np.shares_memory(batch.data, f.data)
+
+
 class TestValidatePair:
     def test_ok(self):
         f = FeatureMap(np.zeros((4, 8, 8)))

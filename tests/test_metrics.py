@@ -149,6 +149,19 @@ class TestRankingInvariance:
             brute_force_auroc(scores, labels), abs=1e-12)
 
 
+class TestScoredPixels:
+    @pytest.mark.parametrize("labels", [[0.5, 1.7, 0], [0, 1, 0.999], [0, 1, 2]])
+    def test_rejects_labels_that_are_not_0_or_1(self, labels):
+        """A fractional label is refused, not truncated by the int cast."""
+        with pytest.raises(ValueError, match="binary"):
+            ScoredPixels(scores=[0.1, 0.9, 0.5], labels=labels)
+
+    @pytest.mark.parametrize("labels", [[False, True, False], [0.0, 1.0, 0.0], [0, 1, 0]])
+    def test_bools_and_integral_floats_load(self, labels):
+        s = ScoredPixels(scores=[0.1, 0.9, 0.5], labels=labels)
+        assert s.labels.dtype == np.int64 and s.labels.tolist() == [0, 1, 0]
+
+
 class TestFromMaps:
     def test_ignore_removed(self):
         scores = ScoreMap(np.arange(6, dtype=float).reshape(2, 3))

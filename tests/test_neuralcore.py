@@ -172,7 +172,7 @@ class TestGeluTape:
         cdf = 0.5 * (1.0 + erf(x / np.sqrt(2.0)))
         pdf = (1.0 / np.sqrt(2.0 * np.pi)) * np.exp(-0.5 * x**2)
         slope, out = x.copy(), np.empty_like(x)
-        _gelu_slope_rows(slope, out)
+        _gelu_slope_rows(slope, out, np.empty_like(x), np.empty_like(x))
         assert bitwise_equal(out, 0.5 * x * (1.0 + erf(x / np.sqrt(2.0))))
         assert bitwise_equal(d * slope, d * (cdf + x * pdf))
 
@@ -201,6 +201,17 @@ def whole_array_gelu(pre):
     out = 0.5 * pre
     out *= gate
     return out, gate
+
+
+def whole_array_forward(m, x):
+    """Each layer's x @ W.T + b over all rows at once, then whole_array_gelu
+    on every hidden layer."""
+    h = x
+    for i, layer in enumerate(m.layers):
+        h = h @ layer.weight.T + layer.bias
+        if i < len(m.layers) - 1:
+            h = whole_array_gelu(h)[0]
+    return h
 
 
 def whole_array_d_pre(pre, gate, d):
@@ -242,7 +253,22 @@ class TestBlockedActivations:
 
     @pytest.mark.parametrize("rows", BLOCK_EDGE_ROWS)
     def test_tape_and_gradients_equal_whole_array_references(self, rows):
-        m, x, d_out = self.net_and_input(rows)
+        self.assert_tape_and_gradients_equal_whole_array_references(*self.net_and_input(rows))
+
+    # the decoder's chunk edges on two workers (512-row chunks) and three
+    # (341 rows), past one chunk: the taped forward runs them on workers
+    @pytest.mark.parametrize("workers", [2, 3])
+    @pytest.mark.parametrize("rows", [511, 512, 513, 575, 1024, 1087])
+    def test_decoder_tape_and_gradients_equal_whole_array_references(self, monkeypatch,
+                                                                     workers, rows):
+        monkeypatch.setattr(neuralcore, "_WORKERS", workers)
+        rng = np.random.default_rng(rows)
+        m = make_mlp([16, 1152, 64], rng)
+        self.assert_tape_and_gradients_equal_whole_array_references(
+            m, rng.normal(0, 2, (rows, 16)), rng.normal(0, 1, (rows, 64)))
+
+    @staticmethod
+    def assert_tape_and_gradients_equal_whole_array_references(m, x, d_out):
         inputs, pres, gates = [], [], []
         h = x
         last = len(m.layers) - 1
@@ -290,9 +316,16 @@ NARROW_NETS = [[5, 1152, 1152, 4], [16, 1152, 64, 5], [64, 64, 2], [16, 1152, 1]
 NARROW_ROWS = [1024, 1088, 1100, 1300, 4096, 4160]
 
 
+def modes_off_reference(free, taped, want):
+    """Which of the tape-free and taped outputs differ from want in a bit."""
+    return [mode for mode, out in (("tape-free", free), ("taped", taped))
+            if not bitwise_equal(out, want)]
+
+
 class TestForwardChunks:
-    """A forward without a tape runs in row chunks; its output must equal the
-    taped forward's, whose matmuls take all rows at once, bit for bit."""
+    """Every forward runs in row chunks; its output, with a tape or without,
+    must equal a whole-array forward's, whose matmuls take all rows at once,
+    bit for bit (so the two forwards also equal each other)."""
 
     @pytest.mark.parametrize("dims", PACKAGE_NETS)
     @pytest.mark.parametrize("rows", PACKAGE_ROWS)
@@ -302,7 +335,7 @@ class TestForwardChunks:
         data = rng.normal(0, 1, (dims[0], rows))
         # C order, and the Fortran-order view FeatureMap.pixels() returns
         for x in (np.ascontiguousarray(data.T), data.T):
-            self.assert_equal_taped_on_any_workers(monkeypatch, m, x)
+            self.assert_equal_whole_array_on_any_workers(monkeypatch, m, x)
 
     # the projection's chunks are 18432, 9216 and 6144 rows tall with one,
     # two and three workers, and at least 171 (ceil(4096 / 24))
@@ -311,17 +344,19 @@ class TestForwardChunks:
     def test_projection_net_equals_taped_at_its_chunk_edges(self, monkeypatch, rows):
         rng = np.random.default_rng(rows)
         m = make_mlp([16, 24, 24, 64], rng)
-        self.assert_equal_taped_on_any_workers(monkeypatch, m, rng.normal(0, 1, (rows, 16)))
+        self.assert_equal_whole_array_on_any_workers(monkeypatch, m,
+                                                     rng.normal(0, 1, (rows, 16)))
 
     @staticmethod
-    def assert_equal_taped_on_any_workers(monkeypatch, m, x):
-        """One, two and three workers' tape-free output is the taped one,
-        and x is left unwritten."""
+    def assert_equal_whole_array_on_any_workers(monkeypatch, m, x):
+        """One, two and three workers' output, with a tape and without, is
+        the whole-array one, and x is left unwritten."""
         kept = x.copy()
-        want, _ = mlp_forward(m, x)
+        want, tape = whole_array_forward(m, x), True
         for workers in (1, 2, 3):
             monkeypatch.setattr(neuralcore, "_WORKERS", workers)
-            assert bitwise_equal(mlp_forward(m, x, tape=False)[0], want)
+            taped, tape = mlp_forward(m, x, tape=tape)
+            assert modes_off_reference(mlp_forward(m, x, tape=False)[0], taped, want) == []
         assert bitwise_equal(x, kept)
 
     @pytest.mark.parametrize("dims", NARROW_NETS)
@@ -330,7 +365,8 @@ class TestForwardChunks:
         rng = np.random.default_rng(rows)
         m = make_mlp(dims, rng)
         x = rng.normal(0, 1, (rows, dims[0]))
-        assert bitwise_equal(mlp_forward(m, x, tape=False)[0], mlp_forward(m, x)[0])
+        assert modes_off_reference(mlp_forward(m, x, tape=False)[0], mlp_forward(m, x)[0],
+                                   whole_array_forward(m, x)) == []
 
     def test_forward_without_tape_keeps_no_hidden_buffer(self):
         rng = np.random.default_rng(0)
@@ -347,6 +383,23 @@ class TestForwardChunks:
         # block of gate per worker and the [N, 64] output; all N rows of the
         # hidden layer take 1.0x
         assert peak < 0.5 * hidden_bytes
+
+    def test_chunk_buffers_do_not_grow_with_the_worker_count(self, monkeypatch):
+        """64 workers take 64-row chunks of the decoder, the shortest it
+        runs; a set of chunk buffers for each of them took 2.1x the hidden
+        layer, and the sets that fit in CHUNK_ENTRIES take under 0.6x."""
+        monkeypatch.setattr(neuralcore, "_WORKERS", 64)
+        rng = np.random.default_rng(0)
+        m = make_mlp([16, 1152, 64], rng)
+        x = rng.normal(0, 1, (4096, 16))
+        tracemalloc.start()
+        try:
+            out, _ = mlp_forward(m, x, tape=False)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 0.6 * x.shape[0] * 1152 * 8
+        assert bitwise_equal(out, whole_array_forward(m, x))
 
 
 class TestTapeReuse:
@@ -550,6 +603,38 @@ class TestRowBlocksOnWorkers:
             assert len(outcomes) == 2
             assert isinstance(outcomes[0], RuntimeError) and str(outcomes[0]) == "a chunk failed"
             assert bitwise_equal(outcomes[1], want)
+
+        self.in_forked_child(scenario)
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    def test_an_exception_with_more_tasks_than_buffer_sets_reaches_the_caller(self):
+        # a net with a two-wide layer runs in chunks of 2048 rows, so two of
+        # them fill CHUNK_ENTRIES: two workers share one set of buffers, and
+        # a task whose chunk raises must return it to the other
+        def scenario():
+            neuralcore._WORKERS = 2
+            neuralcore._POOL = ThreadPoolExecutor(2)
+            rng = np.random.default_rng(21)
+            m = make_mlp([16, 1152, 2], rng)
+            x = rng.normal(0, 1, (4096, 16))
+            assert len(neuralcore._forward_chunks(len(x), [1152, 2])) == 2
+            want, _ = mlp_forward(m, x, tape=False)
+            gelu_rows, calls = neuralcore._gelu_rows, []
+
+            def first_call_fails(*args):
+                calls.append(None)
+                if len(calls) == 1:
+                    raise RuntimeError("a chunk failed")
+                gelu_rows(*args)
+
+            neuralcore._gelu_rows = first_call_fails
+            try:
+                mlp_forward(m, x, tape=False)
+            except RuntimeError as error:
+                assert str(error) == "a chunk failed"
+            else:
+                raise AssertionError("the chunk's exception did not reach the caller")
+            assert bitwise_equal(mlp_forward(m, x, tape=False)[0], want)
 
         self.in_forked_child(scenario)
 

@@ -208,6 +208,14 @@ class TestLlrLoss:
         with pytest.raises(ValueError, match=field):
             LlrConfig(**{field: value})
 
+    @pytest.mark.parametrize("config", [InlierConfig, LlrConfig])
+    def test_config_rejects_fewer_em_pixels_than_components(self, config):
+        with pytest.raises(ValueError, match="gmm_max_pixels_per_class must be >= 5, got 4"):
+            config(gmm_max_pixels_per_class=4)
+        with pytest.raises(ValueError, match="gmm_max_pixels_per_class must be >= 2, got 1"):
+            config(gmm_components=2, gmm_max_pixels_per_class=1)
+        assert config(gmm_components=2, gmm_max_pixels_per_class=2).gmm_components == 2
+
     def test_config_accepts_momentum_bounds(self):
         for momentum in (0.0, 1.0):
             assert LlrConfig(gmm_momentum=momentum).gmm_momentum == momentum
