@@ -23,7 +23,6 @@ from .datamodel import (
     load_outlier_map,
     save_feature_map,
     save_label_map,
-    save_outlier_map,
 )
 from .errors import LlrsegError
 
@@ -250,6 +249,9 @@ class DatasetConfig:
         if not 0 < self.min_area <= self.max_area <= 1:
             raise ValueError(f"min_area and max_area must satisfy 0 < min_area <= "
                              f"max_area <= 1, got {self.min_area} and {self.max_area}")
+        if not 0 <= self.train_bank <= self.bank_size:
+            raise ValueError(f"train_bank must be in [0, bank_size ({self.bank_size})], "
+                             f"got {self.train_bank}")
         # train_uem scenes draw outliers from the training bank members,
         # eval scenes from the rest
         if self.splits[1] > 0 and self.train_bank < 1:
@@ -298,7 +300,7 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict:
             scene_dir.mkdir(parents=True, exist_ok=True)
             save_feature_map(feats, scene_dir / "features.fmap")
             save_label_map(labels, scene_dir / "labels.lmap")
-            save_outlier_map(omap, scene_dir / "outliers.lmap")
+            save_label_map(omap, scene_dir / "outliers.lmap")
             scenes.append({"index": idx, "split": split,
                            "path": f"scenes/{idx:04d}"})
             idx += 1
@@ -322,11 +324,25 @@ def make_dataset(config: DatasetConfig, out_dir) -> dict:
 
 def load_split(dataset_dir, split: str):
     """The (FeatureMap, LabelMap, BinaryOutlierMap) triples of a split, in
-    scene order."""
+    scene order. A manifest that is not JSON, not an object, has no
+    `scenes` list, or lists a scene without a string `split` and `path`
+    raises LlrsegError naming the file."""
     dataset_dir = Path(dataset_dir)
-    manifest = json.loads((dataset_dir / "manifest.json").read_text(encoding="utf-8"))
+    path = dataset_dir / "manifest.json"
+    try:
+        manifest = json.loads(path.read_text(encoding="utf-8"))
+    except (json.JSONDecodeError, UnicodeDecodeError) as exc:
+        raise LlrsegError(f"dataset manifest {path} is not valid JSON: {exc}") from None
+    if not isinstance(manifest, dict):
+        raise LlrsegError(f"dataset manifest {path} is not a JSON object")
+    if not isinstance(manifest.get("scenes"), list):
+        raise LlrsegError(f"dataset manifest {path} has no 'scenes' list")
     out = []
-    for scene in manifest["scenes"]:
+    for i, scene in enumerate(manifest["scenes"]):
+        if not (isinstance(scene, dict) and isinstance(scene.get("split"), str)
+                and isinstance(scene.get("path"), str)):
+            raise LlrsegError(f"dataset manifest {path}: scene {i} has no "
+                              "string 'split' and 'path'")
         if scene["split"] != split:
             continue
         p = dataset_dir / scene["path"]

@@ -261,10 +261,6 @@ def load_label_map(path) -> LabelMap:
     return LabelMap(_decode(Path(path).read_bytes(), LMAP_MAGIC))
 
 
-def save_outlier_map(omap: BinaryOutlierMap, path) -> None:
-    Path(path).write_bytes(_encode(LMAP_MAGIC, omap.labels))
-
-
 def load_outlier_map(path) -> BinaryOutlierMap:
     return BinaryOutlierMap(_decode(Path(path).read_bytes(), LMAP_MAGIC))
 

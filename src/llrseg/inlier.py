@@ -23,7 +23,7 @@ from .datamodel import (
     ScoreMap,
     validate_pair,
 )
-from .errors import BadBundle, DimMismatch, LlrsegError
+from .errors import AllIgnored, BadBundle, DimMismatch, LlrsegError
 from .gmm import GmmHead, init_head, refresh
 from .metrics import miou
 from .neuralcore import (
@@ -102,7 +102,7 @@ def fit(model: PixelModel, x, y, loss, rng: np.random.Generator, cfg):
             opt, params = optimizer_step(opt, params, grads)
             model = PixelModel.from_tensors(params)
             losses.append(value)
-        loss_history.append(sum(losses) / max(1, len(losses)))
+        loss_history.append(sum(losses) / len(losses))
         if isinstance(model.head, GmmHead):
             z, _ = mlp_forward(model.net, x, tape=False)
             model = replace(model, head=refresh_head(model.head, z, y, rng, cfg, counters))
@@ -171,19 +171,19 @@ class PixelModel:
     def parameter_count(self) -> int:
         return sum(t.size for t in self.tensors().values())
 
-    def logits(self, f: FeatureMap) -> np.ndarray:
-        """Head logits [H*W, classes] of the pixels in row-major order."""
-        if f.channels != self.net.in_dim:
-            raise DimMismatch(f"feature map has {f.channels} channels, "
-                              f"model expects {self.net.in_dim}")
+    def logits(self, x: np.ndarray) -> np.ndarray:
+        """Head logits [N, classes] of pixel rows x [N, channels]."""
+        if np.shape(x)[1:] != (self.net.in_dim,):
+            raise DimMismatch(f"pixel rows of shape {np.shape(x)}, "
+                              f"model expects [N, {self.net.in_dim}]")
         # forward only: no tape, and the hidden layer is held one chunk at a time
-        z, _ = mlp_forward(self.net, f.pixels(), tape=False)
+        z, _ = mlp_forward(self.net, x, tape=False)
         return self.head.logits(z)
 
 
 def inlier_logits(m: PixelModel, f: FeatureMap) -> np.ndarray:
     """Per-pixel class logits with shape [K, H, W]."""
-    return m.logits(f).T.reshape(-1, f.height, f.width)
+    return m.logits(f.pixels()).T.reshape(-1, f.height, f.width)
 
 
 def inlier_predict(m: PixelModel, f: FeatureMap) -> LabelMap:
@@ -261,7 +261,10 @@ def holdout_split(n: int) -> tuple[list[int], list[int]]:
 
 
 def _gather_pixels(dataset, indices, num_classes):
-    """The non-IGNORE pixels of the indexed scenes: rows [N, C], labels [N]."""
+    """The labelled pixels of the indexed scenes: rows [N, C], labels [N] in
+    {0..num_classes-1}. Training drops IGNORE pixels here and nowhere else,
+    so the losses see labelled rows only; a scene pair that does not line up
+    raises (`validate_pair`), and AllIgnored when no labelled pixel is left."""
     feats, labels = [], []
     channels = dataset[0][0].channels
     for i in indices:
@@ -274,7 +277,10 @@ def _gather_pixels(dataset, indices, num_classes):
         keep = lab != IGNORE
         feats.append(px[keep])
         labels.append(lab[keep].astype(np.int64))
-    return np.concatenate(feats, axis=0), np.concatenate(labels)
+    y = np.concatenate(labels)
+    if y.size == 0:
+        raise AllIgnored("every pixel of the training scenes is IGNORE")
+    return np.concatenate(feats, axis=0), y
 
 
 def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult:
@@ -315,7 +321,7 @@ def train_inlier(dataset, num_classes: int, config: InlierConfig) -> TrainResult
             order = rng.permutation(x.shape[0])
             losses = [softmax_cross_entropy(head.logits(decoded[idx]), y[idx])[0]
                       for idx in _batches(order, config.batch_size)]
-            loss_history.append(sum(losses) / max(1, len(losses)))
+            loss_history.append(sum(losses) / len(losses))
             head = refresh_head(head, decoded, y, rng, config, counters)
         model = PixelModel(net=decoder, head=head)
     else:

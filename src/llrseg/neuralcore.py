@@ -36,8 +36,7 @@ from queue import SimpleQueue
 import numpy as np
 from scipy.special import erf, expit
 
-from .datamodel import IGNORE
-from .errors import AllIgnored, NonFiniteGradient, StaleTape
+from .errors import NonFiniteGradient, StaleTape
 
 _SQRT2 = float(np.sqrt(2.0))
 _INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
@@ -400,45 +399,27 @@ def mlp_backward(m: Mlp, tape: Tape, d_out: np.ndarray):
 # ---------------------------------------------------------------------------
 
 def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
-    """Mean CE over rows not labelled IGNORE; gradient is zero on those."""
+    """Mean cross-entropy of logits [N, K] against labels [N] in {0..K-1},
+    and its gradient."""
     logits = np.asarray(logits, dtype=np.float64)
-    labels = np.asarray(labels)
-    valid = labels != IGNORE
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise AllIgnored("every row is ignored")
+    rows = np.arange(len(labels))
     shifted = logits - logits.max(axis=1, keepdims=True)
     log_z = np.log(np.exp(shifted).sum(axis=1))
     log_probs = shifted - log_z[:, None]
-    rows = np.nonzero(valid)[0]
-    picked = log_probs[rows, labels[rows].astype(int)]
-    loss = -picked.mean()
-    d_logits = np.zeros_like(logits)
-    softmax = np.exp(log_probs[rows])
-    softmax[np.arange(rows.size), labels[rows].astype(int)] -= 1.0
-    d_logits[rows] = softmax / n_valid
+    loss = -log_probs[rows, labels].mean()
+    d_logits = np.exp(log_probs)
+    d_logits[rows, labels] -= 1.0
+    d_logits /= len(rows)
     return float(loss), d_logits
 
 
 def sigmoid_bce_with_logits(z: np.ndarray, targets: np.ndarray):
-    """Numerically stable binary cross entropy on raw logits.
-
-    targets holds {0, 1, IGNORE}; IGNORE entries contribute nothing to
-    loss or gradient.
-    """
+    """Numerically stable mean binary cross entropy of raw logits z against
+    targets in {0, 1}, and its gradient."""
     z = np.asarray(z, dtype=np.float64)
-    targets = np.asarray(targets)
-    valid = targets != IGNORE
-    n_valid = int(valid.sum())
-    if n_valid == 0:
-        raise AllIgnored("every entry is ignored")
-    zv = z[valid]
-    tv = targets[valid].astype(np.float64)
-    loss = (np.maximum(zv, 0.0) - zv * tv + np.log1p(np.exp(-np.abs(zv)))).mean()
-    dz = np.zeros_like(z)
-    sig = expit(zv)
-    dz[valid] = (sig - tv) / n_valid
-    return float(loss), dz
+    t = np.asarray(targets, dtype=np.float64)
+    loss = (np.maximum(z, 0.0) - z * t + np.log1p(np.exp(-np.abs(z)))).mean()
+    return float(loss), (expit(z) - t) / z.size
 
 
 # ---------------------------------------------------------------------------

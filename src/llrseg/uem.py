@@ -8,6 +8,9 @@ log p_out - log p_in - max_k F_k. Stage-2 training only ever touches the
 phi tensors (projection + UEM head); the theta tensors are digest-checked
 before and after. Adam trains the projection and a linear head; EM alone
 fits a GMM head, through which the loss's gradient reaches the projection.
+Training reads pixel rows: `_gather_pixels` drops the IGNORE pixels, and the
+loss and the frozen max_k F_k term both run over the labelled rows it
+returns. Scoring reads whole maps.
 """
 from __future__ import annotations
 
@@ -16,16 +19,8 @@ from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
-from .datamodel import (
-    IGNORE,
-    BinaryOutlierMap,
-    FeatureMap,
-    ModelBundle,
-    ScoreMap,
-    tensor_digest,
-    validate_pair,
-)
-from .errors import AllIgnored, BadBundle, DimMismatch, FreezeViolation, LlrsegError
+from .datamodel import BinaryOutlierMap, FeatureMap, ModelBundle, ScoreMap, tensor_digest
+from .errors import BadBundle, DimMismatch, FreezeViolation, LlrsegError
 from .gmm import GmmHead, gmm_all_log_densities_with_grad, init_head, sinkhorn_assign
 from .inlier import (
     DISCRIMINATIVE,
@@ -38,7 +33,6 @@ from .inlier import (
     _gather_pixels,
     fit,
     inlier_from_bundle,
-    max_inlier_logit,
     model_tensors,
     stage1_tensor_names,
     unprefixed,
@@ -71,7 +65,7 @@ def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
 
 def uem_forward(u: PixelModel, f: FeatureMap) -> tuple[np.ndarray, np.ndarray]:
     """Per-pixel (log p_in, log p_out) maps, each [H, W]."""
-    out = u.logits(f)
+    out = u.logits(f.pixels())
     h, w = f.height, f.width
     return out[:, INLIER_CLASS].reshape(h, w), out[:, OUTLIER_CLASS].reshape(h, w)
 
@@ -124,15 +118,11 @@ class LlrConfig:
 
 def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
                     targets: np.ndarray, cfg: LlrConfig):
-    """The LLR loss of the head over projected pixels.
+    """The LLR loss of the head over projected labelled pixels.
 
     z: [N, C_p] projection output; max_logit: [N] frozen inlier term;
-    targets: [N] in {0, 1, IGNORE}. Returns (loss, d_z, head gradients).
+    targets: [N] in {0, 1}. Returns (loss, d_z, head gradients).
     """
-    valid = targets != IGNORE
-    if not valid.any():
-        raise AllIgnored("every pixel is ignored")
-
     contrast = cfg.alpha > 0 and cfg.beta > 0 and isinstance(head, GmmHead)
     if contrast:
         # the contrast loss reads the forward's component log densities
@@ -170,7 +160,7 @@ def _contrast_loss(comp_ll: np.ndarray, components: int, targets: np.ndarray,
 
     Returns (loss, d_comp [N, 2C]).
     """
-    assigned = np.full(comp_ll.shape[0], IGNORE, dtype=np.int64)
+    assigned = np.empty(comp_ll.shape[0], dtype=np.int64)
     for k in range(2):
         rows = np.nonzero(targets == k)[0]
         if rows.size == 0:
@@ -188,13 +178,14 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
              outliers: BinaryOutlierMap, cfg: LlrConfig):
     """LLR training loss and gradients over the phi tensors only, keyed like
     `u.tensors(UEM_NAMES)`: the projection's, and a linear head's (EM fits a
-    GMM head, which gets none). The inlier model only supplies the max_k F_k
-    term: no theta tensor ever appears in the returned gradient record."""
-    validate_pair(f, outliers, 2)
-    max_logit = max_inlier_logit(inlier_model, f).ravel()
-    z, tape = mlp_forward(u.net, f.pixels())
-    loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit,
-                                            outliers.labels.ravel(), cfg)
+    GMM head, which gets none). The loss runs over the rows `_gather_pixels`
+    takes from the pair, as training's does. The inlier model only supplies
+    the max_k F_k term: no theta tensor ever appears in the returned
+    gradient record."""
+    x, y = _gather_pixels([(f, outliers)], [0], 2)
+    max_logit = inlier_model.logits(x).max(axis=1)
+    z, tape = mlp_forward(u.net, x)
+    loss, d_z, head_grads = _loss_and_grads(u.head, z, max_logit, y, cfg)
     proj_grads = mlp_backward(u.net, tape, d_z)
     return loss, model_tensors(proj_grads, head_grads, UEM_NAMES)
 
@@ -204,8 +195,9 @@ def llr_loss(u: PixelModel, inlier_model: PixelModel, f: FeatureMap,
 # ---------------------------------------------------------------------------
 
 def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
-    """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs, whose non-IGNORE
-    pixels `_gather_pixels` collects as it does stage 1's labelled scenes.
+    """Train the UEM on (FeatureMap, BinaryOutlierMap) pairs, whose labelled
+    pixels `_gather_pixels` collects as it does stage 1's scenes; the frozen
+    max_k F_k term is read from those rows.
 
     `fit` runs Adam on the LLR loss for the projection and a linear head. A
     GMM head is fitted by Sinkhorn EM alone, once per epoch; the loss's
@@ -234,11 +226,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
 
     # pixel rows and the frozen inlier term, precomputed once
     x, y = _gather_pixels(dataset, range(len(dataset)), 2)
-    if x.shape[0] == 0:
-        raise AllIgnored("every pixel in the dataset is ignored")
-    max_logit = np.concatenate([
-        max_inlier_logit(inlier_model, f).ravel()[omap.labels.ravel() != IGNORE]
-        for f, omap in dataset])
+    max_logit = inlier_model.logits(x).max(axis=1)
 
     if cfg.head_kind == GENERATIVE:
         z0, _ = mlp_forward(u.net, x, tape=False)

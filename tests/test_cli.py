@@ -80,6 +80,24 @@ class TestRunConfig:
         assert "Traceback" not in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("dataset, rule", [
+        ({"splits": [1, 4, 0], "train_bank": 12}, "got 12"),
+        ({"splits": [1, 4, 0], "train_bank": 9}, "got 9"),
+        ({"splits": [1, 0, 2], "train_bank": -1}, "got -1"),
+    ], ids=["12-of-8", "9-of-8", "negative"])
+    def test_train_bank_outside_the_bank_exits_1(self, tmp_path, capsys, dataset, rule):
+        """Refused whatever the splits: with no eval scenes, 12 of 8 members
+        died in NumPy and 9 wrote a manifest naming a member the bank lacks;
+        -1 gave eval scenes member 7 twice."""
+        cfg_path = tmp_path / "run.json"
+        cfg_path.write_text(json.dumps({"seed": 0, "dataset": dataset}))
+        out = tmp_path / "out"
+        assert main(["synth", "--config", str(cfg_path), "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err == ("error: LlrsegError: config section dataset: train_bank must be "
+                       f"in [0, bank_size (8)], {rule}\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("key, value, rule", [
         ("num_classes", 0, "num_classes must be in [1, 255], got 0"),
         ("num_classes", 256, "num_classes must be in [1, 255], got 256"),
@@ -357,6 +375,56 @@ class TestPipeline:
         assert err.startswith("error: DimMismatch: scene 1 has 18 channels, scene 0 has 8")
         assert "Traceback" not in err
         assert not (out / "stage1").exists()
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_train_inlier_rejects_scenes_with_no_labelled_pixel(self, tmp_path, capsys,
+                                                                kind):
+        """Both training scenes all IGNORE: a bundle trained on no pixel was
+        written, with a loss history of zeros."""
+        from llrseg.datamodel import IGNORE, LabelMap, save_label_map
+
+        cfg = tmp_path / "run.json"
+        cfg.write_text(json.dumps(
+            {**SMALL_RUN, "dataset": {**SMALL_RUN["dataset"], "splits": [3, 0, 0]},
+             "inlier": {**SMALL_RUN["inlier"], "head_kind": kind}}))
+        data = tmp_path / "data"
+        assert main(["synth", "--config", str(cfg), "--out", str(data)]) == 0
+        for scene in ("0000", "0001"):
+            save_label_map(LabelMap(np.full((24, 24), IGNORE, dtype=np.uint8)),
+                           data / "scenes" / scene / "labels.lmap")
+        out = tmp_path / "s1"
+        assert main(["train-inlier", "--config", str(cfg), "--dataset", str(data),
+                     "--out", str(out)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: AllIgnored: ")
+        assert "Traceback" not in err
+        assert not (out / "stage1").exists()
+
+    @pytest.mark.parametrize("manifest, fault", [
+        (b'{"scenes": ', "is not valid JSON"),
+        (b"\xff", "is not valid JSON"),
+        (b"[1, 2]", "is not a JSON object"),
+        (b'{"x": 1}', "has no 'scenes' list"),
+        (b'{"scenes": {"split": "train_inlier"}}', "has no 'scenes' list"),
+        (b'{"scenes": [{"path": "scenes/0000"}]}', "scene 0 has no string 'split' and 'path'"),
+        (b'{"scenes": [{"split": "eval", "path": "a"}, {"split": "train_inlier"}]}',
+         "scene 1 has no string 'split' and 'path'"),
+        (b'{"scenes": [{"split": "train_inlier", "path": 3}]}',
+         "scene 0 has no string 'split' and 'path'"),
+    ], ids=["cut-short", "not-utf8", "a-list", "no-scenes", "scenes-not-a-list",
+            "no-split", "second-has-no-path", "path-not-a-string"])
+    def test_train_inlier_rejects_a_broken_dataset_manifest(self, tmp_path, capsys,
+                                                            manifest, fault):
+        """Each died with a traceback: a JSONDecodeError, or a KeyError."""
+        data = tmp_path / "data"
+        data.mkdir()
+        (data / "manifest.json").write_bytes(manifest)
+        code = main(["train-inlier", "--dataset", str(data), "--out", str(tmp_path / "s1")])
+        err = capsys.readouterr().err
+        assert code == 1
+        assert err.startswith(f"error: LlrsegError: dataset manifest {data / 'manifest.json'}")
+        assert fault in err
+        assert "Traceback" not in err
 
     def test_score_rejects_window_zero(self, pipeline_dirs, tmp_path, capsys):
         d = pipeline_dirs

@@ -19,7 +19,6 @@ from llrseg.datamodel import (
     load_score_map,
     save_feature_map,
     save_label_map,
-    save_outlier_map,
     save_score_map,
     tensor_digest,
     validate_pair,
@@ -106,7 +105,7 @@ class TestLabelAndOutlierMaps:
 
     def test_outlier_round_trip(self, tmp_path):
         omap = BinaryOutlierMap(np.array([[0, 1], [IGNORE, 0]], dtype=np.uint8))
-        save_outlier_map(omap, tmp_path / "o.lmap")
+        save_label_map(omap, tmp_path / "o.lmap")
         assert np.array_equal(load_outlier_map(tmp_path / "o.lmap").labels, omap.labels)
 
     def test_outlier_rejects_other_values(self):

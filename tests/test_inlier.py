@@ -6,12 +6,13 @@ import pytest
 
 from llrseg import inlier
 from llrseg.anomalymix import random_spec, synth_scene
-from llrseg.datamodel import FeatureMap, LabelMap, ModelBundle, tensor_digest
-from llrseg.errors import LlrsegError
+from llrseg.datamodel import IGNORE, FeatureMap, LabelMap, ModelBundle, tensor_digest
+from llrseg.errors import AllIgnored, DimMismatch, LlrsegError
 from llrseg.gmm import VAR_FLOOR, GmmHead, component_log_densities, init_head, refresh
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
+    HEAD_KINDS,
     InlierConfig,
     PixelModel,
     bundle_from_inlier,
@@ -48,6 +49,15 @@ class TestLogits:
                                     bias=np.zeros_like(m.head.bias)))
         f = FeatureMap(rng.normal(0, 1, (4, 5, 5)))
         assert np.all(inlier_logits(m, f) == 0.0)
+
+    @pytest.mark.parametrize("shape", [(6, 5), (6, 3), (4,), (2, 3, 4)],
+                             ids=["wider", "narrower", "one-row", "a-map"])
+    def test_rows_of_another_width_raise(self, shape):
+        """`logits` takes pixel rows [N, channels]; a map goes through
+        `inlier_logits`."""
+        m = make_disc_model(np.random.default_rng(0))
+        with pytest.raises(DimMismatch, match=r"model expects \[N, 4\]"):
+            m.logits(np.zeros(shape))
 
     def test_generative_single_class_single_component(self):
         rng = np.random.default_rng(1)
@@ -303,6 +313,20 @@ class TestTrainInlier:
     def test_empty_dataset_rejected(self):
         with pytest.raises(LlrsegError):
             train_inlier([], 3, InlierConfig())
+
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_no_labelled_pixel_rejected(self, kind):
+        """Both training scenes all IGNORE: a bundle trained on no pixel came
+        out, its loss history the mean of no batches."""
+        rng = np.random.default_rng(5)
+        spec = random_spec(3, 8, 8, 8, rng)
+        scenes = [synth_scene(spec, rng) for _ in range(3)]
+        ignored = LabelMap(np.full((8, 8), IGNORE, dtype=np.uint8))
+        dataset = [(f, ignored) for f, _ in scenes[:2]] + scenes[2:]
+        cfg = InlierConfig(head_kind=kind, decoder_hidden=16, decoder_dim=4,
+                           epochs=2, gmm_components=2)
+        with pytest.raises(AllIgnored):
+            train_inlier(dataset, 3, cfg)
 
     def test_unknown_head_kind_rejected(self):
         with pytest.raises(ValueError, match="head_kind must be one of "

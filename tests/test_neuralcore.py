@@ -15,8 +15,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import erf
 
 from llrseg import neuralcore
-from llrseg.datamodel import IGNORE
-from llrseg.errors import AllIgnored, NonFiniteGradient, StaleTape
+from llrseg.errors import NonFiniteGradient, StaleTape
 from llrseg.neuralcore import (
     DenseLayer,
     Mlp,
@@ -689,22 +688,6 @@ class TestSoftmaxCrossEntropy:
             want += -(row[lab] - np.log(np.exp(row).sum()))
         assert loss == pytest.approx(float(want / 10), abs=1e-10)
 
-    def test_ignored_rows_equal_deleted_rows(self):
-        rng = np.random.default_rng(8)
-        logits = rng.normal(0, 1, (10, 3))
-        labels = rng.integers(0, 3, 10)
-        labels[[2, 5]] = IGNORE
-        loss_a, grad_a = softmax_cross_entropy(logits, labels)
-        keep = labels != IGNORE
-        loss_b, grad_b = softmax_cross_entropy(logits[keep], labels[keep])
-        assert loss_a == pytest.approx(loss_b, abs=1e-14)
-        assert np.allclose(grad_a[keep], grad_b, atol=1e-14)
-        assert np.all(grad_a[~keep] == 0)
-
-    def test_all_ignored(self):
-        with pytest.raises(AllIgnored):
-            softmax_cross_entropy(np.zeros((3, 2)), np.full(3, IGNORE))
-
 
 class TestSigmoidBce:
     def test_indifferent_logit(self):
@@ -731,14 +714,6 @@ class TestSigmoidBce:
         sig = 1.0 / (1.0 + np.exp(-z.astype(np.longdouble)))
         want = (-t * np.log(sig) - (1 - t) * np.log1p(-sig)).mean()
         assert loss == pytest.approx(float(want), abs=1e-10)
-
-    def test_ignored_entries_excluded(self):
-        z = np.array([0.5, -1.0, 2.0])
-        t = np.array([1, IGNORE, 0])
-        loss_a, grad_a = sigmoid_bce_with_logits(z, t)
-        loss_b, _ = sigmoid_bce_with_logits(z[[0, 2]], t[[0, 2]])
-        assert loss_a == pytest.approx(loss_b, abs=1e-14)
-        assert grad_a[1] == 0.0
 
 
 class TestOptimizers:

@@ -1,9 +1,12 @@
 """UEM forward, the three-term ratio score, its loss, and stage-2 training."""
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from llrseg import neuralcore
 from llrseg.datamodel import (
     IGNORE,
     BinaryOutlierMap,
@@ -17,9 +20,12 @@ from llrseg.gmm import GmmHead, component_log_densities, gmm_all_log_densities_w
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
+    HEAD_KINDS,
     InlierConfig,
     STAGE1_NAMES,
     PixelModel,
+    _gather_pixels,
+    max_inlier_logit,
     stage1_tensor_names,
     train_inlier,
 )
@@ -48,7 +54,8 @@ from llrseg.uem import (
 )
 from llrseg.selfcheck import llr_grad_error
 
-from test_inlier import digests, separable_dataset
+from test_inlier import digests, make_wide_disc_model, separable_dataset
+import test_neuralcore
 
 
 class TestUemForward:
@@ -272,7 +279,6 @@ class TestFusedGmmBackward:
             z = rng.normal(0, 1.5, (n, d))
             max_logit = rng.normal(0, 1, n)
             targets = rng.integers(0, 2, n).astype(np.int64)
-            targets[rng.random(n) < 0.1] = IGNORE
             if trial == 2:  # fewer outlier rows than components: argmax assignment
                 targets[np.nonzero(targets == 1)[0][components - 1:]] = 0
             loss, d_z, head_grads = _loss_and_grads(head, z, max_logit, targets, cfg)
@@ -281,6 +287,47 @@ class TestFusedGmmBackward:
             assert loss == want_loss
             assert d_z.shape == want_d_z.shape
             assert np.array_equal(d_z.view(np.int64), want_d_z.view(np.int64))
+
+
+class TestFrozenTerm:
+    """Stage 2 reads max_k F_k from the rows it trains on, in one forward;
+    it must equal the per-scene maps that `max_inlier_logit` gives, which
+    scoring reads, bit for bit, whatever the worker count."""
+
+    @staticmethod
+    def stage1_model(kind, rng, k=5):
+        """A stage-1 model of the default widths over 16 channels."""
+        m = make_wide_disc_model(rng, c_e=16, k=k)
+        if kind == DISCRIMINATIVE:
+            return m
+        return replace(m, head=GmmHead(means=rng.normal(0, 1, (k, 5, 64)),
+                                       variances=rng.uniform(0.5, 2.0, (k, 5, 64))))
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs fork")
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    @pytest.mark.parametrize("shape", [(17, 23), (40, 44)], ids=["17x23", "40x44"])
+    @pytest.mark.parametrize("kind", HEAD_KINDS)
+    def test_gathered_rows_equal_per_scene_maps(self, kind, shape, workers):
+        def scenario():
+            # the child's own pool and settings, gone with the child
+            neuralcore._WORKERS = workers
+            neuralcore._POOL = ThreadPoolExecutor(workers)
+            rng = np.random.default_rng(31)
+            m = self.stage1_model(kind, rng)
+            pairs = []
+            for _ in range(3):
+                f = FeatureMap(rng.normal(0, 2, (16, *shape)))
+                labels = rng.integers(0, 2, shape).astype(np.uint8)
+                labels[rng.random(shape) < 0.1] = IGNORE
+                pairs.append((f, BinaryOutlierMap(labels)))
+            x, _ = _gather_pixels(pairs, range(3), 2)
+            got = m.logits(x).max(axis=1)
+            want = np.concatenate([max_inlier_logit(m, f).ravel()[o.labels.ravel() != IGNORE]
+                                   for f, o in pairs])
+            assert got.shape == want.shape
+            assert got.tobytes() == want.tobytes()
+
+        test_neuralcore.TestRowBlocksOnWorkers.in_forked_child(scenario)
 
 
 def mixed_pairs(dataset, seed=0):
