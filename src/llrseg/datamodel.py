@@ -39,11 +39,13 @@ SMAP_MAGIC = b"SMAP"
 FORMAT_VERSION = 1
 DTYPE_F32 = 0
 # Model bundle layout version, written to manifest["format_version"].
-# Version 4 drops the head kinds and activation lists from the manifest and
-# names the stage-1 head `head.*` for both kinds; 3 drops the model
-# dimensions; 2 to 4 pack a GMM head as two [K, C, d] tensors, unversioned
-# bundles one file per component.
-BUNDLE_FORMAT_VERSION = 4
+# Version 5 runs every MLP with the tanh GELU and gives a generative UEM head
+# its broad outlier component (`uem.head.broad_mean`, `uem.head.broad_var`);
+# version 4's nets were trained with the erf GELU. Version 4 drops the head
+# kinds and activation lists from the manifest and names the stage-1 head
+# `head.*` for both kinds; 3 drops the model dimensions; 2 to 5 pack a GMM
+# head as two [K, C, d] tensors, unversioned bundles one file per component.
+BUNDLE_FORMAT_VERSION = 5
 # a tensor's file is `{name}.fmap` in the bundle directory, so a name is one
 # path component that does not start with a dot
 TENSOR_NAME = re.compile(r"[A-Za-z0-9_][A-Za-z0-9_.]*")

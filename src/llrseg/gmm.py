@@ -3,10 +3,16 @@
 One GmmHead serves every mixture in the package: the stage-1 class
 densities and the stage-2 inlier/outlier densities. Mixture
 weights are uniform per class and never stored or re-estimated, so the
-log-weight is the constant log(1/C). One in-place log-sum-exp, `_logsumexp`,
-serves the class densities and every Sinkhorn scaling: equal to
-scipy.special.logsumexp bit for bit on finite input, it skips the exps that
-underflow to 0.
+log-weight is the constant log(1/C). The stage-2 outlier class also holds a
+broad component with the moments of every training row, which EM never
+fits, so it is a mixture of C + 1 components weighing 1/(C+1) each:
+log p_out = logaddexp(log(C/(C+1)) + log p_mixture, log(1/(C+1)) +
+log N(z; m_b, v_b)). Far from the trained outlier components, the broad one
+keeps an unseen outlier from ranking below the inliers.
+
+One in-place log-sum-exp, `_logsumexp`, serves the class densities and
+every Sinkhorn scaling: equal to scipy.special.logsumexp bit for bit on
+finite input, it skips the exps that underflow to 0.
 
 A row's class log densities depend on that row alone, so the class
 densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
@@ -26,7 +32,7 @@ normalised on the [N, C] array itself.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -44,6 +50,9 @@ DENSITY_ROWS = 1024
 @dataclass(frozen=True)
 class GmmHead:
     """Per-class mixtures: means and diagonal variances, uniform weights.
+    The last class may hold one more Gaussian, the broad component, that EM
+    never fits (`with_broad` sets it to the moments of a set of rows); its
+    C + 1 components then each weigh 1/(C+1).
 
     Shares its head surface (`logits`, `logits_with_grad`, `tensors`,
     `from_tensors`, `in_dim`, `out_dim`) with the linear head,
@@ -52,18 +61,30 @@ class GmmHead:
 
     means: np.ndarray      # [K, C, d]
     variances: np.ndarray  # [K, C, d]
+    broad_mean: np.ndarray | None = None  # [d]
+    broad_var: np.ndarray | None = None   # [d]
 
     def __post_init__(self):
         means = np.asarray(self.means, dtype=np.float64)
         variances = np.asarray(self.variances, dtype=np.float64)
         if means.ndim != 3 or means.shape != variances.shape:
             raise DimMismatch(f"bad GMM shapes {means.shape} vs {variances.shape}")
+        object.__setattr__(self, "means", means)
+        object.__setattr__(self, "variances", variances)
+        if (self.broad_mean is None) != (self.broad_var is None):
+            raise DimMismatch("a broad component needs both a mean and a variance")
+        if self.broad_mean is not None:
+            for name in ("broad_mean", "broad_var"):
+                value = np.asarray(getattr(self, name), dtype=np.float64)
+                if value.shape != (self.in_dim,):
+                    raise DimMismatch(f"{name} of shape {value.shape}, "
+                                      f"the GMM has {self.in_dim} channels")
+                object.__setattr__(self, name, value)
+            variances = np.append(variances, self.broad_var)
         if np.any(variances < VAR_FLOOR):
             raise DegenerateCovariance(
                 f"variance below floor {VAR_FLOOR}: min={variances.min()}"
             )
-        object.__setattr__(self, "means", means)
-        object.__setattr__(self, "variances", variances)
 
     @property
     def classes(self) -> int:
@@ -81,8 +102,23 @@ class GmmHead:
 
     @property
     def log_weight(self) -> float:
-        """The uniform mixture log-weight log(1/C) of every component."""
+        """The uniform mixture log-weight log(1/C) of every component of a
+        class without the broad component."""
         return np.log(1.0 / self.components)
+
+    def class_components(self, k: int) -> tuple[np.ndarray, np.ndarray]:
+        """The means and variances of every component of class k, each
+        [C, d], or [C + 1, d] with the broad component last."""
+        if self.broad_mean is None or k != self.classes - 1:
+            return self.means[k], self.variances[k]
+        return (np.vstack([self.means[k], self.broad_mean]),
+                np.vstack([self.variances[k], self.broad_var]))
+
+    def with_broad(self, z: np.ndarray) -> "GmmHead":
+        """This head with its last class's broad component set to the mean
+        and diagonal variance (floored at VAR_FLOOR) of the rows z."""
+        return replace(self, broad_mean=z.mean(axis=0),
+                       broad_var=np.maximum(z.var(axis=0), VAR_FLOOR))
 
     def logits(self, x: np.ndarray) -> np.ndarray:
         return gmm_all_log_densities(x, self)
@@ -94,14 +130,21 @@ class GmmHead:
         return logdens, lambda d_logdens: (backward(d_logdens), {})
 
     def tensors(self) -> dict[str, np.ndarray]:
-        return {"means": self.means, "vars": self.variances}
+        broad = ({} if self.broad_mean is None else
+                 {"broad_mean": self.broad_mean, "broad_var": self.broad_var})
+        return {"means": self.means, "vars": self.variances, **broad}
 
     @classmethod
     def from_tensors(cls, tensors: dict) -> "GmmHead":
         """Clamps variances to VAR_FLOOR: float32 storage rounds the floor
-        itself to just below it."""
+        itself to just below it. A broad component needs both its tensors;
+        one alone raises KeyError for the other."""
+        broad = {}
+        if "broad_mean" in tensors or "broad_var" in tensors:
+            broad = {"broad_mean": tensors["broad_mean"],
+                     "broad_var": np.maximum(tensors["broad_var"], VAR_FLOOR)}
         return cls(means=tensors["means"],
-                   variances=np.maximum(tensors["vars"], VAR_FLOOR))
+                   variances=np.maximum(tensors["vars"], VAR_FLOOR), **broad)
 
 
 def _logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
@@ -128,14 +171,14 @@ def _logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
     return np.log1p(sum_(a) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
 
 
-def _component_log_densities(x: np.ndarray, head: GmmHead, k: int,
+def _component_log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray,
                              out: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Writes the [N, C] per-component log densities of x's rows for class k
-    (no weights) to out; scaled, shaped and laid out like x, is scratch."""
+    """Writes the log density of x's rows under each Gaussian (means[c],
+    variances[c]), no weights, to out[:, c]; scaled, shaped and laid out
+    like x, is scratch."""
     d = x.shape[1]
-    for c in range(head.components):
-        var = head.variances[k, c]
-        np.subtract(x, head.means[k, c], out=scaled)
+    for c, (mean, var) in enumerate(zip(means, variances)):
+        np.subtract(x, mean, out=scaled)
         np.square(scaled, out=scaled)
         scaled /= var
         out[:, c] = -0.5 * (d * LOG_2PI + np.log(var).sum() + scaled.sum(axis=1))
@@ -143,33 +186,38 @@ def _component_log_densities(x: np.ndarray, head: GmmHead, k: int,
 
 
 def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
-    """[N, C] matrix of per-component log densities for class k (no weights)."""
+    """[N, C] matrix of per-component log densities for class k (no weights),
+    over the C components EM fits."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], head.components))
-    return _component_log_densities(x, head, k, out, np.empty_like(x))
+    return _component_log_densities(x, head.means[k], head.variances[k], out,
+                                    np.empty_like(x))
 
 
 def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
                      resp: np.ndarray | None = None,
                      comp_ll: np.ndarray | None = None) -> None:
     """Writes the [N, K] class log densities of x's rows to logdens; if
-    resp [K, C, N] is given, each component's responsibility in its class;
-    if comp_ll [N, K*C] is given, the component log densities (no weights),
-    class-major. Runs in the row blocks of `_row_blocks` on the workers of
-    `_run_blocks`."""
-    log_weight = head.log_weight
+    resp [K, C', N] is given (C' = C + 1 with a broad component), each
+    component's responsibility in its class; if comp_ll [N, K*C] is given,
+    the log densities (no weights) of the C components EM fits in each
+    class, class-major. Runs in the row blocks of `_row_blocks` on the
+    workers of `_run_blocks`."""
     cc = head.components
+    # taken here: a block runs on a worker, which calls no public method
+    classes = [head.class_components(k) for k in range(head.classes)]
 
     def block(rows):
         xb = x[rows]
-        comp, scaled = np.empty((len(xb), cc)), np.empty_like(xb)
-        for k in range(head.classes):
-            _component_log_densities(xb, head, k, comp, scaled)
+        scaled = np.empty_like(xb)
+        for k, (means, variances) in enumerate(classes):
+            comp = _component_log_densities(xb, means, variances,
+                                            np.empty((len(xb), len(means))), scaled)
             if comp_ll is not None:
                 # copied before the weight: adding it and taking it off
                 # again would change the bits
-                comp_ll[rows, k * cc:(k + 1) * cc] = comp
-            comp += log_weight
+                comp_ll[rows, k * cc:(k + 1) * cc] = comp[:, :cc]
+            comp += np.log(1.0 / len(means))
             if resp is None:
                 logdens[rows, k] = _logsumexp(comp, 1, lambda e: e.sum(axis=1))
                 continue
@@ -177,7 +225,7 @@ def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
             e = np.exp(comp - m)
             s = e.sum(axis=1, keepdims=True)
             logdens[rows, k] = (m + np.log(s))[:, 0]
-            resp[k][:, rows] = (e / s).T
+            resp[k, :len(means), rows] = (e / s).T
 
     _run_blocks(block, _row_blocks(len(x), DENSITY_ROWS))
 
@@ -203,7 +251,8 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead,
     x = np.asarray(x, dtype=np.float64)
     logdens = np.empty((x.shape[0], head.classes))
     # component-major: one contiguous row each
-    resp = np.empty((head.classes, head.components, x.shape[0]))
+    resp = np.empty((head.classes, head.components + (head.broad_mean is not None),
+                     x.shape[0]))
     _class_densities(x, head, logdens, resp, comp_ll)
 
     def backward(d_logdens: np.ndarray, d_comp: np.ndarray | None = None):
@@ -215,9 +264,9 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead,
 def _component_backward(head: GmmHead, x: np.ndarray, d_logdens: np.ndarray,
                         resp: np.ndarray, d_comp: np.ndarray | None) -> np.ndarray:
     """dx [N, d] of the class log densities, whose upstream gradient
-    d_logdens [N, K] reaches component c of class k as d_logdens[:, k] *
-    resp[k, c], plus, if d_comp [N, K*C] is given, of the component log
-    densities.
+    d_logdens [N, K] reaches component c of class k (the broad component
+    included) as d_logdens[:, k] * resp[k, c], plus, if d_comp [N, K*C] is
+    given, of the log densities of the components EM fits.
 
     Each upstream gradient has its own accumulator, summed at the end, so dx
     has the bits of one pass per gradient: c * -g = -(c * g) and
@@ -228,13 +277,13 @@ def _component_backward(head: GmmHead, x: np.ndarray, d_logdens: np.ndarray,
     dx_comp = None if d_comp is None else np.zeros_like(x)
     g, t = np.empty_like(x), np.empty_like(x)
     for k in range(head.classes):
-        for c in range(cc):
+        for c, (mean, var) in enumerate(zip(*head.class_components(k))):
             # d logN / d mu per coordinate, the negated gradient wrt x
-            np.subtract(x, head.means[k, c], out=g)
-            g *= 1.0 / head.variances[k, c]
+            np.subtract(x, mean, out=g)
+            g *= 1.0 / var
             np.multiply((d_logdens[:, k] * resp[k, c])[:, None], g, out=t)
             dx -= t
-            if d_comp is not None:
+            if d_comp is not None and c < cc:
                 np.multiply(d_comp[:, k * cc + c, None], g, out=t)
                 dx_comp -= t
     if d_comp is not None:
@@ -316,7 +365,8 @@ def em_update(
     """One M-step for class k: plan-weighted moments blended by momentum.
 
     Components with total plan mass below 1e-12 are left unchanged and
-    counted under counters["empty_components"]. Weights stay uniform.
+    counted under counters["empty_components"]. Weights stay uniform, and
+    a broad component is kept as it is.
     """
     x = np.asarray(features, dtype=np.float64)
     if plan.matrix.shape != (x.shape[0], head.components):
@@ -336,7 +386,7 @@ def em_update(
         means[k, c] = momentum * means[k, c] + (1.0 - momentum) * mu_new
         variances[k, c] = momentum * variances[k, c] + (1.0 - momentum) * var_new
     variances = np.maximum(variances, VAR_FLOOR)
-    return GmmHead(means=means, variances=variances)
+    return replace(head, means=means, variances=variances)
 
 
 # ---------------------------------------------------------------------------

@@ -56,10 +56,12 @@ def unprefixed(prefix: str, tensors: dict) -> dict:
 def refresh_head(head: GmmHead, z, y, rng: np.random.Generator, cfg,
                  counters: dict) -> GmmHead:
     """One Sinkhorn-EM refresh (cfg.gmm_*) of a GMM head on the net outputs
-    z grouped by their labels y."""
-    return refresh(head, [z[y == k] for k in range(head.classes)], rng,
+    z grouped by their labels y; a broad component, which EM never fits,
+    is reset to the moments of all of z."""
+    head = refresh(head, [z[y == k] for k in range(head.classes)], rng,
                    cfg.gmm_epsilon, cfg.gmm_sinkhorn_iters, cfg.gmm_momentum,
                    cfg.gmm_max_pixels_per_class, counters)
+    return head if head.broad_mean is None else head.with_broad(z)
 
 
 def _batches(order: np.ndarray, size: int) -> list[np.ndarray]:
@@ -385,7 +387,10 @@ def inlier_from_bundle(bundle: ModelBundle) -> PixelModel:
     stage = bundle.manifest.get("stage")
     if stage not in ("inlier", "uem"):
         raise BadBundle(f"stage-1 model: unexpected bundle stage {stage!r}")
-    return _bundle_model(bundle, STAGE1_NAMES, "stage-1")
+    model = _bundle_model(bundle, STAGE1_NAMES, "stage-1")
+    if getattr(model.head, "broad_mean", None) is not None:
+        raise BadBundle("stage-1 model: only the stage-2 outlier class has a broad component")
+    return model
 
 
 def stage1_tensor_names(bundle: ModelBundle) -> list[str]:

@@ -1,28 +1,29 @@
 """Minimal dense layers with analytic gradients, losses, and Adam.
 
 Every MLP applies GELU after each layer but the last, whose output is the
-net's. Everything runs in float64. Forward passes are pure; a tape produced
-by mlp_forward carries each layer's input and each hidden layer's GELU slope
-at its pre-activation, all the exact reverse pass needs, so that pass
-evaluates no erf. mlp_backward spends the tape: it writes its gradients over
-the tape's own buffers, so a taped hidden layer holds two arrays of its
-width, and a later mlp_forward refills a spent tape's buffers instead of
-allocating new ones. Every forward takes the rows in chunks of about
-CHUNK_ENTRIES entries of the widest layer shared among the workers (512
-rows of the 1152-wide decoder on two) and runs each chunk through every
-layer: a taped one into the tape's buffers, a forward-only one
+net's: the tanh form 0.5·x·(1 + tanh(√(2/π)·(x + 0.044715·x³))) of
+Hendrycks and Gimpel (2016). Everything runs in float64. Forward passes are
+pure; a tape produced by mlp_forward carries each layer's input and each
+hidden layer's GELU slope at its pre-activation, all the exact reverse pass
+needs, so that pass evaluates no tanh. mlp_backward spends the tape: it
+writes its gradients over the tape's own buffers, so a taped hidden layer
+holds two arrays of its width, and a later mlp_forward refills a spent
+tape's buffers instead of allocating new ones. Every forward takes the rows
+in chunks of about CHUNK_ENTRIES entries of the widest layer shared among
+the workers (512 rows of the 1152-wide decoder on two) and runs each chunk
+through every layer: a taped one into the tape's buffers, a forward-only one
 (`tape=False`) in chunk-sized buffers, activating in place, writing it into
 one output array, so that no hidden layer is ever held for all rows.
 
 Work runs on a worker per CPU in the process's affinity set (NumPy's ufuncs
-and matmuls and scipy's erf release the GIL), and no result depends on the
-worker count. A forward's chunk runs whole on one worker: each layer's
-matmul and bias, then GELU (and, with a tape, its slope) over row blocks of
-BLOCK_ENTRIES entries (`_row_blocks`), each small enough to stay in L2
-cache. OpenBLAS picks its kernel by the product's shape, and kernels round
-small products differently, so a matmul of a few rows would change result
-bits; the chunks are kept tall enough for their narrowest layer that they
-do not (`_forward_chunks`). The reverse pass multiplies by the slopes in
+and matmuls release the GIL), and no result depends on the worker count.
+A forward's chunk runs whole on one worker: each layer's matmul and bias,
+then GELU (and, with a tape, its slope) over row blocks of BLOCK_ENTRIES
+entries (`_row_blocks`), each small enough to stay in L2 cache. OpenBLAS
+picks its kernel by the product's shape, and kernels round small products
+differently, so a matmul of a few rows would change result bits; the chunks
+are kept tall enough for their narrowest layer that they do not
+(`_forward_chunks`). The reverse pass multiplies by the slopes in
 such row blocks on the workers, and runs its matmuls, which sum over rows,
 on the calling thread over every row at once.
 """
@@ -34,12 +35,13 @@ from dataclasses import dataclass, field
 from queue import SimpleQueue
 
 import numpy as np
-from scipy.special import erf, expit
+from scipy.special import expit
 
 from .errors import NonFiniteGradient, StaleTape
 
-_SQRT2 = float(np.sqrt(2.0))
-_INV_SQRT_2PI = float(1.0 / np.sqrt(2.0 * np.pi))
+# the tanh GELU's constants (Hendrycks and Gimpel, 2016)
+_SQRT_2_OVER_PI = float(np.sqrt(2.0 / np.pi))
+_GELU_CUBIC = 0.044715
 # Adam's moment decay rates and denominator offset
 ADAM_BETA1 = 0.9
 ADAM_BETA2 = 0.999
@@ -144,10 +146,15 @@ def _run_blocks(fn, blocks: list) -> None:
 
 
 def _gelu_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray) -> None:
-    """GELU of the rows pre into out (which may be pre), with GELU's gate
-    1 + erf(pre/√2) written to gate."""
-    np.divide(pre, _SQRT2, out=gate)
-    erf(gate, out=gate)
+    """GELU of the rows pre into out (which may be pre), in its tanh form
+    0.5·x·(1 + t) with t = tanh(√(2/π)·(x + 0.044715·x³)), the cube taken
+    by products; GELU's gate 1 + t is written to gate."""
+    np.multiply(pre, pre, out=gate)
+    gate *= pre
+    gate *= _GELU_CUBIC
+    gate += pre
+    gate *= _SQRT_2_OVER_PI
+    np.tanh(gate, out=gate)
     gate += 1.0
     np.multiply(0.5, pre, out=out)
     out *= gate
@@ -155,14 +162,18 @@ def _gelu_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray) -> None:
 
 def _gelu_slope_rows(pre: np.ndarray, out: np.ndarray, gate: np.ndarray,
                      pdf: np.ndarray) -> None:
-    """GELU of the rows pre into out, and its slope cdf + pre*pdf at pre
-    over pre, cdf = gate/2, pdf = exp(-pre²/2)/√(2π); gate and pdf, of pre's
-    shape, are scratch."""
+    """GELU of the rows pre into out, and its slope
+    0.5·(1 + t) + 0.5·x·(1 - t²)·√(2/π)·(1 + 3·0.044715·x²) at pre over
+    pre, 1 - t² taken as (1 + t)(1 - t); gate and pdf, of pre's shape, are
+    scratch."""
     _gelu_rows(pre, out, gate)
-    np.square(pre, out=pdf)
-    pdf *= -0.5
-    np.exp(pdf, out=pdf)
-    pdf *= _INV_SQRT_2PI
+    np.multiply(pre, pre, out=pdf)
+    pdf *= 3.0 * _GELU_CUBIC
+    pdf += 1.0
+    pdf *= 0.5 * _SQRT_2_OVER_PI
+    pdf *= pre
+    pdf *= gate
+    np.subtract(2.0, gate, out=pre)
     pdf *= pre
     gate *= 0.5
     np.add(pdf, gate, out=pre)

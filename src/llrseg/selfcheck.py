@@ -124,7 +124,9 @@ def _tiny_setup(uem_kind: str, seed: int):
 def llr_grad_error(uem_kind: str, seed: int = 0, h: float = 1e-5,
                    max_coords: int = 200) -> float:
     """Worst relative error of the LLR loss gradient over the tensors it
-    trains: a GMM head, which EM alone fits, is held fixed and not sampled."""
+    trains: a GMM head, which EM alone fits, is held fixed and not sampled,
+    but the gradient reaches the projection through its outlier class's
+    broad component too."""
     u, inlier_model, f, omap, cfg = _tiny_setup(uem_kind, seed)
     fixed = u.tensors(UEM_NAMES)
     trained = {k: v.copy() for k, v in fixed.items()

@@ -8,6 +8,10 @@ log p_out - log p_in - max_k F_k. Stage-2 training only ever touches the
 phi tensors (projection + UEM head); the theta tensors are digest-checked
 before and after. Adam trains the projection and a linear head; EM alone
 fits a GMM head, through which the loss's gradient reaches the projection.
+A GMM head's outlier class also holds a broad component (`GmmHead`), set to
+the moments of the projection's output over every training row at init and
+at each EM refresh, so that log p_out does not rank an outlier unlike the
+training ones below the inliers.
 Training reads pixel rows: `_gather_pixels` drops the IGNORE pixels, and the
 loss and the frozen max_k F_k term both run over the labelled rows it
 returns. Scoring reads whole maps.
@@ -58,8 +62,11 @@ def build_uem(feature_dim: int, projection_dim: int, proj_hidden: int,
         head = xavier_dense(projection_dim, 2, rng)
     else:
         means = rng.standard_normal((2, components, projection_dim))
+        # the outlier class's broad component: the moments of the means' draws
         head = GmmHead(means=means,
-                       variances=np.ones((2, components, projection_dim)))
+                       variances=np.ones((2, components, projection_dim)),
+                       broad_mean=np.zeros(projection_dim),
+                       broad_var=np.ones(projection_dim))
     return PixelModel(net=projection, head=head)
 
 
@@ -200,8 +207,10 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     max_k F_k term is read from those rows.
 
     `fit` runs Adam on the LLR loss for the projection and a linear head. A
-    GMM head is fitted by Sinkhorn EM alone, once per epoch; the loss's
-    gradient passes through it to the projection. The result's bundle embeds
+    GMM head is fitted by Sinkhorn EM alone, once per epoch, and its broad
+    outlier component is set to the moments of the projection's output over
+    every row, at init and at each refresh; the loss's gradient passes
+    through both outlier terms to the projection. The result's bundle embeds
     every stage-1 tensor byte-identically; a digest mismatch at entry or exit
     raises FreezeViolation.
     """
@@ -231,7 +240,7 @@ def train_uem(stage1: ModelBundle, dataset, cfg: LlrConfig) -> TrainResult:
     if cfg.head_kind == GENERATIVE:
         z0, _ = mlp_forward(u.net, x, tape=False)
         u = replace(u, head=init_head([z0[y == k] for k in range(2)],
-                                      cfg.gmm_components, rng))
+                                      cfg.gmm_components, rng).with_broad(z0))
 
     u, loss_history, counters = fit(
         u, x, y, lambda head, z, idx: _loss_and_grads(head, z, max_logit[idx], y[idx], cfg),
@@ -263,9 +272,10 @@ def bundle_from_uem(u: PixelModel, stage1: ModelBundle, cfg: LlrConfig,
 
 
 def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
-    """The UEM of a stage-2 bundle: a 3-layer projection and a 2-class head.
-    A malformed bundle raises BadBundle, or DimMismatch where its tensors do
-    not fit each other or the head is not 2-class."""
+    """The UEM of a stage-2 bundle: a 3-layer projection and a 2-class head,
+    whose outlier class has a broad component if it is a GMM. A malformed
+    bundle raises BadBundle, or DimMismatch where its tensors do not fit
+    each other or the head is not 2-class."""
     if bundle.manifest.get("stage") != "uem":
         raise LlrsegError("not a stage-2 bundle")
     layers = Mlp.depth(unprefixed(UEM_NAMES[0], bundle.tensors))
@@ -274,6 +284,8 @@ def uem_from_bundle(bundle: ModelBundle) -> PixelModel:
     u = _bundle_model(bundle, UEM_NAMES, "stage-2")
     if u.head.out_dim != 2:
         raise DimMismatch(f"stage-2 head has {u.head.out_dim} classes, not 2")
+    if isinstance(u.head, GmmHead) and u.head.broad_mean is None:
+        raise BadBundle("stage-2 model: the GMM head has no broad outlier component")
     return u
 
 

@@ -111,6 +111,14 @@ def as_format_3(manifest: dict) -> None:
                         proj_activations=["gelu", "gelu", "identity"])
 
 
+def as_format_4(manifest: dict) -> None:
+    """Rewrite a saved manifest as format 4 wrote it, without the broad
+    outlier component that format 5 adds (its nets used the erf GELU)."""
+    for name in ("uem.head.broad_mean", "uem.head.broad_var"):
+        manifest["tensors"].pop(name, None)
+    manifest.update(format_version=4)
+
+
 def save_per_component(bundle: ModelBundle, path: Path) -> None:
     """Write `bundle` in the unversioned layout: one file per GMM component
     mean, variance and weight."""
@@ -151,27 +159,43 @@ class TestRoundTrip:
                 assert np.array_equal(b.head.tensors()[name], t)
         assert len(files) == len(bundle.tensors) + 1
 
+    def test_broad_component_round_trips(self):
+        """Both broad tensors load bit for bit, and the loaded UEM scores as
+        the one saved."""
+        rng = np.random.default_rng(3)
+        bundle = make_stage2(GENERATIVE, 3, 2, 4)
+        bundle = ModelBundle(manifest=bundle.manifest, tensors={
+            **bundle.tensors, "uem.head.broad_mean": rng.normal(0, 2, 4),
+            "uem.head.broad_var": rng.uniform(0.1, 3.0, 4)})
+        with saved(bundle) as path:
+            loaded = uem_from_bundle(ModelBundle.load(path))
+        assert np.array_equal(loaded.head.broad_mean, bundle.tensors["uem.head.broad_mean"])
+        assert np.array_equal(loaded.head.broad_var, bundle.tensors["uem.head.broad_var"])
+        x = rng.normal(0, 1, (20, C_E))
+        assert np.array_equal(loaded.logits(x), uem_from_bundle(bundle).logits(x))
+
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
     def test_saved_manifest_keys(self, kind):
-        """A format-4 manifest holds no model dimension, head kind or
+        """A format-5 manifest holds no model dimension, head kind or
         activation: the tensors' shapes and names do."""
         stage1, stage2 = make_bundles(kind, 3, 2, 4)
         for bundle, keys in ((stage1, STAGE1_KEYS), (stage2, STAGE2_KEYS)):
             with saved(bundle) as path:
                 manifest = json.loads((path / "manifest.json").read_text())
             assert set(manifest) == keys
-            assert manifest["format_version"] == BUNDLE_FORMAT_VERSION == 4
+            assert manifest["format_version"] == BUNDLE_FORMAT_VERSION == 5
 
-    @pytest.mark.parametrize("kind, head", [
-        (DISCRIMINATIVE, ["bias", "weight"]), (GENERATIVE, ["means", "vars"])])
-    def test_tensor_names(self, kind, head):
+    @pytest.mark.parametrize("kind, head, uem_head", [
+        (DISCRIMINATIVE, ["bias", "weight"], ["bias", "weight"]),
+        (GENERATIVE, ["means", "vars"], ["broad_mean", "broad_var", "means", "vars"])])
+    def test_tensor_names(self, kind, head, uem_head):
         """The layout every saved bundle has: a rename must show here."""
         stage1, stage2 = make_bundles(kind, 3, 2, 4)
         decoder = ["decoder.0.bias", "decoder.0.weight",
                    "decoder.1.bias", "decoder.1.weight"]
         want1 = decoder + [f"head.{name}" for name in head]
         assert sorted(stage1.tensors) == want1
-        assert sorted(stage2.tensors) == want1 + [f"uem.head.{name}" for name in head] + [
+        assert sorted(stage2.tensors) == want1 + [f"uem.head.{name}" for name in uem_head] + [
             "uem.proj.0.bias", "uem.proj.0.weight", "uem.proj.1.bias",
             "uem.proj.1.weight", "uem.proj.2.bias", "uem.proj.2.weight"]
 
@@ -183,8 +207,10 @@ class TestRoundTrip:
         assert bundle.tensors["head.vars"].shape == (k, c, d)
         assert bundle.tensors["uem.head.means"].shape == (2, c, d)
         assert bundle.tensors["uem.head.vars"].shape == (2, c, d)
-        # 2 + 2 decoder, 6 projection, 2 + 2 GMM tensors
-        assert len(bundle.tensors) == 14
+        assert bundle.tensors["uem.head.broad_mean"].shape == (d,)
+        assert bundle.tensors["uem.head.broad_var"].shape == (d,)
+        # 2 + 2 decoder, 6 projection, 2 + 2 GMM and 2 broad tensors
+        assert len(bundle.tensors) == 16
 
 
 def tensor_file(path: Path, index: int) -> Path:
@@ -297,12 +323,13 @@ class TestCorruption:
                 load_models(path)
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
-    @pytest.mark.parametrize("version, rewrite", [(2, as_format_2), (3, as_format_3)])
+    @pytest.mark.parametrize("version, rewrite", [(2, as_format_2), (3, as_format_3),
+                                                  (4, as_format_4)])
     def test_older_format_bundle(self, kind, version, rewrite):
         with saved(make_stage2(kind, 3, 2, 4)) as path:
             edit_manifest(path, rewrite)
             with pytest.raises(BadBundle, match=f"has format version {version}, expected "
-                               "format version 4; retrain it with this version"):
+                               "format version 5; retrain it with this version"):
                 load_models(path, verify=False)
 
     @pytest.mark.parametrize("kind", [GENERATIVE, DISCRIMINATIVE])
@@ -376,6 +403,23 @@ class TestCorruption:
         with pytest.raises(BadBundle, match=f"stray bundle entry {name!r}: no "
                            "model of the 'inlier' stage reads it"):
             inlier_from_bundle(self.with_tensor(stage1, name))
+
+    @pytest.mark.parametrize("names", [["uem.head.broad_mean"], ["uem.head.broad_var"],
+                                       ["uem.head.broad_mean", "uem.head.broad_var"]])
+    def test_stage2_gmm_head_needs_its_broad_component(self, names):
+        """A generative UEM head reads both broad tensors: a stage-2 bundle
+        missing either one, or both (as format 4 held it), is refused."""
+        bundle = make_stage2(GENERATIVE, 3, 2, 4)
+        tensors = {n: t for n, t in bundle.tensors.items() if n not in names}
+        with saved(ModelBundle(manifest=bundle.manifest, tensors=tensors)) as path:
+            with pytest.raises(BadBundle, match="broad"):
+                load_models(path)
+
+    def test_stage1_gmm_head_has_no_broad_component(self):
+        stage1 = make_bundles(GENERATIVE, 3, 2, 4)[0]
+        tensors = {**stage1.tensors, "head.broad_mean": np.zeros(4), "head.broad_var": np.ones(4)}
+        with pytest.raises(BadBundle, match="only the stage-2 outlier class"):
+            inlier_from_bundle(ModelBundle(manifest=stage1.manifest, tensors=tensors))
 
     def test_uem_head_must_be_two_class(self):
         bundle = make_stage2(DISCRIMINATIVE, 3, 2, 4)

@@ -600,7 +600,7 @@ class TestPipeline:
         assert "stray tensor 'uem.head.weight'" in capsys.readouterr().err
         assert not list((tmp_path / "o").glob("*.smap"))
 
-    @pytest.mark.parametrize("version", [2, 3])
+    @pytest.mark.parametrize("version", [2, 3, 4])
     def test_older_format_bundles_rejected(self, pipeline_dirs, tmp_path, capsys, version):
         import shutil
         import test_bundle
@@ -611,14 +611,14 @@ class TestPipeline:
             test_bundle.edit_manifest(tmp_path / name,
                                       getattr(test_bundle, f"as_format_{version}"))
         assert_bundles_rejected(d, tmp_path, capsys, f"has format version {version}, "
-                                "expected format version 4; retrain it with this version")
+                                "expected format version 5; retrain it with this version")
 
     @pytest.mark.parametrize("version, key", [
-        (4, "stage"), (2, "stage"), (2, "feature_dim"), (2, "num_classes")])
+        (5, "stage"), (2, "stage"), (2, "feature_dim"), (2, "num_classes")])
     def test_train_uem_rejects_trimmed_stage1_manifest(self, pipeline_dirs, tmp_path,
                                                        capsys, version, key):
         """A stage-1 manifest that lacks a key is a BadBundle before any
-        training. Format 4 keeps no dimension, so the dimension keys are cut
+        training. Format 5 keeps no dimension, so the dimension keys are cut
         from a format-2 manifest, which the version check rejects."""
         import shutil
         from test_bundle import as_format_2, edit_manifest

@@ -7,7 +7,7 @@ from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
 from llrseg import gmm, neuralcore
-from llrseg.errors import DegenerateCovariance, InvalidCost
+from llrseg.errors import DegenerateCovariance, DimMismatch, InvalidCost
 from llrseg.gmm import (
     DENSITY_ROWS,
     VAR_FLOOR,
@@ -21,6 +21,7 @@ from llrseg.gmm import (
     sinkhorn_assign,
 )
 from llrseg.gmm import _logsumexp
+from llrseg.selfcheck import naive_gmm_log_density
 
 
 def gaussian_log_density(x, mu, var) -> float:
@@ -161,6 +162,81 @@ class TestGmmLogDensity:
                 xm = x.copy(); xm[i, j] -= h
                 numeric = (loss_at(xp) - loss_at(xm)) / (2 * h)
                 assert dx[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7)
+
+
+def broad_head(rng, k, c, d):
+    """A random head whose last class has a broad component."""
+    return GmmHead(means=rng.normal(0, 2, (k, c, d)),
+                   variances=rng.uniform(0.1, 3.0, (k, c, d)),
+                   broad_mean=rng.normal(0, 1, d), broad_var=rng.uniform(2.0, 9.0, d))
+
+
+class TestBroadComponent:
+    """The last class's broad component is one more Gaussian, weighed as the
+    others are, that EM never fits."""
+
+    def test_matches_naive_summation_with_c_plus_1_weights(self):
+        rng = np.random.default_rng(40)
+        worst = 0.0
+        for _ in range(300):
+            k, c, d = int(rng.integers(1, 4)), int(rng.integers(1, 5)), int(rng.integers(1, 9))
+            head = broad_head(rng, k, c, d)
+            x = rng.normal(0, 3, (4, d))
+            got = gmm_all_log_densities(x, head)
+            for row, dens in zip(x, got):
+                for kk in range(k - 1):
+                    want = naive_gmm_log_density(row, head.means[kk], head.variances[kk],
+                                                 np.full(c, 1.0 / c))
+                    worst = max(worst, abs(dens[kk] - want))
+                want = naive_gmm_log_density(
+                    row, np.vstack([head.means[-1], head.broad_mean]),
+                    np.vstack([head.variances[-1], head.broad_var]), np.full(c + 1, 1.0 / (c + 1)))
+                worst = max(worst, abs(dens[-1] - want))
+        assert worst < 1e-10
+
+    def test_grad_closure_matches_finite_differences(self):
+        rng = np.random.default_rng(41)
+        head = broad_head(rng, 2, 2, 3)
+        x = rng.normal(0, 2, (6, 3))
+        d_out = rng.normal(0, 1, (6, 2))
+        _, backward = gmm_all_log_densities_with_grad(x, head)
+        dx = backward(d_out)
+        h = 1e-6
+        for i in range(6):
+            for j in range(3):
+                xp, xm = x.copy(), x.copy()
+                xp[i, j] += h
+                xm[i, j] -= h
+                numeric = ((gmm_all_log_densities(xp, head) - gmm_all_log_densities(xm, head))
+                           * d_out[i]).sum() / (2 * h)
+                assert dx[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7)
+
+    def test_em_leaves_it_and_with_broad_sets_it(self):
+        rng = np.random.default_rng(42)
+        head = broad_head(rng, 2, 3, 4)
+        feats = rng.normal(0, 1, (50, 4))
+        plan = sinkhorn_assign(component_log_densities(feats, head, 1), 0.5, 5)
+        updated = em_update(head, 1, feats, plan, 0.5, {})
+        assert not np.array_equal(updated.means, head.means)
+        assert updated.broad_mean is head.broad_mean and updated.broad_var is head.broad_var
+        z = np.vstack([rng.normal(0, 2, (30, 4)), np.ones((1, 4))])
+        z[:, 0] = 5.0  # a constant channel takes the variance floor
+        fitted = head.with_broad(z)
+        assert np.array_equal(fitted.broad_mean, z.mean(axis=0))
+        assert np.array_equal(fitted.broad_var, np.maximum(z.var(axis=0), VAR_FLOOR))
+        assert fitted.broad_var[0] == VAR_FLOOR
+        assert fitted.means is head.means
+
+    @pytest.mark.parametrize("broad, error", [
+        ({"broad_mean": np.zeros(4)}, DimMismatch),
+        ({"broad_var": np.ones(4)}, DimMismatch),
+        ({"broad_mean": np.zeros(3), "broad_var": np.ones(3)}, DimMismatch),
+        ({"broad_mean": np.zeros(4), "broad_var": np.full(4, VAR_FLOOR / 2)},
+         DegenerateCovariance),
+    ])
+    def test_rejects_a_broad_component_it_cannot_use(self, broad, error):
+        with pytest.raises(error):
+            GmmHead(means=np.zeros((2, 3, 4)), variances=np.ones((2, 3, 4)), **broad)
 
 
 def bitwise_equal(a, b):

@@ -248,6 +248,31 @@ class TestFit:
         for name, t in fresh.tensors().items():
             assert reused.tensors()[name].tobytes() == t.tobytes(), name
 
+    def test_every_refresh_sets_the_broad_component_to_the_moments_of_net_x(
+            self, monkeypatch):
+        """EM never fits a broad component: each refresh resets it to the
+        mean and variance of net(x) over every row."""
+        rng = np.random.default_rng(35)
+        m = make_gen_model(rng)
+        m = replace(m, head=m.head.with_broad(rng.normal(0, 1, (10, 6))))
+        x = rng.normal(0, 1, (40, 4))
+        y = rng.integers(0, 3, 40)
+        seen, refresh_head = [], inlier.refresh_head
+
+        def spy(head, z, *args):
+            seen.append((z, refresh_head(head, z, *args)))
+            return seen[-1][1]
+
+        monkeypatch.setattr(inlier, "refresh_head", spy)
+        trained, _, _ = fit(m, x, y, self.cross_entropy(y), rng, self.CFG)
+        assert len(seen) == self.CFG.epochs
+        for z, head in seen:
+            assert z.shape == (len(x), 6)
+            assert head.broad_mean.tobytes() == z.mean(axis=0).tobytes()
+            assert head.broad_var.tobytes() == np.maximum(z.var(axis=0), VAR_FLOOR).tobytes()
+        assert seen[-1][0].tobytes() == mlp_forward(trained.net, x, tape=False)[0].tobytes()
+        assert trained.head.broad_mean.tobytes() == seen[-1][1].broad_mean.tobytes()
+
 
 def digests(bundle: ModelBundle) -> dict:
     return {name: tensor_digest(t) for name, t in bundle.tensors.items()}

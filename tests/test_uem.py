@@ -6,7 +6,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from llrseg import neuralcore
+from llrseg import neuralcore, uem
 from llrseg.datamodel import (
     IGNORE,
     BinaryOutlierMap,
@@ -16,7 +16,12 @@ from llrseg.datamodel import (
     tensor_digest,
 )
 from llrseg.errors import AllIgnored, DimMismatch, FreezeViolation, IllegalLabel, LlrsegError
-from llrseg.gmm import GmmHead, component_log_densities, gmm_all_log_densities_with_grad
+from llrseg.gmm import (
+    VAR_FLOOR,
+    GmmHead,
+    component_log_densities,
+    gmm_all_log_densities_with_grad,
+)
 from llrseg.inlier import (
     DISCRIMINATIVE,
     GENERATIVE,
@@ -52,7 +57,7 @@ from llrseg.uem import (
     uem_from_bundle,
     verify_freeze,
 )
-from llrseg.selfcheck import llr_grad_error
+from llrseg.selfcheck import _tiny_setup, llr_grad_error
 
 from test_inlier import digests, make_wide_disc_model, separable_dataset
 import test_neuralcore
@@ -183,6 +188,13 @@ class TestLlrLoss:
     @pytest.mark.parametrize("kind", [DISCRIMINATIVE, GENERATIVE])
     def test_gradients_match_finite_differences(self, kind):
         assert llr_grad_error(kind, seed=0) < 1e-4
+
+    def test_gradient_check_runs_through_the_broad_component(self):
+        """Criterion 4 checks the generative UEM that training builds: its
+        outlier class has the broad component, so the loss reaches the
+        projection through both of log p_out's terms."""
+        u = _tiny_setup(GENERATIVE, 0)[0]
+        assert u.head.broad_mean is not None and u.head.broad_var is not None
 
     @pytest.mark.parametrize("kind", [DISCRIMINATIVE, GENERATIVE])
     def test_no_gradient_for_frozen_tensors(self, kind):
@@ -356,6 +368,27 @@ class TestTrainUem:
                     gmm_components=2, head_kind=DISCRIMINATIVE, seed=0)
         base.update(kw)
         return LlrConfig(**base)
+
+    def test_init_sets_the_broad_component_to_the_moments_of_net_x(self, monkeypatch):
+        """A generative UEM's outlier class starts with a broad component at
+        the mean and variance of the projection's output over every
+        training row (the refreshes that follow: test_inlier's TestFit)."""
+        dataset, stage1 = self.stage1()
+        pairs = mixed_pairs(dataset)
+        outputs = []
+
+        def forward(net, rows, tape=True):
+            outputs.append(mlp_forward(net, rows, tape=tape))
+            return outputs[-1]
+
+        monkeypatch.setattr(uem, "mlp_forward", forward)
+        bundle = train_uem(stage1, pairs, self.ucfg(head_kind=GENERATIVE, epochs=0)).bundle
+        (z0, _), = outputs
+        assert len(z0) == len(_gather_pixels(pairs, range(len(pairs)), 2)[1])
+        for name, want in (("broad_mean", z0.mean(axis=0)),
+                           ("broad_var", np.maximum(z0.var(axis=0), VAR_FLOOR))):
+            stored = want.astype(np.float32).astype(np.float64)
+            assert bundle.tensors[f"uem.head.{name}"].tobytes() == stored.tobytes()
 
     def test_zero_epochs_leaves_stage1_untouched(self):
         dataset, stage1 = self.stage1()
