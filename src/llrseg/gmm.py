@@ -10,25 +10,33 @@ log p_out = logaddexp(log(C/(C+1)) + log p_mixture, log(1/(C+1)) +
 log N(z; m_b, v_b)). Far from the trained outlier components, the broad one
 keeps an unseen outlier from ranking below the inliers.
 
+Every log density is one GEMM. With every component of every class stacked,
+class-major with the broad one last, log N(x; mu, var) expands as
+(x*x) @ a + x @ b + c, with a = -1/(2 var), b = mu/var and
+c = -(d log 2pi + sum log var + sum mu^2/var)/2, so a block of DENSITY_ROWS
+rows takes one product [x*x, x] @ [a; b] + c, inline. The class densities,
+the component densities that EM and the contrast loss read, and the
+responsibilities all come from that block; the backward is two GEMMs.
+
+A row's densities must not depend on the rows that share its product:
+scoring's per-scene maps and training's gathered rows hold the same pixels.
+OpenBLAS picks its GEMM kernel by the product's shape, and kernels round
+differently (`neuralcore._forward_chunks`), so the stacked columns are
+padded with zeros to a multiple of 8, and [a; b] is C-contiguous. Measured
+with OpenBLAS 0.3.31 on an AVX-512 x86-64 machine, with one BLAS thread and
+unpinned alike: at output widths 8 to 64 in steps of 8 and inner dimensions
+3 to 128, the first M rows of an M-row product had the bits of the same
+rows of a 4096-row one for every M from 2 to 1199 at row offsets 0, 7 and
+391; the unpadded widths of today's heads, 25 (5 classes x 5) and 11
+(2 x 5 + broad), did not, nor did a transposed right operand (x @ W.T, up
+to M = 1200 / width). A one-row product takes NumPy's matrix-vector path,
+which rounds differently, so a one-row x runs as two copies of it.
+
 One in-place log-sum-exp, `_logsumexp`, serves the class densities and
 every Sinkhorn scaling: equal to scipy.special.logsumexp bit for bit on
-finite input, it skips the exps that underflow to 0.
-
-A row's class log densities depend on that row alone, so the class
-densities of a batch run in blocks of DENSITY_ROWS rows on a worker per CPU
-(`neuralcore._row_blocks` and `_run_blocks`, the first with its one-row-tail
-rule); each block makes the same calls on its rows whichever worker runs it,
-so no result depends on the worker count. No density involves a matmul.
-
-Sinkhorn works on a component-major [C, N] copy of its costs, so each of its
-reductions runs over the long pixel axis, yet it returns the bits of the
-pixel-major [N, C] formula. NumPy's summation order follows the layout, so
-each sum is taken in the order the [N, C] array's sum used (numpy 2.x): per
-pixel, fewer than 8 components are summed in order (a [C, N] axis-0 sum) and
-8 or more in NumPy's 8-way unrolled loop (an axis-1 sum of an [N, C] copy);
-per component, the N pixels are summed in order (a cumulative sum), except
-for C = 1, whose [N, 1] column NumPy sums pairwise. The plan's total mass is
-normalised on the [N, C] array itself.
+finite input, it skips the exps that underflow to 0. Both run on
+component-major arrays, [C', K, rows] and Sinkhorn's [C, N], as NumPy
+reduces a short last axis several times slower than a leading one.
 """
 from __future__ import annotations
 
@@ -37,14 +45,15 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import DegenerateCovariance, DimMismatch, InvalidCost
-from .neuralcore import _row_blocks, _run_blocks
+from .neuralcore import _row_blocks
 
 VAR_FLOOR = 1e-6
 LOG_2PI = float(np.log(2.0 * np.pi))
-# rows per block of the class densities: a block of a 64-wide x and its
-# scratch take 1 MB, inside L2. Blocks of 256 rows ran slower on two workers
-# than on one: each NumPy call was too short to pay for handing over the GIL.
-DENSITY_ROWS = 1024
+# rows per block of the densities. 4096 rows of 64 channels under 5 classes
+# x 5 components, one BLAS thread, 2-core x86-64 (median of 40, three
+# rounds): 2.3-2.4 ms in blocks of 512 rows, 2.4-2.5 in 256, 2.3-3.0 in
+# 1024, 4.5-4.7 in one block; a call peaks at 1.4 MB with 512 (tracemalloc)
+DENSITY_ROWS = 512
 
 
 @dataclass(frozen=True)
@@ -100,20 +109,6 @@ class GmmHead:
 
     out_dim = classes
 
-    @property
-    def log_weight(self) -> float:
-        """The uniform mixture log-weight log(1/C) of every component of a
-        class without the broad component."""
-        return np.log(1.0 / self.components)
-
-    def class_components(self, k: int) -> tuple[np.ndarray, np.ndarray]:
-        """The means and variances of every component of class k, each
-        [C, d], or [C + 1, d] with the broad component last."""
-        if self.broad_mean is None or k != self.classes - 1:
-            return self.means[k], self.variances[k]
-        return (np.vstack([self.means[k], self.broad_mean]),
-                np.vstack([self.variances[k], self.broad_var]))
-
     def with_broad(self, z: np.ndarray) -> "GmmHead":
         """This head with its last class's broad component set to the mean
         and diagonal variance (floored at VAR_FLOOR) of the rows z."""
@@ -147,17 +142,17 @@ class GmmHead:
                    variances=np.maximum(tensors["vars"], VAR_FLOOR), **broad)
 
 
-def _logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
+def _logsumexp(a: np.ndarray, axis) -> np.ndarray:
     """log(sum(exp(a))) along `axis` of a C-contiguous a, which it
-    overwrites; `sum_(e)` sums the shifted exponentials e along `axis`.
+    overwrites.
 
     As in scipy.special.logsumexp, the m entries at the maximum are taken
     out of the sum (they add log(m)) and the rest is summed relative to it,
-    so for finite a and a `sum_` in the order scipy's sum takes, the result
-    is scipy's bit for bit. Entries below -746 leave the sum as 0 too: NumPy
-    rounds their exp to 0 along a path ~20x slower than its normal one. The
-    input must hold no NaN or +inf; a -inf entry adds nothing, but a slice
-    that is all -inf gives NaN where scipy gives -inf.
+    so for finite a the result is scipy's bit for bit. Entries below -746
+    leave the sum as 0 too: NumPy rounds their exp to 0 along a path ~20x
+    slower than its normal one. The input must hold no NaN or +inf; a -inf
+    entry adds nothing, but a slice that is all -inf gives NaN where scipy
+    gives -inf.
     """
     a_max = a.max(axis=axis, keepdims=True)
     a -= a_max
@@ -168,21 +163,52 @@ def _logsumexp(a: np.ndarray, axis, sum_) -> np.ndarray:
     e = np.exp(flat[live])
     flat.fill(0.0)
     flat[live] = e
-    return np.log1p(sum_(a) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
+    return np.log1p(a.sum(axis=axis) / m) + np.log(m) + np.squeeze(a_max, axis=axis)
 
 
-def _component_log_densities(x: np.ndarray, means: np.ndarray, variances: np.ndarray,
-                             out: np.ndarray, scaled: np.ndarray) -> np.ndarray:
-    """Writes the log density of x's rows under each Gaussian (means[c],
-    variances[c]), no weights, to out[:, c]; scaled, shaped and laid out
-    like x, is scratch."""
-    d = x.shape[1]
-    for c, (mean, var) in enumerate(zip(means, variances)):
-        np.subtract(x, mean, out=scaled)
-        np.square(scaled, out=scaled)
-        scaled /= var
-        out[:, c] = -0.5 * (d * LOG_2PI + np.log(var).sum() + scaled.sum(axis=1))
-    return out
+def _exp(a: np.ndarray) -> np.ndarray:
+    """exp(a), with the entries below -746, whose exp rounds to 0, set to 0
+    without NumPy's slow underflow path."""
+    return np.exp(a, out=np.zeros_like(a), where=a > -746.0)
+
+
+def _stacked(head: GmmHead) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Every component of every class, class-major with the broad component
+    last: their means and variances [T, d], and the class of each [T]."""
+    means = head.means.reshape(-1, head.in_dim)
+    variances = head.variances.reshape(-1, head.in_dim)
+    classes = np.repeat(np.arange(head.classes), head.components)
+    if head.broad_mean is None:
+        return means, variances, classes
+    return (np.vstack([means, head.broad_mean]), np.vstack([variances, head.broad_var]),
+            np.append(classes, head.classes - 1))
+
+
+def _log_density_blocks(x: np.ndarray, means: np.ndarray, variances: np.ndarray):
+    """Yields (rows, q) for each `_row_blocks` block of DENSITY_ROWS rows of
+    x: q [T, rows], component-major, holds the log density of each row
+    under each Gaussian (means[t], variances[t]), no weights, from one GEMM
+    [x*x, x] @ [-1/(2 var); mean/var] whose T columns are padded with zeros
+    to a multiple of 8, so that a row's bits do not depend on the block's
+    height (module docstring). A one-row x runs as two copies of its row."""
+    t, d = means.shape
+    inv_var = 1.0 / variances
+    ab = np.zeros((2 * d, -(-t // 8) * 8))  # C-contiguous, as the rule needs
+    ab[:d, :t] = -0.5 * inv_var.T
+    ab[d:, :t] = (means * inv_var).T
+    const = -0.5 * (d * LOG_2PI + np.log(variances).sum(axis=1)
+                    + (means * means * inv_var).sum(axis=1))
+    # a block has at most DENSITY_ROWS + 1 rows, a one-row tail joined
+    xx = np.empty((max(2, min(len(x), DENSITY_ROWS + 1)), 2 * d))
+    prod = np.empty((len(xx), ab.shape[1]))
+    for rows in _row_blocks(len(x), DENSITY_ROWS):
+        xb = x[rows] if len(x) > 1 else x[[0, 0]]
+        n = len(xb)
+        np.multiply(xb, xb, out=xx[:n, :d])
+        xx[:n, d:] = xb
+        np.matmul(xx[:n], ab, out=prod[:n])
+        q = np.add(prod[:rows.stop - rows.start, :t].T, const[:, None], order="C")
+        yield rows, q
 
 
 def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
@@ -190,44 +216,37 @@ def component_log_densities(x: np.ndarray, head: GmmHead, k: int) -> np.ndarray:
     over the C components EM fits."""
     x = np.asarray(x, dtype=np.float64)
     out = np.empty((x.shape[0], head.components))
-    return _component_log_densities(x, head.means[k], head.variances[k], out,
-                                    np.empty_like(x))
+    cols = slice(k * head.components, (k + 1) * head.components)
+    for rows, q in _log_density_blocks(x, *_stacked(head)[:2]):
+        out[rows] = q[cols].T
+    return out
 
 
 def _class_densities(x: np.ndarray, head: GmmHead, logdens: np.ndarray,
                      resp: np.ndarray | None = None,
                      comp_ll: np.ndarray | None = None) -> None:
     """Writes the [N, K] class log densities of x's rows to logdens; if
-    resp [K, C', N] is given (C' = C + 1 with a broad component), each
-    component's responsibility in its class; if comp_ll [N, K*C] is given,
-    the log densities (no weights) of the C components EM fits in each
-    class, class-major. Runs in the row blocks of `_row_blocks` on the
-    workers of `_run_blocks`."""
-    cc = head.components
-    # taken here: a block runs on a worker, which calls no public method
-    classes = [head.class_components(k) for k in range(head.classes)]
-
-    def block(rows):
-        xb = x[rows]
-        scaled = np.empty_like(xb)
-        for k, (means, variances) in enumerate(classes):
-            comp = _component_log_densities(xb, means, variances,
-                                            np.empty((len(xb), len(means))), scaled)
-            if comp_ll is not None:
-                # copied before the weight: adding it and taking it off
-                # again would change the bits
-                comp_ll[rows, k * cc:(k + 1) * cc] = comp[:, :cc]
-            comp += np.log(1.0 / len(means))
-            if resp is None:
-                logdens[rows, k] = _logsumexp(comp, 1, lambda e: e.sum(axis=1))
-                continue
-            m = comp.max(axis=1, keepdims=True)
-            e = np.exp(comp - m)
-            s = e.sum(axis=1, keepdims=True)
-            logdens[rows, k] = (m + np.log(s))[:, 0]
-            resp[k, :len(means), rows] = (e / s).T
-
-    _run_blocks(block, _row_blocks(len(x), DENSITY_ROWS))
+    resp [T, N] is given, each component's responsibility in its class, for
+    the T components of `_stacked`; if comp_ll [N, K*C] is given, the log
+    densities (no weights) of the C components EM fits in each class,
+    class-major."""
+    kk, cc = head.classes, head.components
+    means, variances, classes = _stacked(head)
+    sizes = np.bincount(classes)
+    log_weight = -np.log(sizes[classes])[:, None]
+    for rows, q in _log_density_blocks(x, means, variances):
+        if comp_ll is not None:
+            comp_ll[rows] = q[:kk * cc].T
+        q += log_weight
+        # [C', K, rows]: the broad component is the last class's slot cc,
+        # and that slot holds -inf, which adds nothing, in the other classes
+        weighted = np.full((sizes.max(), kk, q.shape[1]), -np.inf)
+        weighted[:cc] = q[:kk * cc].reshape(kk, cc, -1).transpose(1, 0, 2)
+        weighted[cc:, -1] = q[kk * cc:]
+        logdens[rows] = _logsumexp(weighted, 0).T
+        if resp is not None:
+            q -= logdens[rows].T[classes]
+            resp[:, rows] = _exp(q)
 
 
 def gmm_all_log_densities(x: np.ndarray, head: GmmHead) -> np.ndarray:
@@ -246,13 +265,11 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead,
     receives every component's log density log N(x; mu_kc, var_kc),
     class-major. backward(d_logdens, d_comp=None) yields dx [N, d]; d_comp
     [N, K*C] is an upstream gradient of those component densities, taken in
-    the same pass over the components.
+    the same two GEMMs.
     """
     x = np.asarray(x, dtype=np.float64)
     logdens = np.empty((x.shape[0], head.classes))
-    # component-major: one contiguous row each
-    resp = np.empty((head.classes, head.components + (head.broad_mean is not None),
-                     x.shape[0]))
+    resp = np.empty((len(_stacked(head)[2]), x.shape[0]))
     _class_densities(x, head, logdens, resp, comp_ll)
 
     def backward(d_logdens: np.ndarray, d_comp: np.ndarray | None = None):
@@ -264,31 +281,20 @@ def gmm_all_log_densities_with_grad(x: np.ndarray, head: GmmHead,
 def _component_backward(head: GmmHead, x: np.ndarray, d_logdens: np.ndarray,
                         resp: np.ndarray, d_comp: np.ndarray | None) -> np.ndarray:
     """dx [N, d] of the class log densities, whose upstream gradient
-    d_logdens [N, K] reaches component c of class k (the broad component
-    included) as d_logdens[:, k] * resp[k, c], plus, if d_comp [N, K*C] is
-    given, of the log densities of the components EM fits.
+    d_logdens [N, K] reaches component t of `_stacked` (the broad component
+    included) as d_logdens[:, class of t] * resp[t], plus, if d_comp
+    [N, K*C] is given, of the log densities of the components EM fits.
 
-    Each upstream gradient has its own accumulator, summed at the end, so dx
-    has the bits of one pass per gradient: c * -g = -(c * g) and
-    dx + -t = dx - t exactly.
+    With coeff [T, N] the upstream gradient of each component's log
+    density, whose x-gradient is (mean - x) / var, dx is two GEMMs:
+    coeff.T @ (mean / var) - x * (coeff.T @ (1 / var)).
     """
-    cc = head.components
-    dx = np.zeros_like(x)
-    dx_comp = None if d_comp is None else np.zeros_like(x)
-    g, t = np.empty_like(x), np.empty_like(x)
-    for k in range(head.classes):
-        for c, (mean, var) in enumerate(zip(*head.class_components(k))):
-            # d logN / d mu per coordinate, the negated gradient wrt x
-            np.subtract(x, mean, out=g)
-            g *= 1.0 / var
-            np.multiply((d_logdens[:, k] * resp[k, c])[:, None], g, out=t)
-            dx -= t
-            if d_comp is not None and c < cc:
-                np.multiply(d_comp[:, k * cc + c, None], g, out=t)
-                dx_comp -= t
+    means, variances, classes = _stacked(head)
+    coeff = resp * d_logdens.T[classes]
     if d_comp is not None:
-        dx += dx_comp
-    return dx
+        coeff[:d_comp.shape[1]] += d_comp.T
+    inv_var = 1.0 / variances
+    return coeff.T @ (means * inv_var) - x * (coeff.T @ inv_var)
 
 
 # ---------------------------------------------------------------------------
@@ -314,8 +320,8 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
 
     Alternating row/column scalings (in the log domain) toward uniform
     marginals 1/N per row and 1/C per column. iters=0 only normalizes the
-    total mass. The scalings run on a component-major copy of the costs,
-    summed in the pixel-major orders (module docstring).
+    total mass. The scalings run on a component-major [C, N] copy of the
+    costs, so each reduction runs over the long pixel axis.
     """
     ll = np.asarray(component_logliks, dtype=np.float64)
     if ll.ndim != 2:
@@ -330,28 +336,17 @@ def sinkhorn_assign(component_logliks: np.ndarray, epsilon: float, iters: int) -
     if iters < 0:
         raise InvalidCost(f"iters must be >= 0, got {iters}")
 
-    if c < 8:
-        pixel_sum = lambda e: e.sum(axis=0)
-    else:
-        pixel_sum = lambda e: np.ascontiguousarray(e.T).sum(axis=1)
-    if c > 1:
-        component_sum = lambda e: np.cumsum(e, axis=1)[:, -1]
-    else:
-        component_sum = lambda e: e.sum(axis=1)
-
-    log_k = ll / epsilon
-    log_kt = np.ascontiguousarray(log_k.T)  # [C, N]
+    log_kt = np.ascontiguousarray(ll.T) / epsilon  # [C, N]
     log_a = -np.log(n)  # row marginal
     log_b = -np.log(c)  # column marginal
     u = np.zeros(n)
     v = np.zeros(c)
     for _ in range(iters):
-        u = log_a - _logsumexp(log_kt + v[:, None], 0, pixel_sum)
-        v = log_b - _logsumexp(log_kt + u, 1, component_sum)
-    log_p = log_k + u[:, None] + v[None, :]
-    # exact unit total mass; the flattened sum's order depends on the layout
-    log_p -= _logsumexp(log_p.copy(), (0, 1), lambda e: e.sum(axis=(0, 1)))
-    return SinkhornPlan(matrix=np.exp(log_p))
+        u = log_a - _logsumexp(log_kt + v[:, None], 0)
+        v = log_b - _logsumexp(log_kt + u, 1)
+    log_p = log_kt + v[:, None] + u
+    log_p -= _logsumexp(log_p.copy(), (0, 1))  # exact unit total mass
+    return SinkhornPlan(matrix=_exp(log_p).T)
 
 
 def em_update(

@@ -154,7 +154,7 @@ def _loss_and_grads(head, z: np.ndarray, max_logit: np.ndarray,
         return float(loss), d_z, head_grads
     c_loss, d_comp = _contrast_loss(comp_ll, head.components, targets, cfg)
     loss += cfg.alpha * cfg.beta * c_loss
-    # one pass over the components for both gradients; EM alone fits the head
+    # one backward for both gradients; EM alone fits the head
     d_z = gmm_backward(d_logits2, cfg.alpha * cfg.beta * d_comp)
     return float(loss), d_z, {}
 

@@ -6,10 +6,11 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from scipy.special import logsumexp
 
-from llrseg import gmm, neuralcore
+from llrseg import gmm
 from llrseg.errors import DegenerateCovariance, DimMismatch, InvalidCost
 from llrseg.gmm import (
     DENSITY_ROWS,
+    LOG_2PI,
     VAR_FLOOR,
     GmmHead,
     em_update,
@@ -102,22 +103,20 @@ class TestGmmLogDensity:
             assert gmm_log_density(x, head, 0) == pytest.approx(want, abs=1e-10)
 
     @pytest.mark.parametrize("rows", [1, 7, 300])
-    def test_component_log_densities_bitwise_equal_to_expression(self, rows):
+    def test_component_log_densities_bitwise_equal_across_layouts_and_paths(self, rows):
+        """EM's component densities and the forward's comp_ll read the same
+        GEMM block, which takes a copy of x in one layout."""
         rng = np.random.default_rng(rows)
         head = GmmHead(means=rng.normal(0, 1, (2, 3, 16)),
                        variances=rng.uniform(0.1, 3.0, (2, 3, 16)))
         x = rng.normal(0, 2, (rows, 16))
-        for batch in (x, np.asfortranarray(x), x[:, ::-1]):
+        comp_ll = np.empty((rows, 6))
+        gmm_all_log_densities_with_grad(x, head, comp_ll)
+        for batch in layouts(x).values():
             kept = batch.copy()
-            for k in range(2):
-                want = np.empty((rows, 3))
-                for c in range(3):
-                    var = head.variances[k, c]
-                    z = ((batch - head.means[k, c]) ** 2 / var).sum(axis=1)
-                    want[:, c] = -0.5 * (16 * np.log(2 * np.pi) + np.log(var).sum() + z)
-                got = component_log_densities(batch, head, k)
-                assert np.array_equal(got.view(np.int64), want.view(np.int64))
-            assert np.array_equal(batch, kept)
+            got = np.hstack([component_log_densities(batch, head, k) for k in range(2)])
+            assert bitwise_equal(got, comp_ll)
+            assert bitwise_equal(batch, kept)
 
     @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning",
                                 "ignore:invalid value:RuntimeWarning",
@@ -250,51 +249,119 @@ def layouts(x):
             "strided": wide[:, ::2]}
 
 
-class TestDensityBlocksOnWorkers:
-    """The class densities run in row blocks on a worker per CPU; no result
-    may depend on how many workers run them."""
+def long_double_log_density(x, mean, var):
+    """log N(x; mean, diag(var)) of each row of x, in long double, from the
+    squared distances."""
+    x, mean, var = (np.asarray(a, dtype=np.longdouble) for a in (x, mean, var))
+    return -0.5 * (x.shape[1] * np.log(2 * np.longdouble(np.pi)) + np.log(var).sum()
+                   + ((x - mean) ** 2 / var).sum(axis=1))
 
-    @staticmethod
-    def density_results(x, head):
-        comp_ll = np.empty((len(x), head.classes * head.components))
-        logdens, backward = gmm_all_log_densities_with_grad(x, head, comp_ll)
-        d_logdens = np.linspace(-1.0, 1.0, logdens.size).reshape(logdens.shape)
-        d_comp = np.linspace(1.0, -1.0, comp_ll.size).reshape(comp_ll.shape)
-        # the responsibilities the backward closure holds
-        resp = backward.__closure__[backward.__code__.co_freevars.index("resp")]
-        return [gmm_all_log_densities(x, head), logdens, resp.cell_contents,
-                comp_ll, backward(d_logdens), backward(d_logdens, d_comp)]
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS - 1, DENSITY_ROWS,
-                                      DENSITY_ROWS + 1, 3 * DENSITY_ROWS + 1])
-    def test_inline_equals_pooled(self, monkeypatch, workers, rows):
-        rng = np.random.default_rng(rows)
-        head = GmmHead(means=rng.normal(0, 1, (3, 4, 16)),
-                       variances=rng.uniform(0.1, 3.0, (3, 4, 16)))
-        for name, x in layouts(rng.normal(0, 2, (rows, 16))).items():
-            kept = x.copy()
-            monkeypatch.setattr(neuralcore, "_WORKERS", workers)
-            pooled = self.density_results(x, head)
-            monkeypatch.setattr(neuralcore, "_WORKERS", 1)
-            inline = self.density_results(x, head)
-            assert all(bitwise_equal(a, b) for a, b in zip(pooled, inline)), name
-            assert bitwise_equal(x, kept), name
+def density_results(x, head):
+    """The class densities, comp_ll and responsibilities of x's rows."""
+    comp_ll = np.empty((len(x), head.classes * head.components))
+    logdens, backward = gmm_all_log_densities_with_grad(x, head, comp_ll)
+    # the responsibilities the backward closure holds, [T, N]
+    resp = backward.__closure__[backward.__code__.co_freevars.index("resp")]
+    return [gmm_all_log_densities(x, head), logdens, comp_ll, resp.cell_contents.T]
+
+
+class TestExpandedDensities:
+    """Every component log density is one padded GEMM,
+    [x*x, x] @ [-1/(2 var); mean/var] + const."""
+
+    def test_near_long_double_oracle(self):
+        """Far rows and variances down to 1e-2. The expansion adds the terms
+        x^2/(2 var), x mean/var and mean^2/(2 var) over d channels plus the
+        constant: a GEMM of inner dimension 2d errs by at most about 2d
+        units u = 2^-53 of S, the sum of the terms' magnitudes, and the
+        roundings of x*x, 1/var, mean/var and the constant add a few more,
+        so each density must be within (2d + 8) u S (the worst seen was
+        16 u S, at d = 64). A sign or factor error is off by whole units."""
+        rng = np.random.default_rng(50)
+        u = np.finfo(float).eps / 2
+        for d in (1, 3, 16, 64):
+            means = rng.normal(0, 3, (2, 3, d))
+            means[0, 0] = 20.0  # far from 0, so near it the terms cancel
+            variances = 10.0 ** rng.uniform(-2, 1, (2, 3, d))
+            head = GmmHead(means=means, variances=variances,
+                           broad_mean=rng.normal(0, 1, d), broad_var=np.full(d, 4.0))
+            x = np.vstack([rng.normal(0, 3, (100, d)),
+                           rng.normal(0, 30, (100, d)),  # far from every mean
+                           means.reshape(-1, d) + rng.normal(0, 0.01, (6, d))])
+            for k in range(2):
+                got = component_log_densities(x, head, k)
+                for c in range(3):
+                    mean, var = means[k, c], variances[k, c]
+                    want = long_double_log_density(x, mean, var)
+                    scale = ((x * x / 2 + np.abs(x * mean) + mean * mean / 2) / var).sum(axis=1)
+                    scale += (d * LOG_2PI + np.abs(np.log(var)).sum()) / 2
+                    err = np.abs(got[:, c] - want.astype(np.float64))
+                    assert (err <= (2 * d + 8) * u * scale).all(), (d, k, c)
+
+    @pytest.mark.parametrize("shape, broad", [((1, 1), False), ((5, 5), False),
+                                              ((2, 5), True), ((1, 8), False)],
+                             ids=["1", "5x5", "2x(5+1)", "8"])
+    def test_rows_do_not_depend_on_the_block(self, shape, broad):
+        """Slices of 1 to 1200 rows (every count to 129, then every 13th, and
+        the block edges) at offsets 0, 7 and 391 give the bits of the same
+        rows of one 4096-row call: class densities, comp_ll and
+        responsibilities."""
+        rng = np.random.default_rng(sum(shape))
+        k, c = shape
+        head = GmmHead(means=rng.normal(0, 1, (k, c, 64)),
+                       variances=rng.uniform(0.1, 3.0, (k, c, 64)))
+        if broad:
+            head = head.with_broad(rng.normal(0, 2, (50, 64)))
+        x = rng.normal(0, 2, (4096, 64))
+        whole = density_results(x, head)
+        counts = sorted({*range(1, 130), *range(130, 1201, 13), 1023, 1024, 1025, 1200})
+        for offset in (0, 7, 391):
+            for m in counts:
+                rows = slice(offset, offset + m)
+                got = density_results(x[rows], head)
+                assert all(bitwise_equal(a, b[rows]) for a, b in zip(got, whole)), (offset, m)
+
+    def test_dx_matches_central_differences(self):
+        """Both upstream gradients at once, through the broad component."""
+        rng = np.random.default_rng(51)
+        head = broad_head(rng, 2, 3, 4)
+        x = rng.normal(0, 2, (6, 4))
+        d_out = rng.normal(0, 1, (6, 2))
+        d_comp = rng.normal(0, 1, (6, 6))
+        _, backward = gmm_all_log_densities_with_grad(x, head, np.empty((6, 6)))
+        dx = backward(d_out, d_comp)
+
+        def loss_at(xp):
+            comp_ll = np.empty((len(xp), 6))
+            dens, _ = gmm_all_log_densities_with_grad(xp, head, comp_ll)
+            return (dens * d_out).sum() + (comp_ll * d_comp).sum()
+
+        h = 1e-6
+        for i in range(6):
+            for j in range(4):
+                xp, xm = x.copy(), x.copy()
+                xp[i, j] += h
+                xm[i, j] -= h
+                numeric = (loss_at(xp) - loss_at(xm)) / (2 * h)
+                assert dx[i, j] == pytest.approx(numeric, rel=1e-5, abs=1e-7)
+
+class TestDensityBlocks:
+    """The class densities run inline in blocks of DENSITY_ROWS rows."""
 
     @pytest.mark.parametrize("rows", [DENSITY_ROWS + 1, 2 * DENSITY_ROWS + 1,
                                       2 * DENSITY_ROWS + 2])
     def test_blocks_equal_the_whole_batch(self, rows):
-        """Per class, the log-sum-exp of the whole batch's component
-        densities; with a one-row tail block, a Fortran-order batch would
-        sum that row's terms in another order."""
+        """Per class, scipy's log-sum-exp over the components of the whole
+        batch's component densities, component-major as the kernel sums
+        them; a one-row tail block would take NumPy's matrix-vector
+        path."""
         rng = np.random.default_rng(rows)
-        # NumPy sums fewer than 8 terms in order either way, and the
-        # orders give equal sums often, so a tail row holds many sums
         head = GmmHead(means=rng.normal(0, 1, (6, 8, 64)),
                        variances=rng.uniform(0.1, 3.0, (6, 8, 64)))
         for name, x in layouts(rng.normal(0, 2, (rows, 64))).items():
             comps = [component_log_densities(x, head, k) for k in range(6)]
-            want = np.stack([logsumexp(comp + head.log_weight, axis=1)
+            want = np.stack([logsumexp(comp.T - np.log(8), axis=0)
                              for comp in comps], axis=1)
             assert bitwise_equal(gmm_all_log_densities(x, head), want), name
             comp_ll = np.empty((rows, 6 * 8))
@@ -304,11 +371,11 @@ class TestDensityBlocksOnWorkers:
     def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
         calls = []
 
-        def failing_logsumexp(a, axis, sum_):
+        def failing_logsumexp(a, axis):
             calls.append(1)
             if len(calls) == 3:
                 raise FloatingPointError("block 3")
-            return _logsumexp(a, axis, sum_)
+            return _logsumexp(a, axis)
 
         rng = np.random.default_rng(5)
         head = GmmHead(means=rng.normal(0, 1, (1, 2, 4)),
@@ -334,11 +401,35 @@ class TestLogSumExp:
                     elements=LSE_VALUES),
            axis=st.sampled_from([0, 1, (0, 1)]))
     def test_bitwise_equal_to_scipy(self, a, axis):
-        got = _logsumexp(a.copy(), axis, lambda e: e.sum(axis=axis))
+        got = _logsumexp(a.copy(), axis)
         assert bitwise_equal(np.asarray(got), np.asarray(logsumexp(a, axis=axis)))
 
     def test_ties_at_the_max(self):
-        assert _logsumexp(np.zeros((1, 4)), 1, lambda e: e.sum(axis=1))[0] == np.log(4.0)
+        assert _logsumexp(np.zeros((1, 4)), 1)[0] == np.log(4.0)
+
+    def test_terms_down_to_exps_underflow_count(self):
+        """Next to a maximum of 0 the log-sum-exp is the other term's exp, so
+        a term whose exp is subnormal changes the result; only those whose
+        exp NumPy rounds to 0 may be left out."""
+        t = np.linspace(-760.0, -700.0, 6001)
+        a = np.stack([np.zeros_like(t), t])
+        want = logsumexp(a, axis=0)
+        got = _logsumexp(a.copy(), 0)
+        assert bitwise_equal(got, want)
+        assert (want[t > -745.0] > 0).all() and (want[t < -746.0] == 0).all()
+
+
+def reference_sinkhorn(ll, epsilon, iters):
+    """The plan of the pixel-major [N, C] formula, with scipy's log-sum-exp."""
+    n, c = ll.shape
+    log_k = ll / epsilon
+    u, v = np.zeros(n), np.zeros(c)
+    for _ in range(iters):
+        u = -np.log(n) - logsumexp(log_k + v[None, :], axis=1)
+        v = -np.log(c) - logsumexp(log_k + u[:, None], axis=0)
+    log_p = log_k + u[:, None] + v[None, :]
+    log_p -= logsumexp(log_p)
+    return np.exp(log_p)
 
 
 class TestSinkhorn:
@@ -388,39 +479,14 @@ class TestSinkhorn:
         with pytest.raises(InvalidCost, match="iters"):
             sinkhorn_assign(np.zeros((4, 2)), epsilon=0.5, iters=-1)
 
-
-def reference_sinkhorn(ll, epsilon, iters):
-    """The plan of the pixel-major [N, C] formula, with scipy's log-sum-exp."""
-    n, c = ll.shape
-    log_k = ll / epsilon
-    u, v = np.zeros(n), np.zeros(c)
-    for _ in range(iters):
-        u = -np.log(n) - logsumexp(log_k + v[None, :], axis=1)
-        v = -np.log(c) - logsumexp(log_k + u[:, None], axis=0)
-    log_p = log_k + u[:, None] + v[None, :]
-    log_p -= logsumexp(log_p)
-    return np.exp(log_p)
-
-
-class TestSinkhornBits:
-    """sinkhorn_assign runs on a component-major copy of the costs and sums
-    each axis in the order NumPy sums the pixel-major array: in order over
-    fewer than 8 components, 8 ways at once over 8 or more, in order over
-    the pixels except for C = 1 (pairwise). Any other order changes bits."""
-
-    def test_terms_down_to_exps_underflow_count(self):
-        """Next to a maximum of 0 the log-sum-exp is the other term's exp, so
-        a term whose exp is subnormal changes the result; only those whose
-        exp NumPy rounds to 0 may be left out."""
-        t = np.linspace(-760.0, -700.0, 6001)
-        a = np.stack([np.zeros_like(t), t])
-        want = logsumexp(a, axis=0)
-        got = _logsumexp(a.copy(), 0, lambda e: e.sum(axis=0))
-        assert bitwise_equal(got, want)
-        assert (want[t > -745.0] > 0).all() and (want[t < -746.0] == 0).all()
-
     @pytest.mark.parametrize("c", [1, 2, 5, 7, 8, 16])
-    def test_bitwise_equal_to_the_pixel_major_formula(self, c):
+    def test_near_the_pixel_major_formula(self, c):
+        """The component-major plan against scipy's pixel-major one. Each
+        log-plan entry sums log_k, u, v and the total mass's log, each at
+        most `scale` in size and each rounded within a few ulps of it, and
+        exp turns an absolute log error into a relative one, so entries
+        agree to 16 ulps of `scale` (the worst seen was 2.1); a dropped
+        or repeated scaling moves them by whole units."""
         rng = np.random.default_rng(c)
         for n in sorted({c, c + 1, 7, 8, 9, 127, 128, 129, 1000, 3001}):
             if n < c:
@@ -436,7 +502,10 @@ class TestSinkhornBits:
                 for epsilon, iters in ((0.1, 10), (1.0, 1), (0.5, 0)):
                     got = sinkhorn_assign(ll, epsilon, iters).matrix
                     want = reference_sinkhorn(ll, epsilon, iters)
-                    assert bitwise_equal(got, want), (n, name, epsilon, iters)
+                    scale = np.abs(ll).max() / epsilon + np.log(n * c)
+                    err = np.abs(got - want)
+                    assert (err <= 16 * np.finfo(float).eps * scale * want
+                            + 1e-300).all(), (n, name, epsilon, iters)
 
 
 class TestEmUpdate:

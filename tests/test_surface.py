@@ -121,9 +121,9 @@ def test_tracer_installs_and_restores(load_perfbench, small_stage2):
 
 
 def test_tracer_sees_no_call_from_a_worker(load_perfbench, small_stage2):
-    """A frame large enough to give every worker several GELU and density
-    blocks: the tracer keeps one span stack, so a traced function called
-    from a worker would break its span tree or its call counts."""
+    """A frame large enough to give every worker several GELU blocks: the
+    tracer keeps one span stack, so a traced function called from a worker
+    would break its span tree or its call counts."""
     spans = load_perfbench("spans")
     rng = np.random.default_rng(2)
     channels = inlier_from_bundle(small_stage2).net.in_dim
