@@ -287,14 +287,16 @@ def _component_backward(head: GmmHead, x: np.ndarray, d_logdens: np.ndarray,
 
     With coeff [T, N] the upstream gradient of each component's log
     density, whose x-gradient is (mean - x) / var, dx is two GEMMs:
-    coeff.T @ (mean / var) - x * (coeff.T @ (1 / var)).
+    coeff.T @ (mean / var) - x * (coeff.T @ (1 / var)). As in the forward,
+    a one-row x runs as two copies of its row.
     """
     means, variances, classes = _stacked(head)
     coeff = resp * d_logdens.T[classes]
     if d_comp is not None:
         coeff[:d_comp.shape[1]] += d_comp.T
     inv_var = 1.0 / variances
-    return coeff.T @ (means * inv_var) - x * (coeff.T @ inv_var)
+    c = coeff.T[[0, 0]] if len(x) == 1 else coeff.T
+    return (c @ (means * inv_var) - x * (c @ inv_var))[:len(x)]
 
 
 # ---------------------------------------------------------------------------

@@ -322,6 +322,38 @@ class TestExpandedDensities:
                 got = density_results(x[rows], head)
                 assert all(bitwise_equal(a, b[rows]) for a, b in zip(got, whole)), (offset, m)
 
+    @pytest.mark.parametrize("shape, broad", [((1, 1), False), ((5, 5), False),
+                                              ((2, 5), True), ((1, 8), False)],
+                             ids=["1", "5x5", "2x(5+1)", "8"])
+    def test_dx_rows_do_not_depend_on_the_block(self, shape, broad):
+        """The backward's two GEMMs keep the forward's rule: slices of 1 to
+        1200 rows at offsets 0, 7 and 391 give the dx bits of the same rows
+        of one 4096-row call, with and without d_comp. A one-row slice runs
+        as two copies of its row, or NumPy's matrix-vector path would round
+        it differently."""
+        rng = np.random.default_rng(sum(shape) + 1)
+        k, c = shape
+        head = GmmHead(means=rng.normal(0, 1, (k, c, 64)),
+                       variances=rng.uniform(0.1, 3.0, (k, c, 64)))
+        if broad:
+            head = head.with_broad(rng.normal(0, 2, (50, 64)))
+        x = rng.normal(0, 2, (4096, 64))
+        d_logdens = rng.normal(0, 1, (4096, k))
+        d_comp = rng.normal(0, 1, (4096, k * c))
+
+        def dx(rows):
+            _, backward = gmm_all_log_densities_with_grad(
+                x[rows], head, np.empty((len(x[rows]), k * c)))
+            return backward(d_logdens[rows]), backward(d_logdens[rows], d_comp[rows])
+
+        whole = dx(slice(None))
+        counts = sorted({*range(1, 130), *range(130, 1201, 13), 1023, 1024, 1025, 1200})
+        for offset in (0, 7, 391):
+            for m in counts:
+                rows = slice(offset, offset + m)
+                got = dx(rows)
+                assert all(bitwise_equal(a, b[rows]) for a, b in zip(got, whole)), (offset, m)
+
     def test_dx_matches_central_differences(self):
         """Both upstream gradients at once, through the broad component."""
         rng = np.random.default_rng(51)
@@ -349,7 +381,7 @@ class TestExpandedDensities:
 class TestDensityBlocks:
     """The class densities run inline in blocks of DENSITY_ROWS rows."""
 
-    @pytest.mark.parametrize("rows", [DENSITY_ROWS + 1, 2 * DENSITY_ROWS + 1,
+    @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS + 1, 2 * DENSITY_ROWS + 1,
                                       2 * DENSITY_ROWS + 2])
     def test_blocks_equal_the_whole_batch(self, rows):
         """Per class, scipy's log-sum-exp over the components of the whole
@@ -367,6 +399,27 @@ class TestDensityBlocks:
             comp_ll = np.empty((rows, 6 * 8))
             gmm_all_log_densities_with_grad(x, head, comp_ll)
             assert bitwise_equal(comp_ll, np.concatenate(comps, axis=1)), name
+
+    @pytest.mark.parametrize("rows", [1, 2, DENSITY_ROWS + 1])
+    def test_layouts_give_equal_bits_and_keep_x(self, rows):
+        """C order, Fortran order and a strided view give the same class
+        densities, comp_ll, responsibilities and dx, and none is written."""
+        rng = np.random.default_rng(rows)
+        head = GmmHead(means=rng.normal(0, 1, (3, 4, 16)),
+                       variances=rng.uniform(0.1, 3.0, (3, 4, 16))
+                       ).with_broad(rng.normal(0, 2, (40, 16)))
+        d_logdens = rng.normal(0, 1, (rows, 3))
+        d_comp = rng.normal(0, 1, (rows, 12))
+        results = {}
+        for name, x in layouts(rng.normal(0, 2, (rows, 16))).items():
+            kept = x.copy()
+            got = density_results(x, head)
+            _, backward = gmm_all_log_densities_with_grad(x, head)
+            got += [backward(d_logdens), backward(d_logdens, d_comp)]
+            assert bitwise_equal(x, kept), name
+            results[name] = got
+        for name, got in results.items():
+            assert all(bitwise_equal(a, b) for a, b in zip(got, results["C"])), name
 
     def test_exception_in_a_block_reaches_the_caller(self, monkeypatch):
         calls = []
